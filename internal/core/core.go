@@ -148,11 +148,11 @@ type RunOptions struct {
 	// of an error (streaming executor only).
 	Degrade bool
 	// Trace, when non-nil, records per-operator spans for the execution
-	// (see engine.Options.Trace). Pass a fresh obs.NewTracer per Run.
+	// (see engine.RunOptions.Trace). Pass a fresh obs.NewTracer per Run.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, registers the engine's instruments (per-alias
 	// call counters, latency/chunk-depth histograms, share-layer hits,
-	// driver counters) and fills Run.Metrics with a text snapshot.
+	// driver counters); Metrics.Text() dumps it.
 	Metrics *obs.Registry
 	// Fidelity enables the per-node estimate-vs-actual accounting and
 	// fills Run.Fidelity with the q-error report (see engine.Options).

@@ -66,4 +66,33 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 			gotScored, got, fidelityBudget)
 	}
 	t.Logf("fidelity-scored pull run: %.0f allocs (+%.0f)", gotScored, gotScored-got)
+
+	// A Run of an already prepared plan builds only per-run state, so it
+	// must allocate strictly less than an Execute of the same plan — the
+	// difference is the verification and compilation Prepare does once —
+	// and stay under its own ceiling, so compile work cannot drift back
+	// into the run path unnoticed.
+	prep, err := e.Prepare(a, PrepareOptions{Weights: q.Weights, TargetK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared := func() {
+		r, err := prep.Run(context.Background(), RunOptions{Inputs: world.Inputs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Combinations) == 0 {
+			t.Fatal("prepared run returned nothing")
+		}
+	}
+	prepared()
+	gotRun := testing.AllocsPerRun(10, prepared)
+	const runCeiling = 780
+	if gotRun > runCeiling {
+		t.Errorf("steady-state Prepared.Run allocates %.0f objects, ceiling %d", gotRun, runCeiling)
+	}
+	if gotRun >= got {
+		t.Errorf("Prepared.Run allocates %.0f objects, not below the %.0f of an Execute", gotRun, got)
+	}
+	t.Logf("steady-state Prepared.Run: %.0f allocs (Execute %.0f)", gotRun, got)
 }

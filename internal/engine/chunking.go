@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"seco/internal/plan"
-)
+import "math"
 
 // This file is the one home of the re-chunking helpers the parallel-join
 // operator uses to slice its two ranked input streams into the chunk grid
@@ -15,19 +11,6 @@ import (
 // services, nested joins); override per execution with
 // Options.DefaultChunkSize.
 const DefaultRechunkSize = 10
-
-// chunkSizeOf picks the re-chunking granularity of a join input: the
-// originating service's chunk size when the predecessor is a chunked
-// service node, the configured default otherwise.
-func (ex *executor) chunkSizeOf(id string) int {
-	if n, ok := ex.ann.Plan.Node(id); ok && n.Kind == plan.KindService && n.Stats.Chunked() {
-		return n.Stats.ChunkSize
-	}
-	if ex.opts.DefaultChunkSize > 0 {
-		return ex.opts.DefaultChunkSize
-	}
-	return DefaultRechunkSize
-}
 
 // rechunk slices a ranked list into chunks of the given size (the last
 // chunk may run short).

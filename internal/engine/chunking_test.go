@@ -63,7 +63,7 @@ func TestChunkSizeOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &executor{ann: a}
+	c := &compiler{ann: a}
 	var chunkedID, inputID string
 	for _, id := range p.NodeIDs() {
 		n, _ := p.Node(id)
@@ -78,14 +78,14 @@ func TestChunkSizeOf(t *testing.T) {
 		t.Fatal("fixture plan lacks a chunked service or input node")
 	}
 	n, _ := p.Node(chunkedID)
-	if got := ex.chunkSizeOf(chunkedID); got != n.Stats.ChunkSize {
+	if got := c.chunkSizeOf(chunkedID); got != n.Stats.ChunkSize {
 		t.Errorf("chunked service: size %d, want the service's ChunkSize %d", got, n.Stats.ChunkSize)
 	}
-	if got := ex.chunkSizeOf(inputID); got != DefaultRechunkSize {
+	if got := c.chunkSizeOf(inputID); got != DefaultRechunkSize {
 		t.Errorf("non-service predecessor: size %d, want default %d", got, DefaultRechunkSize)
 	}
-	ex.opts.DefaultChunkSize = 4
-	if got := ex.chunkSizeOf(inputID); got != 4 {
+	c.opts.DefaultChunkSize = 4
+	if got := c.chunkSizeOf(inputID); got != 4 {
 		t.Errorf("override ignored: size %d, want 4", got)
 	}
 }

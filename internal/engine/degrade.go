@@ -105,10 +105,10 @@ func withAlias(alias string, err error) error {
 // budget is set. The probe reads the engine clock, so wall and virtual
 // runs expire identically relative to their own time.
 func (ex *executor) budgetCheck(start time.Time) func() error {
-	if ex.opts.Budget <= 0 {
+	if ex.run.Budget <= 0 {
 		return nil
 	}
-	deadline := start.Add(ex.opts.Budget)
+	deadline := start.Add(ex.run.Budget)
 	clock := ex.engine.clock
 	return func() error {
 		if clock.Now().Before(deadline) {
@@ -126,7 +126,7 @@ func (ex *executor) classifyDegrade(ctx context.Context, err error) (*Degradatio
 		return nil, false
 	}
 	if errors.Is(err, ErrBudget) {
-		reason := ex.opts.BudgetReason
+		reason := ex.run.BudgetReason
 		if reason == "" {
 			reason = DegradeBudget
 		}

@@ -35,7 +35,7 @@ import (
 // runDrain is the eager-drain driver policy: evaluate everything the
 // fetch budgets reach, rank, then truncate.
 func (ex *executor) runDrain(ctx context.Context, g *graph, start time.Time) (*Run, error) {
-	runSc := ex.opts.Trace.Scope("run")
+	runSc := ex.run.Trace.Scope("run")
 	endRun := runSc.StartTimed("run", obs.KindRun, obs.KV("policy", "drain"))
 	pullCtx, cancel := context.WithCancel(ctx)
 	defer func() {
@@ -46,7 +46,7 @@ func (ex *executor) runDrain(ctx context.Context, g *graph, start time.Time) (*R
 	if err := g.root.Open(pullCtx); err != nil {
 		return nil, err
 	}
-	all := make([]*comb, 0, ex.outHint(g))
+	all := make([]*comb, 0, ex.outHint)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -65,16 +65,10 @@ func (ex *executor) runDrain(ctx context.Context, g *graph, start time.Time) (*R
 	cancel()
 	g.wg.Wait()
 
-	// Fidelity is scored before newRun snapshots the metrics registry, so
-	// Run.Metrics includes this run's seco.fidelity.* instruments.
 	fid := ex.assessFidelity(g)
 	ranked := rankTruncate(all, ex.opts.TargetK)
-	run := ex.newRun(ex.materialize(g, ranked), start, false)
+	run := ex.newRun(g, ex.materialize(ranked), len(all), start, false)
 	run.Fidelity = fid
-	for id, n := range g.emitted {
-		run.Produced[id] = int(n.Load())
-	}
-	run.Produced[g.outID] = len(all)
 	endRun(run.Elapsed, obs.KI("combinations", int64(len(ranked))), obs.KI("pulled", int64(len(all))))
 	return run, nil
 }
@@ -87,7 +81,7 @@ func (ex *executor) runDrain(ctx context.Context, g *graph, start time.Time) (*R
 // expiry ends the pull early with a partial result instead of an error
 // (see degrade.go).
 func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Run, error) {
-	runSc := ex.opts.Trace.Scope("run")
+	runSc := ex.run.Trace.Scope("run")
 	endRun := runSc.StartTimed("run", obs.KindRun, obs.KV("policy", "pull"))
 	pullCtx, cancel := context.WithCancel(ctx)
 	defer func() {
@@ -99,15 +93,14 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 		return nil, err
 	}
 
-	earlyStop := ex.opts.TargetK > 0 && nonNegative(ex.opts.Weights)
 	budget := ex.budgetCheck(start)
 	var (
-		all    = make([]*comb, 0, ex.outHint(g))
+		all    = make([]*comb, 0, ex.outHint)
 		kth    minHeap
 		halted bool
 		deg    *Degradation
 	)
-	if earlyStop {
+	if ex.earlyStop {
 		kth.grow(ex.opts.TargetK + 1)
 	}
 	for {
@@ -137,7 +130,7 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 			break
 		}
 		all = append(all, c)
-		if earlyStop {
+		if ex.earlyStop {
 			kth.push(c.score)
 			if kth.len() > ex.opts.TargetK {
 				kth.popMin()
@@ -169,23 +162,19 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 	cancel()
 	g.wg.Wait()
 
-	// Fidelity is scored before newRun snapshots the metrics registry, so
-	// Run.Metrics includes this run's seco.fidelity.* instruments.
 	fid := ex.assessFidelity(g)
 	ranked := rankTruncate(all, ex.opts.TargetK)
-	res := ex.materialize(g, ranked)
-	run := ex.newRun(res, start, halted)
+	res := ex.materialize(ranked)
+	run := ex.newRun(g, res, len(all), start, halted)
 	run.Fidelity = fid
-	for id, n := range g.emitted {
-		run.Produced[id] = int(n.Load())
-	}
-	run.Produced[g.outID] = len(all)
 	if deg != nil {
 		deg.Bound = stopBound
 		deg.CertifiedK = certifiedPrefix(res, stopBound, ex.opts.Weights)
 		deg.FetchDepth = map[string]int{}
-		for id, n := range g.depth {
-			deg.FetchDepth[id] = int(n.Load())
+		for i := range ex.nodes {
+			if ex.nodes[i].svc != nil {
+				deg.FetchDepth[ex.nodes[i].id] = int(g.depth[i].Load())
+			}
 		}
 		run.Degraded = deg
 	}
@@ -214,25 +203,12 @@ func rankTruncate(all []*comb, k int) []*comb {
 // materialize converts the surviving combs to the public map-backed
 // Combinations. This is the only place the runtime builds alias maps, and
 // it must run before the graph teardown releases the operator arenas.
-func (ex *executor) materialize(g *graph, ranked []*comb) []*types.Combination {
+func (ex *executor) materialize(ranked []*comb) []*types.Combination {
 	out := make([]*types.Combination, len(ranked))
 	for i, c := range ranked {
 		out[i] = ex.layout.materialize(c)
 	}
 	return out
-}
-
-// outHint pre-sizes the driver's pull buffer from the annotation's
-// expected output cardinality of the root node, clamped to a sane range.
-func (ex *executor) outHint(g *graph) int {
-	hint := int(ex.ann.Ann[g.rootID].TOut) + 1
-	if hint < 16 {
-		hint = 16
-	}
-	if hint > 4096 {
-		hint = 4096
-	}
-	return hint
 }
 
 // trim renders a score for a trace attribute.

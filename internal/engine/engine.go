@@ -10,6 +10,14 @@
 // eager-drain policy, which evaluates everything the fetch budgets reach
 // before ranking and truncating — the measurement baseline.
 //
+// Execution has two steps. Engine.Prepare does, once, everything that
+// depends only on the plan and the run-invariant options — plancheck
+// verification, the alias layout, every compiled predicate, the program
+// of per-node constants — and returns an immutable Prepared;
+// Prepared.Run builds one run's operators from that program and drives
+// them. Engine.Execute is Prepare followed by one Run; a caller that runs
+// a plan many times keeps the Prepared.
+//
 // Beneath the operators, every service call goes through a shared
 // service.Invoker: per-run Counters give each execution isolated call
 // statistics, budget probing and latency charging, so a single Engine
@@ -20,22 +28,20 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"runtime/pprof"
 	"time"
 
 	"seco/internal/fidelity"
 	"seco/internal/obs"
 	"seco/internal/plan"
-	"seco/internal/plancheck"
 	"seco/internal/service"
 	"seco/internal/types"
 )
 
-// Options configures one execution.
-type Options struct {
-	// Inputs binds the query's INPUT variables.
-	Inputs map[string]types.Value
+// PrepareOptions are the run-invariant execution options: everything
+// Engine.Prepare needs to verify a plan and compile it into a program.
+// A Prepared carries them for its whole life; what varies from one run
+// to the next is in RunOptions, and no field is declared in both.
+type PrepareOptions struct {
 	// Weights is the ranking function (alias → weight); combinations are
 	// scored incrementally as components accumulate.
 	Weights map[string]float64
@@ -55,13 +61,27 @@ type Options struct {
 	// inputs that do not originate from a chunked service node
 	// (default DefaultRechunkSize).
 	DefaultChunkSize int
-	// SkipValidate disables the pre-execution plancheck verification.
-	// By default Execute refuses plans with Error-severity diagnostics
+	// Degrade turns permanent service failures, open circuits, exhausted
+	// retries and budget expiry into partial results: the pull driver
+	// stops pulling, returns what it has, and fills Run.Degraded with the
+	// failure report and the provably-correct prefix length. The drain
+	// driver does not degrade (it has no meaningful partial state to
+	// return); plancheck warns on that combination.
+	Degrade bool
+	// SkipValidate disables the plancheck verification Prepare performs.
+	// By default Prepare refuses plans with Error-severity diagnostics
 	// (cycles, uncovered bindings, illegal strategies, stale annotations,
 	// negative weights under a top-K pull run, mis-compiled operator
 	// graphs); set SkipValidate for callers that have already verified
-	// the plan and need the few microseconds back.
+	// the plan.
 	SkipValidate bool
+}
+
+// RunOptions are the per-run execution options: what one Prepared.Run
+// may choose differently from the next.
+type RunOptions struct {
+	// Inputs binds the query's INPUT variables.
+	Inputs map[string]types.Value
 	// Budget bounds the execution time on the engine's Clock (0 = no
 	// budget): wall time under WallClock, simulated time under
 	// VirtualClock. The deadline is propagated through the context into
@@ -70,13 +90,6 @@ type Options struct {
 	// ErrBudget; with Degrade, the pull driver returns the combinations
 	// produced so far.
 	Budget time.Duration
-	// Degrade turns permanent service failures, open circuits, exhausted
-	// retries and budget expiry into partial results: the pull driver
-	// stops pulling, returns what it has, and fills Run.Degraded with the
-	// failure report and the provably-correct prefix length. The drain
-	// driver does not degrade (it has no meaningful partial state to
-	// return); plancheck warns on that combination.
-	Degrade bool
 	// BudgetReason classifies a budget expiry in Run.Degraded (default
 	// DegradeBudget). The serving layer maps its admission decisions here:
 	// a budget derived from the request deadline reports DegradeDeadline,
@@ -85,14 +98,13 @@ type Options struct {
 	// "the server was protecting itself".
 	BudgetReason DegradeReason
 	// Fidelity enables per-node estimate-vs-actual accounting: every
-	// compiled operator records its actuals (tuples in/out, fetches,
-	// candidate combinations examined) and the drivers assemble a
-	// fidelity.Report on Run.Fidelity, publish seco.fidelity.* metrics,
-	// and — when the run is traced — emit one "fidelity" event per node
-	// lane. Counters come from a per-run slab sized at compile time, so
-	// the enabled path stays cheap; disabled, the operators carry nil
-	// counters and the hot path allocates nothing (the obs.Tracer
-	// pattern).
+	// operator records its actuals (tuples in/out, fetches, candidate
+	// combinations examined) and the drivers assemble a fidelity.Report
+	// on Run.Fidelity, publish seco.fidelity.* metrics, and — when the run
+	// is traced — emit one "fidelity" event per node lane. Counters come
+	// from a per-run slab sized from the program, so the enabled path
+	// stays cheap; disabled, the operators carry nil counters and the hot
+	// path allocates nothing (the obs.Tracer pattern).
 	Fidelity bool
 	// DriftThreshold is the one-sided drift factor of the fidelity
 	// report: a node drifts when its actual exceeds its estimate by more
@@ -100,15 +112,47 @@ type Options struct {
 	// never drift — the pull driver's early halt legitimately undershoots
 	// the annotation.
 	DriftThreshold float64
-	// Trace, when non-nil, records per-operator spans for this execution:
+	// Trace, when non-nil, records per-operator spans for this run:
 	// operator lifecycles, every service invoke/fetch, retry and breaker
 	// events, cache hits, injected faults, and degradations. The engine
 	// binds the tracer to its Clock at the start of the run; under a
 	// VirtualClock the tracer stamps spans deterministically (lane-local
 	// charged-time cursors), so two identical virtual runs produce
 	// byte-identical traces. A Tracer records one run — pass a fresh one
-	// per Execute.
+	// per Run.
 	Trace *obs.Tracer
+}
+
+// Options is the argument of Engine.Execute: the PrepareOptions and the
+// RunOptions of a one-shot execution in one flat literal. Each field is
+// documented on the half it belongs to.
+type Options struct {
+	Weights          map[string]float64 // PrepareOptions.Weights
+	TargetK          int                // PrepareOptions.TargetK
+	Parallelism      int                // PrepareOptions.Parallelism
+	Materialize      bool               // PrepareOptions.Materialize
+	DefaultChunkSize int                // PrepareOptions.DefaultChunkSize
+	Degrade          bool               // PrepareOptions.Degrade
+	SkipValidate     bool               // PrepareOptions.SkipValidate
+
+	Inputs         map[string]types.Value // RunOptions.Inputs
+	Budget         time.Duration          // RunOptions.Budget
+	BudgetReason   DegradeReason          // RunOptions.BudgetReason
+	Fidelity       bool                   // RunOptions.Fidelity
+	DriftThreshold float64                // RunOptions.DriftThreshold
+	Trace          *obs.Tracer            // RunOptions.Trace
+}
+
+// split separates the options into their two halves.
+func (o Options) split() (PrepareOptions, RunOptions) {
+	return PrepareOptions{
+			Weights: o.Weights, TargetK: o.TargetK, Parallelism: o.Parallelism,
+			Materialize: o.Materialize, DefaultChunkSize: o.DefaultChunkSize,
+			Degrade: o.Degrade, SkipValidate: o.SkipValidate,
+		}, RunOptions{
+			Inputs: o.Inputs, Budget: o.Budget, BudgetReason: o.BudgetReason,
+			Fidelity: o.Fidelity, DriftThreshold: o.DriftThreshold, Trace: o.Trace,
+		}
 }
 
 // Run is the outcome of one plan execution.
@@ -147,11 +191,6 @@ type Run struct {
 	// Options.Degrade: it names the failure, the per-node fetch depth
 	// reached, and how much of the returned prefix is provably correct.
 	Degraded *Degradation
-	// Metrics is a text dump of the engine's metrics registry as of the
-	// end of this run (empty when the engine was built without
-	// Config.Metrics). The registry is engine-wide and cumulative; the
-	// dump is the registry state, not a per-run delta.
-	Metrics string
 }
 
 // TotalCalls sums the per-alias request-responses.
@@ -171,6 +210,7 @@ type Engine struct {
 	invoker *service.Invoker
 	clock   Clock
 	metrics *obs.Registry
+	inst    instruments
 	// intern is the engine's interning scope: one front cache over the
 	// process-global handle registry, shared by every run of this engine.
 	// The share layer canonicalizes memoized chunks through it, so a
@@ -197,8 +237,8 @@ type Config struct {
 	// Metrics, when non-nil, receives the engine's instruments: per-alias
 	// call counters and latency/chunk-depth histograms from the Invoker,
 	// share-layer hit counters, and per-run driver counters. The registry
-	// is engine-wide (cumulative across runs); each Run carries a text
-	// snapshot in Run.Metrics. Nil keeps the hot path unmetered.
+	// is engine-wide (cumulative across runs); Engine.Metrics().Text()
+	// dumps it. Nil keeps the hot path unmetered.
 	Metrics *obs.Registry
 	// Hedge, when non-nil, mounts the Invoker's hedging layer on every
 	// lane (above Share): hedgeable failures get one immediate second
@@ -265,7 +305,26 @@ func NewWithConfig(services map[string]service.Service, cfg Config) *Engine {
 		invoker: inv,
 		clock:   clk,
 		metrics: cfg.Metrics,
+		inst:    newInstruments(cfg.Metrics),
 		intern:  intern,
+	}
+}
+
+// instruments are the per-run driver instruments, resolved by name once
+// per engine. All are nil — and their methods no-ops — when the engine
+// was built without Config.Metrics.
+type instruments struct {
+	runsPull, runsDrain, halted *obs.Counter
+	combinations, elapsedMS     *obs.Histogram
+}
+
+func newInstruments(m *obs.Registry) instruments {
+	return instruments{
+		runsPull:     m.Counter("seco.engine.runs.pull"),
+		runsDrain:    m.Counter("seco.engine.runs.drain"),
+		halted:       m.Counter("seco.engine.halted"),
+		combinations: m.Histogram("seco.engine.combinations", obs.DepthBuckets),
+		elapsedMS:    m.Histogram("seco.engine.elapsed_ms", obs.LatencyBucketsMS),
 	}
 }
 
@@ -286,141 +345,16 @@ func (e *Engine) Invoker() *service.Invoker { return e.invoker }
 // built without Config.Metrics).
 func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
-// Execute runs the annotated plan and returns the ranked combinations.
-// The plan compiles into an operator graph executed by one of the two
-// driver policies (see Options.Materialize). Unless Options.SkipValidate
-// is set, the plan is first verified with plancheck — and the compiled
-// operator graph checked against it — and refused when it carries
-// Error-severity diagnostics: a hand-built or JSON-loaded plan violating
-// the engine's invariants would otherwise silently return wrong top-K
-// results. Execute is safe for concurrent use on one Engine; every call
-// gets its own counting scope from the Invoker.
+// Execute runs the annotated plan and returns the ranked combinations:
+// Prepare followed by one Run. Callers that run one plan many times keep
+// the Prepared and pay for verification and compilation once. Execute is
+// safe for concurrent use on one Engine; every call gets its own counting
+// scope from the Invoker.
 func (e *Engine) Execute(ctx context.Context, a *plan.Annotated, opts Options) (*Run, error) {
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = 8
-	}
-	if !opts.SkipValidate {
-		rep := plancheck.CheckAnnotated(a)
-		rep.Merge(plancheck.CheckExec(a.Plan, plancheck.Exec{
-			Weights: opts.Weights, TargetK: opts.TargetK, Streaming: !opts.Materialize,
-			Degrade: opts.Degrade,
-		}))
-		if err := rep.Err(); err != nil {
-			return nil, fmt.Errorf("engine: refusing invalid plan: %w", err)
-		}
-	}
-	// Bind the tracer to this engine's clock before any span can be
-	// recorded. A VirtualClock selects the deterministic stamping mode:
-	// spans carry lane-local charged-time cursors instead of raw clock
-	// readings, so goroutine scheduling cannot perturb the trace.
-	if opts.Trace != nil {
-		_, virtual := e.clock.(*VirtualClock)
-		opts.Trace.Bind(e.clock, virtual)
-	}
-	start := e.clock.Now()
-	ex := &executor{engine: e, ann: a, opts: opts, scope: e.invoker.NewRun()}
-	// Thread the execution budget through the context: every Invoke and
-	// Fetch passes the run's Counter, which refuses calls once the budget
-	// probe reports expiry — on this engine's clock, so virtual runs
-	// expire in simulated time.
-	if check := ex.budgetCheck(start); check != nil {
-		ctx = service.WithBudget(ctx, check)
-		// Under a wall clock the budget also yields per-call deadlines:
-		// every Invoke/Fetch gets a context.WithTimeout bounded by what is
-		// left, so a stalled wire call cannot outlive the run's deadline.
-		// Virtual runs skip this — their time only advances through charged
-		// latency, so the deterministic budget probe is the sole authority.
-		if _, wall := e.clock.(WallClock); wall {
-			deadline := start.Add(opts.Budget)
-			clk := e.clock
-			ctx = service.WithRemaining(ctx, func() time.Duration {
-				return deadline.Sub(clk.Now())
-			})
-		}
-	}
-	order, err := a.Plan.TopoSort()
+	prepare, run := opts.split()
+	p, err := e.Prepare(a, prepare)
 	if err != nil {
 		return nil, err
 	}
-	var outID string
-	for _, id := range order {
-		if n, _ := a.Plan.Node(id); n.Kind == plan.KindOutput {
-			outID = id
-		}
-	}
-	if outID == "" {
-		return nil, fmt.Errorf("engine: plan has no output node")
-	}
-	g, err := compile(ex, outID)
-	if err != nil {
-		return nil, err
-	}
-	if !opts.SkipValidate {
-		if err := plancheck.CheckOpGraph(a.Plan, g.describe()).Err(); err != nil {
-			return nil, fmt.Errorf("engine: refusing mis-compiled operator graph: %w", err)
-		}
-	}
-	// Label the run's goroutines for profiling: children (join-branch
-	// prefetchers, pipe-window invocations) inherit the label, so a pprof
-	// profile partitions CPU/heap by query root.
-	var run *Run
-	var runErr error
-	pprof.Do(ctx, pprof.Labels("seco.query", g.rootID), func(ctx context.Context) {
-		if opts.Materialize {
-			run, runErr = ex.runDrain(ctx, g, start)
-		} else {
-			run, runErr = ex.runPull(ctx, g, start)
-		}
-	})
-	return run, runErr
-}
-
-// executor is the per-run context shared by the compiled operators: the
-// engine, the annotated plan, the execution options, the run's private
-// counting scope from the Invoker, and the alias layout every comb of the
-// compiled graph is indexed by (set by compile).
-type executor struct {
-	engine *Engine
-	ann    *plan.Annotated
-	opts   Options
-	scope  *service.RunScope
-	layout *aliasLayout
-}
-
-// newRun assembles the common Run fields from the run's counting scope.
-func (ex *executor) newRun(ranked []*types.Combination, start time.Time, halted bool) *Run {
-	run := &Run{
-		Combinations: ranked,
-		Calls:        map[string]int64{},
-		Invocations:  map[string]int64{},
-		Produced:     map[string]int{},
-		Resilience:   map[string]service.ResilienceStats{},
-		Halted:       halted,
-		Elapsed:      ex.engine.clock.Now().Sub(start),
-	}
-	for alias, c := range ex.scope.Counters() {
-		run.Calls[alias] = c.Fetches()
-		run.Invocations[alias] = c.Invocations()
-		if rs := service.CollectResilience(c); !rs.Zero() {
-			run.Resilience[alias] = rs
-		}
-	}
-	if est := ex.ann.TotalCalls(); est > float64(run.TotalCalls()) {
-		run.CallsSaved = est - float64(run.TotalCalls())
-	}
-	if m := ex.engine.metrics; m != nil {
-		policy := "pull"
-		if ex.opts.Materialize {
-			policy = "drain"
-		}
-		m.Counter("seco.engine.runs." + policy).Add(1)
-		if halted {
-			m.Counter("seco.engine.halted").Add(1)
-		}
-		m.Histogram("seco.engine.combinations", obs.DepthBuckets).Observe(float64(len(ranked)))
-		m.Histogram("seco.engine.elapsed_ms", obs.LatencyBucketsMS).
-			Observe(float64(run.Elapsed) / float64(time.Millisecond))
-		run.Metrics = m.Text()
-	}
-	return run
+	return p.Run(ctx, run)
 }

@@ -221,7 +221,7 @@ func TestCompiledSelPathVariants(t *testing.T) {
 }
 
 func TestCompiledSelTermVariants(t *testing.T) {
-	ex := &executor{opts: Options{Inputs: map[string]types.Value{"INPUT1": types.Int(7)}}}
+	ex := &executor{run: RunOptions{Inputs: map[string]types.Value{"INPUT1": types.Int(7)}}}
 	c := &comb{comps: []*types.Tuple{types.NewTuple(1).Set("X", types.Int(3))}}
 	rhs := func(term query.Term) (types.Value, error) {
 		cs := compileSel1(t, query.Predicate{

@@ -71,9 +71,10 @@ func TestExecuteSurvivesTransientFailures(t *testing.T) {
 	}
 }
 
-// Ablation: caching the restaurant service cuts its wire calls, because
-// the pipe join repeatedly invokes it with recurring theatre addresses
-// (several movies show at the same theatre). Results must be identical.
+// Ablation: the engine's call-sharing layer cuts the restaurant service's
+// wire calls, because the pipe join repeatedly invokes it with recurring
+// theatre addresses (several movies show at the same theatre). Results
+// must be identical.
 func TestCacheReducesPipeJoinWireCalls(t *testing.T) {
 	reg, err := mart.MovieScenario()
 	if err != nil {
@@ -105,9 +106,9 @@ func TestCacheReducesPipeJoinWireCalls(t *testing.T) {
 
 	cachedWire := service.NewCounter(world.Restaurants, nil)
 	cached := map[string]service.Service{
-		"M": world.Movies, "T": world.Theatres, "R": service.NewCache(cachedWire),
+		"M": world.Movies, "T": world.Theatres, "R": cachedWire,
 	}
-	runCached, err := New(cached, nil).Execute(context.Background(), a, opts)
+	runCached, err := NewWithConfig(cached, Config{Share: true}).Execute(context.Background(), a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +123,9 @@ func TestCacheReducesPipeJoinWireCalls(t *testing.T) {
 			t.Errorf("combination %d differs under cache", i)
 		}
 	}
-	if cachedCalls >= baselineCalls {
-		t.Errorf("cache saved nothing: %d wire calls vs %d baseline", cachedCalls, baselineCalls)
+	// Two of the seven piped invocations repeat an address already fetched.
+	if baselineCalls != 7 || cachedCalls != 5 {
+		t.Errorf("wire calls: baseline %d, shared %d — want 7 and 5", baselineCalls, cachedCalls)
 	}
 	t.Logf("wire calls: baseline %d, cached %d", baselineCalls, cachedCalls)
 }

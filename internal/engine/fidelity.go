@@ -8,35 +8,30 @@ import (
 // assessFidelity assembles the per-node actuals of a finished execution
 // and scores them against the plan's annotations. It must run after the
 // driver's cancel + wg.Wait (the counters are quiescent then) and
-// returns nil unless Options.Fidelity was set. Beside building the
+// returns nil unless RunOptions.Fidelity was set. Beside building the
 // report it publishes the seco.fidelity.* metrics into the engine
 // registry and — when the run is traced — emits one "fidelity" event on
 // every node's lane, so the Chrome export shows est-vs-act inline with
 // the node's call spans.
 func (ex *executor) assessFidelity(g *graph) *fidelity.Report {
-	if !ex.opts.Fidelity {
+	if !ex.run.Fidelity {
 		return nil
 	}
-	acts := make([]fidelity.Actuals, 0, len(g.descs))
-	for _, d := range g.descs {
-		a := fidelity.Actuals{Node: d.Node, Kind: d.Kind}
-		if c := g.emitted[d.Node]; c != nil {
-			a.TuplesOut = float64(c.Load())
+	acts := make([]fidelity.Actuals, len(ex.nodes))
+	for i := range ex.nodes {
+		pn := &ex.nodes[i]
+		a := fidelity.Actuals{Node: pn.id, Kind: pn.kind}
+		a.TuplesOut = float64(g.emitted[i].Load())
+		for _, in := range pn.inputs {
+			a.TuplesIn += float64(g.emitted[in].Load())
 		}
-		for _, in := range d.Inputs {
-			if c := g.emitted[in]; c != nil {
-				a.TuplesIn += float64(c.Load())
-			}
-		}
-		if c := g.depth[d.Node]; c != nil {
-			a.Fetches = float64(c.Load())
-		}
-		a.Candidates = float64(g.fid.Value(d.Node))
-		acts = append(acts, a)
+		a.Fetches = float64(g.depth[i].Load())
+		a.Candidates = float64(g.fid.Value(pn.id))
+		acts[i] = a
 	}
-	rep := fidelity.Assess(ex.ann, acts, ex.opts.DriftThreshold)
+	rep := fidelity.Assess(ex.ann, acts, ex.run.DriftThreshold)
 	rep.Publish(ex.engine.metrics)
-	if tr := ex.opts.Trace; tr != nil {
+	if tr := ex.run.Trace; tr != nil {
 		// Report rows are sorted by node ID, so the event order — and with
 		// it the virtual-clock trace bytes — is deterministic.
 		for _, nf := range rep.Nodes {

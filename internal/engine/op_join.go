@@ -2,13 +2,11 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime/pprof"
 
 	"seco/internal/fidelity"
 	"seco/internal/join"
-	"seco/internal/plan"
 	"seco/internal/types"
 )
 
@@ -66,7 +64,7 @@ type branchPull struct {
 func (g *graph) startPull(ctx context.Context, b *joinBranch) {
 	b.outstanding = true
 	g.wg.Add(1)
-	observed := g.ex.opts.Trace != nil || g.ex.engine.metrics != nil
+	observed := g.ex.run.Trace != nil || g.ex.engine.metrics != nil
 	go func() {
 		defer g.wg.Done()
 		pull := func(ctx context.Context) {
@@ -104,22 +102,17 @@ func (g *graph) startPull(ctx context.Context, b *joinBranch) {
 // fetch counts, exhaustion and processed tiles), so both driver policies
 // enumerate the same combinations in the same order.
 type joinOp struct {
+	*joinProg
 	g           *graph
 	ex          *executor
-	n           *plan.Node
 	explorer    *join.Explorer
 	left, right *joinBranch
-	preds       []joinPred
 	arena       *combArena
 	// cand tallies the candidate pairs the tiles examined (bucket
 	// candidates under the hash path, the full cross product under the
 	// nested scan); nil when fidelity is off.
 	cand *fidelity.Counter
 
-	// hashable marks that every pair predicate is a pure atomic equality,
-	// so tiles may be filled through the pre-sized hash index; nested
-	// remains the per-tile fallback on key-class conflicts.
-	hashable bool
 	// orient caches the per-predicate orientation (which branch holds
 	// which predicate side), resolved once from the first tile — branch
 	// alias sets are uniform across a branch's combs.
@@ -135,31 +128,23 @@ type joinOp struct {
 	done       bool
 }
 
-func (g *graph) makeJoinOp(id string, n *plan.Node) (Operator, error) {
-	preds := g.ex.ann.Plan.Predecessors(id)
-	if len(preds) != 2 {
-		return nil, fmt.Errorf("engine: join %s has %d predecessors", id, len(preds))
+// newBranch wraps a join input reader with the single-outstanding
+// prefetch state.
+func newBranch(reader Operator, id string, size int) *joinBranch {
+	return &joinBranch{
+		reader: reader, id: id, size: size,
+		ch: make(chan branchPull, 1), bestSeen: math.Inf(-1), bound: reader.Bound(),
 	}
-	l, err := g.operator(preds[0])
-	if err != nil {
-		return nil, err
-	}
-	r, err := g.operator(preds[1])
-	if err != nil {
-		return nil, err
-	}
-	lb := &joinBranch{
-		reader: l, id: preds[0], size: g.ex.chunkSizeOf(preds[0]),
-		ch: make(chan branchPull, 1), bestSeen: math.Inf(-1), bound: l.Bound(),
-	}
-	rb := &joinBranch{
-		reader: r, id: preds[1], size: g.ex.chunkSizeOf(preds[1]),
-		ch: make(chan branchPull, 1), bestSeen: math.Inf(-1), bound: r.Bound(),
-	}
+}
+
+func (g *graph) newJoinOp(pn *progNode) (Operator, error) {
+	jp := pn.join
+	lb := newBranch(g.reader(pn.inputs[0]), g.ex.nodes[pn.inputs[0]].id, jp.sizes[0])
+	rb := newBranch(g.reader(pn.inputs[1]), g.ex.nodes[pn.inputs[1]].id, jp.sizes[1])
 	// No static fetch limits: branch lengths are unknown up front, so
 	// exhaustion is reported live (the explorer rolls the probing fetch
 	// back, leaving its state exactly as with a known limit).
-	explorer, err := join.NewExplorer(n.Strategy, 0, 0)
+	explorer, err := join.NewExplorer(pn.n.Strategy, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -169,25 +154,13 @@ func (g *graph) makeJoinOp(id string, n *plan.Node) (Operator, error) {
 		}
 		return chunkTop(lb.chunks[t.X]) * chunkTop(rb.chunks[t.Y])
 	})
-	jps, err := compileJoinPreds(n, g.ex.layout)
-	if err != nil {
-		return nil, err
-	}
-	hashable := len(jps) > 0
-	for i := range jps {
-		if jps[i].eqLeft == nil {
-			hashable = false
-			break
-		}
-	}
 	return &joinOp{
-		g: g, ex: g.ex, n: n, explorer: explorer,
-		left: lb, right: rb, preds: jps,
-		arena:    newCombArena(g.ex.layout.width()),
-		hashable: hashable,
-		orient:   make([]int8, len(jps)),
-		seen:     map[join.Tile]bool{},
-		cand:     g.fid.Counter(id),
+		joinProg: jp, g: g, ex: g.ex, explorer: explorer,
+		left: lb, right: rb,
+		arena:  newCombArena(g.ex.layout.width()),
+		orient: make([]int8, len(jp.preds)),
+		seen:   map[join.Tile]bool{},
+		cand:   g.fid.Counter(pn.id),
 	}, nil
 }
 

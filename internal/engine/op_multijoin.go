@@ -2,11 +2,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"seco/internal/fidelity"
-	"seco/internal/plan"
 	"seco/internal/topk"
 	"seco/internal/types"
 )
@@ -37,7 +35,8 @@ import (
 
 // multiEdge is one compiled cross-branch predicate of the multi-way
 // join, with both endpoint branches resolved and — when the predicate is
-// a pure atomic equality — a posting list per endpoint.
+// a pure atomic equality — a posting list per endpoint. The program's
+// edge table leaves the posting lists nil; each run fills its own copy.
 type multiEdge struct {
 	jp joinPred
 	// bl and br are the branch indexes holding the predicate's left and
@@ -55,14 +54,16 @@ type multiEdge struct {
 type multiJoinOp struct {
 	g        *graph
 	ex       *executor
-	n        *plan.Node
 	branches []*joinBranch
 	// rows accumulates every arrived row per branch, flat across chunks
 	// (the chunk buffers stay on the branches for pooled release).
-	rows  [][]*comb
-	edges []multiEdge
-	// incident lists the edge indexes touching each branch.
+	rows [][]*comb
+	// edges is this run's copy of the program's edge table, with the
+	// posting lists the run fills; incident (edge indexes touching each
+	// branch) and ones are the program's, read-only.
+	edges    []multiEdge
 	incident [][]int
+	ones     []float64
 	arena    *combArena
 	// cand tallies the candidate prefixes the expansion examined
 	// (intersection survivors plus scan-fallback rows); nil when fidelity
@@ -79,7 +80,6 @@ type multiJoinOp struct {
 	assign  []*comb
 	boundB  []bool
 	scratch []*types.Tuple
-	ones    []float64
 	bestBuf []float64
 	curBuf  []float64
 	lists   [][]int32
@@ -89,99 +89,35 @@ type multiJoinOp struct {
 	candBufs [][]int32
 }
 
-func (g *graph) makeMultiJoinOp(id string, n *plan.Node) (Operator, error) {
-	preds := g.ex.ann.Plan.Predecessors(id)
-	if len(preds) < 2 {
-		return nil, fmt.Errorf("engine: multijoin %s has %d predecessors", id, len(preds))
+func (g *graph) newMultiJoinOp(pn *progNode) Operator {
+	mp := pn.multi
+	nb := len(pn.inputs)
+	branches := make([]*joinBranch, nb)
+	for i, in := range pn.inputs {
+		branches[i] = newBranch(g.reader(in), g.ex.nodes[in].id, mp.sizes[i])
 	}
-	branches := make([]*joinBranch, len(preds))
-	for i, pid := range preds {
-		r, err := g.operator(pid)
-		if err != nil {
-			return nil, err
-		}
-		branches[i] = &joinBranch{
-			reader: r, id: pid, size: g.ex.chunkSizeOf(pid),
-			ch: make(chan branchPull, 1), bestSeen: math.Inf(-1), bound: r.Bound(),
+	edges := append([]multiEdge(nil), mp.edges...)
+	for i := range edges {
+		if edges[i].hashable {
+			edges[i].postL = make(map[uint64][]int32, 64)
+			edges[i].postR = make(map[uint64][]int32, 64)
 		}
 	}
-	jps, err := compileJoinPreds(n, g.ex.layout)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve which branch produces each layout slot, so every predicate
-	// maps to the two branches it spans.
-	slotBranch := make([]int, g.ex.layout.width())
-	for i := range slotBranch {
-		slotBranch[i] = -1
-	}
-	for i, pid := range preds {
-		for alias := range g.ex.branchAliases(pid) {
-			slot, err := g.ex.layout.slot(alias)
-			if err != nil {
-				return nil, err
-			}
-			slotBranch[slot] = i
-		}
-	}
-	edges := make([]multiEdge, 0, len(jps))
-	incident := make([][]int, len(preds))
-	for _, jp := range jps {
-		bl, br := slotBranch[jp.leftSlot], slotBranch[jp.rightSlot]
-		if bl < 0 || br < 0 || bl == br {
-			return nil, fmt.Errorf("engine: multijoin %s predicate does not span two branches", id)
-		}
-		e := multiEdge{jp: jp, bl: bl, br: br, hashable: jp.eqLeft != nil}
-		if e.hashable {
-			e.postL = make(map[uint64][]int32, 64)
-			e.postR = make(map[uint64][]int32, 64)
-		}
-		ei := len(edges)
-		edges = append(edges, e)
-		incident[bl] = append(incident[bl], ei)
-		incident[br] = append(incident[br], ei)
-	}
-	nb := len(preds)
-	ones := make([]float64, nb)
-	for i := range ones {
-		ones[i] = 1
-	}
+	width := g.ex.layout.width()
 	return &multiJoinOp{
-		g: g, ex: g.ex, n: n,
-		cand:     g.fid.Counter(id),
+		g: g, ex: g.ex,
+		cand:     g.fid.Counter(pn.id),
 		branches: branches,
 		rows:     make([][]*comb, nb),
-		edges:    edges, incident: incident,
-		arena:    newCombArena(g.ex.layout.width()),
+		edges:    edges, incident: mp.incident, ones: mp.ones,
+		arena:    newCombArena(width),
 		assign:   make([]*comb, nb),
 		boundB:   make([]bool, nb),
-		scratch:  make([]*types.Tuple, g.ex.layout.width()),
-		ones:     ones,
+		scratch:  make([]*types.Tuple, width),
 		bestBuf:  make([]float64, nb),
 		curBuf:   make([]float64, nb),
 		candBufs: make([][]int32, nb),
-	}, nil
-}
-
-// branchAliases collects the service aliases a branch subtree produces
-// (the branch root itself plus everything upstream of it).
-func (ex *executor) branchAliases(id string) map[string]bool {
-	out := map[string]bool{}
-	seen := map[string]bool{}
-	stack := []string{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		if n, ok := ex.ann.Plan.Node(cur); ok && n.Kind == plan.KindService {
-			out[n.Alias] = true
-		}
-		stack = append(stack, ex.ann.Plan.Predecessors(cur)...)
 	}
-	return out
 }
 
 func (s *multiJoinOp) Open(ctx context.Context) error {

@@ -3,14 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync/atomic"
 
 	"seco/internal/fidelity"
 	"seco/internal/obs"
 	"seco/internal/plan"
-	"seco/internal/query"
 	"seco/internal/service"
 	"seco/internal/types"
 )
@@ -29,14 +27,10 @@ import (
 // combination like pipeOne does; the fetch budget stays a per-invocation
 // ceiling, never a prepayment.
 type pagedPipeOp struct {
+	*svcProg
 	ex      *executor
-	n       *plan.Node
 	counter *service.Counter
 	fixed   service.Input
-	preds   []svcPred
-	slot    int
-	budget  int
-	w       float64
 	up      Operator
 	depth   *atomic.Int64
 	sc      *obs.Scope        // the node's trace lane; nil when untraced
@@ -71,20 +65,9 @@ func (s *pagedPipeOp) canFetch() bool {
 // invoke starts the invocation for the current upstream combination,
 // assembling its pipe bindings on top of the fixed ones.
 func (s *pagedPipeOp) invoke(ctx context.Context) error {
-	in := s.fixed.Clone()
-	if in == nil {
-		in = service.Input{}
-	}
-	for _, b := range s.n.Bindings {
-		if b.Source.Kind != query.BindJoin {
-			continue
-		}
-		v := combGet(s.ex.layout, s.cur, b.Source.From.Alias, b.Source.From.Path)
-		if v.IsNull() {
-			return fmt.Errorf("engine: pipe into %s: upstream %s has no value",
-				s.n.Alias, b.Source.From)
-		}
-		in[b.Path] = v
+	in, err := s.pipeInput(s.fixed, s.cur)
+	if err != nil {
+		return err
 	}
 	inv, err := s.counter.Invoke(ctx, in)
 	if err != nil {
@@ -112,7 +95,7 @@ func (s *pagedPipeOp) fetch(ctx context.Context) error {
 	s.fetches++
 	s.depth.Add(1)
 	if s.tuples == nil {
-		s.tuples = getTupleSlice(prefixHint(s.n, s.budget))
+		s.tuples = getTupleSlice(s.hint)
 	}
 	s.tuples = append(s.tuples, chunk.Tuples...)
 	if s.n.Limit > 0 && len(s.tuples) > s.n.Limit {

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime/pprof"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"seco/internal/fidelity"
 	"seco/internal/obs"
 	"seco/internal/plan"
-	"seco/internal/query"
 	"seco/internal/service"
 	"seco/internal/types"
 )
@@ -32,14 +30,10 @@ import (
 // serviceOp runs a non-piped service node. Enumeration order is
 // upstream-outer, tuple-inner.
 type serviceOp struct {
+	*svcProg
 	ex      *executor
-	n       *plan.Node
 	counter *service.Counter
 	fixed   service.Input
-	preds   []svcPred
-	slot    int
-	budget  int
-	w       float64
 	up      Operator
 	depth   *atomic.Int64
 	sc      *obs.Scope        // the node's trace lane; nil when untraced
@@ -95,7 +89,7 @@ func (s *serviceOp) fetch(ctx context.Context) error {
 	if s.tuples == nil {
 		// Pre-size the prefix buffer from the plan's fetch budget and the
 		// service's published chunk size.
-		s.tuples = getTupleSlice(prefixHint(s.n, s.budget))
+		s.tuples = getTupleSlice(s.hint)
 	}
 	s.tuples = append(s.tuples, chunk.Tuples...)
 	if s.n.Limit > 0 && len(s.tuples) > s.n.Limit {
@@ -246,15 +240,11 @@ func scoringCap(sc service.Scoring, pos int) float64 {
 // goroutine is the arena's single owner until the slot's done channel
 // closes); the operator collects the arenas and releases them on Close.
 type pipeOp struct {
+	*svcProg
 	g       *graph
 	ex      *executor
-	n       *plan.Node
 	counter *service.Counter
 	fixed   service.Input
-	preds   []svcPred
-	slot    int
-	budget  int
-	w       float64
 	par     int
 	up      Operator
 	depth   *atomic.Int64
@@ -408,22 +398,11 @@ func (s *pipeOp) Close() error {
 // also reporting how many request-responses it issued. It runs on the
 // slot's goroutine and composes into the slot's own arena.
 func (s *pipeOp) pipeOne(ctx context.Context, slot *pipeSlot) ([]*comb, int, error) {
-	inBinding := s.fixed.Clone()
-	if inBinding == nil {
-		inBinding = service.Input{}
+	inBinding, err := s.pipeInput(s.fixed, slot.src)
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, b := range s.n.Bindings {
-		if b.Source.Kind != query.BindJoin {
-			continue
-		}
-		v := combGet(s.ex.layout, slot.src, b.Source.From.Alias, b.Source.From.Path)
-		if v.IsNull() {
-			return nil, 0, fmt.Errorf("engine: pipe into %s: upstream %s has no value",
-				s.n.Alias, b.Source.From)
-		}
-		inBinding[b.Path] = v
-	}
-	scratch := getTupleSlice(prefixHint(s.n, s.budget))
+	scratch := getTupleSlice(s.hint)
 	tuples, fetched, err := fetchTuples(ctx, s.counter, inBinding, s.budget, s.n.Limit, scratch)
 	if err != nil {
 		putTupleSlice(scratch)
@@ -448,40 +427,6 @@ func (s *pipeOp) pipeOne(ctx context.Context, slot *pipeSlot) ([]*comb, int, err
 	}
 	putTupleSlice(tuples)
 	return out, fetched, nil
-}
-
-// combGet resolves "alias.path" against a comb through the layout — the
-// compact counterpart of Combination.Get.
-func combGet(l *aliasLayout, c *comb, alias, path string) types.Value {
-	slot, ok := l.slots[alias]
-	if !ok {
-		return types.Null
-	}
-	t := c.comps[slot]
-	if t == nil {
-		return types.Null
-	}
-	return t.Get(path)
-}
-
-// fixedInputs assembles the constant and INPUT-variable bindings of a
-// service node.
-func (ex *executor) fixedInputs(n *plan.Node) (service.Input, error) {
-	fixed := service.Input{}
-	for _, b := range n.Bindings {
-		switch b.Source.Kind {
-		case query.BindConst:
-			fixed[b.Path] = b.Source.Const
-		case query.BindInput:
-			v, ok := ex.opts.Inputs[b.Source.Input]
-			if !ok {
-				return nil, fmt.Errorf("engine: unbound input variable %s (service %s)",
-					b.Source.Input, n.Alias)
-			}
-			fixed[b.Path] = v
-		}
-	}
-	return fixed, nil
 }
 
 // fetchTuples invokes the service once and drains up to maxFetches chunks

@@ -13,8 +13,8 @@ import (
 	"seco/internal/types"
 )
 
-// compileFixture compiles the running-example plan into an operator graph
-// without running a driver, so tests can exercise the operator lifecycle
+// compileFixture prepares the running-example plan and instantiates one
+// run's operator graph without running a driver, so tests can exercise the operator lifecycle
 // directly.
 func compileFixture(t *testing.T) *graph {
 	t.Helper()
@@ -23,17 +23,12 @@ func compileFixture(t *testing.T) *graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &executor{engine: e, ann: a,
-		opts:  Options{Inputs: world.Inputs, Weights: q.Weights, Parallelism: 2},
-		scope: e.Invoker().NewRun(),
+	prep, err := e.Prepare(a, PrepareOptions{Weights: q.Weights, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	outID := ""
-	for _, id := range p.NodeIDs() {
-		if n, _ := p.Node(id); n.Kind == plan.KindOutput {
-			outID = id
-		}
-	}
-	g, err := compile(ex, outID)
+	ex := &executor{Prepared: prep, run: RunOptions{Inputs: world.Inputs}, scope: e.Invoker().NewRun()}
+	g, err := prep.instantiate(ex)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,7 +280,7 @@ func (cs *compiledSel) rhs(ex *executor, c *comb) (types.Value, error) {
 		}
 		return t.Atomic(cs.rAtom), nil
 	default:
-		v, ok := ex.opts.Inputs[cs.inputName]
+		v, ok := ex.run.Inputs[cs.inputName]
 		if !ok {
 			return types.Null, fmt.Errorf("engine: unbound input variable %s", cs.inputName)
 		}

@@ -1,0 +1,366 @@
+package engine
+
+import (
+	"fmt"
+
+	"seco/internal/plan"
+	"seco/internal/plancheck"
+	"seco/internal/query"
+	"seco/internal/service"
+	"seco/internal/types"
+)
+
+// This file compiles a plan.Plan into the program a Prepared holds: one
+// progNode per plan node (input, selection, service scan, pipe join,
+// parallel join, multi-way join) carrying everything about the node that
+// is the same in every run — compiled predicates, layout slots, ranking
+// weight, fetch budget, chunk sizes, the constant part of a service's
+// input. Nothing here is mutable after Prepare returns; graph.go builds
+// one run's operators by walking the same nodes, and describe reports
+// them to plancheck, so the verified graph is the executed graph.
+
+// progNode is one compiled plan node.
+type progNode struct {
+	id string
+	// kind is the plancheck operator kind the node instantiates to.
+	kind string
+	n    *plan.Node
+	// inputs index the nodes feeding this one, in wiring order.
+	inputs []int
+	// shared marks a fan-out node: instantiated once, read through one
+	// tee per consumer.
+	shared bool
+
+	sels  []compiledSel // OpSelection
+	svc   *svcProg      // OpScan, OpPipe
+	join  *joinProg     // OpJoin
+	multi *multiProg    // OpMultiJoin
+}
+
+// svcProg is the run-invariant part of a service scan or pipe join.
+type svcProg struct {
+	n     *plan.Node
+	preds []svcPred
+	slot  int
+	// budget is the fetch budget per invocation (1 for unchunked
+	// services); w the alias's ranking weight.
+	budget int
+	w      float64
+	// hint pre-sizes the fetched-tuple prefix buffer.
+	hint int
+	// paged selects the demand-paged pipe reader (see op_pipepaged.go).
+	paged bool
+	// consts holds the constant input bindings; inputs lists the paths
+	// still to bind from RunOptions.Inputs, pipes those bound from each
+	// upstream combination.
+	consts service.Input
+	inputs []inputBind
+	pipes  []pipeBind
+}
+
+// inputBind is one service input path fed by an INPUT variable.
+type inputBind struct {
+	path, input string
+}
+
+// pipeBind is one service input path piped from an upstream component.
+type pipeBind struct {
+	path string
+	// slot is the upstream alias's layout slot, -1 when the plan has no
+	// such alias (the pipe then finds no value, as an absent component).
+	slot int
+	from query.PathRef
+}
+
+// bind assembles the node's fixed input for one run: the constants plus
+// the run's INPUT bindings. A node without INPUT variables shares the
+// constant map across runs — services only read their input.
+func (sp *svcProg) bind(inputs map[string]types.Value) (service.Input, error) {
+	if len(sp.inputs) == 0 {
+		return sp.consts, nil
+	}
+	fixed := make(service.Input, len(sp.consts)+len(sp.inputs))
+	for path, v := range sp.consts {
+		fixed[path] = v
+	}
+	for _, b := range sp.inputs {
+		v, ok := inputs[b.input]
+		if !ok {
+			return nil, fmt.Errorf("engine: unbound input variable %s (service %s)",
+				b.input, sp.n.Alias)
+		}
+		fixed[b.path] = v
+	}
+	return fixed, nil
+}
+
+// pipeInput assembles the input of one piped invocation: the fixed
+// bindings plus the values the upstream combination supplies.
+func (sp *svcProg) pipeInput(fixed service.Input, src *comb) (service.Input, error) {
+	in := make(service.Input, len(fixed)+len(sp.pipes))
+	for path, v := range fixed {
+		in[path] = v
+	}
+	for _, b := range sp.pipes {
+		v := types.Null
+		if b.slot >= 0 {
+			if t := src.comps[b.slot]; t != nil {
+				v = t.Get(b.from.Path)
+			}
+		}
+		if v.IsNull() {
+			return nil, fmt.Errorf("engine: pipe into %s: upstream %s has no value",
+				sp.n.Alias, b.from)
+		}
+		in[b.path] = v
+	}
+	return in, nil
+}
+
+// joinProg is the run-invariant part of a parallel join.
+type joinProg struct {
+	preds []joinPred
+	// sizes are the re-chunking granularities of the two inputs.
+	sizes [2]int
+	// hashable marks that every pair predicate is a pure atomic equality,
+	// so tiles may be filled through the pre-sized hash index.
+	hashable bool
+}
+
+// multiProg is the run-invariant part of a multi-way join: the edge table
+// with both endpoint branches resolved, and the edges touching each
+// branch.
+type multiProg struct {
+	sizes    []int
+	edges    []multiEdge
+	incident [][]int
+	// ones are the unit weights the corner bound composes with.
+	ones []float64
+}
+
+// compiler builds a Prepared's node list: inputs before consumers, every
+// plan node once.
+type compiler struct {
+	engine *Engine
+	ann    *plan.Annotated
+	opts   PrepareOptions
+	layout *aliasLayout
+	nodes  []progNode
+	index  map[string]int
+}
+
+// node compiles the plan node (and, first, everything upstream of it) and
+// returns its index.
+func (c *compiler) node(id string) (int, error) {
+	if i, ok := c.index[id]; ok {
+		return i, nil
+	}
+	n, ok := c.ann.Plan.Node(id)
+	if !ok {
+		return 0, fmt.Errorf("engine: unknown node %q", id)
+	}
+	pn := progNode{id: id, n: n, shared: len(c.ann.Plan.Successors(id)) > 1}
+	preds := c.ann.Plan.Predecessors(id)
+	var err error
+	switch n.Kind {
+	case plan.KindInput:
+		pn.kind = plancheck.OpInput
+	case plan.KindSelection:
+		pn.kind = plancheck.OpSelection
+		if pn.inputs, err = c.inputs(preds[:1]); err == nil {
+			pn.sels, err = compileSelections(n.Selections, c.layout)
+		}
+	case plan.KindService:
+		pn.kind = plancheck.OpScan
+		if n.PipedFrom() {
+			pn.kind = plancheck.OpPipe
+		}
+		if pn.inputs, err = c.inputs(preds[:1]); err == nil {
+			pn.svc, err = c.service(id, n)
+		}
+	case plan.KindJoin:
+		pn.kind = plancheck.OpJoin
+		if len(preds) != 2 {
+			return 0, fmt.Errorf("engine: join %s has %d predecessors", id, len(preds))
+		}
+		if pn.inputs, err = c.inputs(preds); err == nil {
+			pn.join, err = c.join(n, preds)
+		}
+	case plan.KindMultiJoin:
+		pn.kind = plancheck.OpMultiJoin
+		if len(preds) < 2 {
+			return 0, fmt.Errorf("engine: multijoin %s has %d predecessors", id, len(preds))
+		}
+		if pn.inputs, err = c.inputs(preds); err == nil {
+			pn.multi, err = c.multi(id, n, preds)
+		}
+	default:
+		err = fmt.Errorf("engine: unsupported node kind %v", n.Kind)
+	}
+	if err != nil {
+		return 0, err
+	}
+	c.nodes = append(c.nodes, pn)
+	c.index[id] = len(c.nodes) - 1
+	return len(c.nodes) - 1, nil
+}
+
+func (c *compiler) inputs(ids []string) ([]int, error) {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		j, err := c.node(id)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = j
+	}
+	return out, nil
+}
+
+func (c *compiler) service(id string, n *plan.Node) (*svcProg, error) {
+	if _, ok := c.engine.invoker.Lane(n.Alias); !ok {
+		return nil, fmt.Errorf("engine: no service bound for alias %q", n.Alias)
+	}
+	budget := c.ann.Fetches[id]
+	if budget <= 0 || !n.Stats.Chunked() {
+		budget = 1
+	}
+	sp := &svcProg{
+		n: n, budget: budget, w: c.opts.Weights[n.Alias],
+		hint:   prefixHint(n, budget),
+		paged:  n.PipedFrom() && pagedFeedsMultiJoin(c.ann.Plan, id),
+		consts: service.Input{},
+	}
+	for _, b := range n.Bindings {
+		switch b.Source.Kind {
+		case query.BindConst:
+			sp.consts[b.Path] = b.Source.Const
+		case query.BindInput:
+			sp.inputs = append(sp.inputs, inputBind{path: b.Path, input: b.Source.Input})
+		case query.BindJoin:
+			slot, ok := c.layout.slots[b.Source.From.Alias]
+			if !ok {
+				slot = -1
+			}
+			sp.pipes = append(sp.pipes, pipeBind{path: b.Path, slot: slot, from: b.Source.From})
+		}
+	}
+	var err error
+	if sp.preds, err = compileSvcPreds(n, c.layout); err != nil {
+		return nil, err
+	}
+	if sp.slot, err = c.layout.slot(n.Alias); err != nil {
+		return nil, err
+	}
+	return sp, nil
+}
+
+func (c *compiler) join(n *plan.Node, preds []string) (*joinProg, error) {
+	if err := n.Strategy.Validate(); err != nil {
+		return nil, err
+	}
+	jps, err := compileJoinPreds(n, c.layout)
+	if err != nil {
+		return nil, err
+	}
+	hashable := len(jps) > 0
+	for i := range jps {
+		if jps[i].eqLeft == nil {
+			hashable = false
+			break
+		}
+	}
+	return &joinProg{
+		preds: jps, hashable: hashable,
+		sizes: [2]int{c.chunkSizeOf(preds[0]), c.chunkSizeOf(preds[1])},
+	}, nil
+}
+
+func (c *compiler) multi(id string, n *plan.Node, preds []string) (*multiProg, error) {
+	jps, err := compileJoinPreds(n, c.layout)
+	if err != nil {
+		return nil, err
+	}
+	// Resolve which branch produces each layout slot, so every predicate
+	// maps to the two branches it spans.
+	slotBranch := make([]int, c.layout.width())
+	for i := range slotBranch {
+		slotBranch[i] = -1
+	}
+	mp := &multiProg{
+		sizes:    make([]int, len(preds)),
+		edges:    make([]multiEdge, 0, len(jps)),
+		incident: make([][]int, len(preds)),
+		ones:     make([]float64, len(preds)),
+	}
+	for i, pid := range preds {
+		mp.sizes[i] = c.chunkSizeOf(pid)
+		mp.ones[i] = 1
+		for alias := range branchAliases(c.ann.Plan, pid) {
+			slot, err := c.layout.slot(alias)
+			if err != nil {
+				return nil, err
+			}
+			slotBranch[slot] = i
+		}
+	}
+	for _, jp := range jps {
+		bl, br := slotBranch[jp.leftSlot], slotBranch[jp.rightSlot]
+		if bl < 0 || br < 0 || bl == br {
+			return nil, fmt.Errorf("engine: multijoin %s predicate does not span two branches", id)
+		}
+		ei := len(mp.edges)
+		mp.edges = append(mp.edges, multiEdge{jp: jp, bl: bl, br: br, hashable: jp.eqLeft != nil})
+		mp.incident[bl] = append(mp.incident[bl], ei)
+		mp.incident[br] = append(mp.incident[br], ei)
+	}
+	return mp, nil
+}
+
+// branchAliases collects the service aliases a branch subtree produces
+// (the branch root itself plus everything upstream of it).
+func branchAliases(p *plan.Plan, id string) map[string]bool {
+	out := map[string]bool{}
+	seen := map[string]bool{}
+	stack := []string{id}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[cur] {
+			continue
+		}
+		seen[cur] = true
+		if n, ok := p.Node(cur); ok && n.Kind == plan.KindService {
+			out[n.Alias] = true
+		}
+		stack = append(stack, p.Predecessors(cur)...)
+	}
+	return out
+}
+
+// chunkSizeOf picks the re-chunking granularity of a join input: the
+// originating service's chunk size when the predecessor is a chunked
+// service node, the configured default otherwise.
+func (c *compiler) chunkSizeOf(id string) int {
+	if n, ok := c.ann.Plan.Node(id); ok && n.Kind == plan.KindService && n.Stats.Chunked() {
+		return n.Stats.ChunkSize
+	}
+	if c.opts.DefaultChunkSize > 0 {
+		return c.opts.DefaultChunkSize
+	}
+	return DefaultRechunkSize
+}
+
+// describe reports the program for plancheck.CheckOpGraph.
+func (p *Prepared) describe() plancheck.OpGraph {
+	g := plancheck.OpGraph{Root: p.nodes[p.root].id, Ops: make([]plancheck.OpDesc, len(p.nodes))}
+	for i := range p.nodes {
+		pn := &p.nodes[i]
+		d := plancheck.OpDesc{Node: pn.id, Kind: pn.kind, Shared: pn.shared}
+		for _, j := range pn.inputs {
+			d.Inputs = append(d.Inputs, p.nodes[j].id)
+		}
+		g.Ops[i] = d
+	}
+	return g
+}

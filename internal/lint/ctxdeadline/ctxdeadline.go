@@ -2,7 +2,7 @@
 // layer whose context provably carries no deadline. The overload story
 // of cmd/secoserve depends on end-to-end deadline propagation: the
 // admission controller grants each request a budget, the handler turns
-// it into a context deadline, and every Execute/Invoke/Fetch below
+// it into a context deadline, and every Execute/Run/Invoke/Fetch below
 // inherits it so a wedged upstream cannot hold a request slot forever.
 // A call site reachable from a handler that passes context.Background(),
 // context.TODO() or a bare (*http.Request).Context() — none of which
@@ -25,11 +25,11 @@ import (
 	"seco/internal/lint"
 )
 
-// Analyzer flags Execute/Invoke/Fetch calls on deadline-less contexts in
+// Analyzer flags Execute/Run/Invoke/Fetch calls on deadline-less contexts in
 // the serving layer.
 var Analyzer = &lint.Analyzer{
 	Name: "ctxdeadline",
-	Doc:  "flags serving-layer Execute/Invoke/Fetch calls whose context provably carries no deadline, breaking end-to-end deadline propagation",
+	Doc:  "flags serving-layer Execute/Run/Invoke/Fetch calls whose context provably carries no deadline, breaking end-to-end deadline propagation",
 	Scope: []string{
 		"seco/cmd/secoserve",
 		"seco/internal/serve",
@@ -38,9 +38,9 @@ var Analyzer = &lint.Analyzer{
 }
 
 // sinks names the context-first entry points that must inherit the
-// request deadline: the engine's Execute and the service layer's Invoke
-// and Fetch.
-var sinks = map[string]bool{"Execute": true, "Invoke": true, "Fetch": true}
+// request deadline: the engine's Execute and a prepared plan's Run, and
+// the service layer's Invoke and Fetch.
+var sinks = map[string]bool{"Execute": true, "Run": true, "Invoke": true, "Fetch": true}
 
 // state is the deadline lattice of a context expression.
 type state int

@@ -13,6 +13,10 @@ type engine struct{}
 
 func (engine) Execute(ctx context.Context, k int) error { return nil }
 
+type prepared struct{}
+
+func (prepared) Run(ctx context.Context, k int) error { return nil }
+
 type invoker struct{}
 
 func (invoker) Invoke(ctx context.Context, in map[string]string) error { return nil }
@@ -34,6 +38,12 @@ func handler(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	e.Execute(ctx, 10) // want "e\\.Execute called with a deadline-less context \\(http\\.Request\\.Context\\)"
+}
+
+// served runs a cached prepared plan: the same sink as Execute, reached
+// without re-preparing.
+func served(r *http.Request, p prepared) {
+	p.Run(r.Context(), 10) // want "p\\.Run called with a deadline-less context \\(http\\.Request\\.Context\\)"
 }
 
 // derived traces bare roots through the deadline-preserving wrappers:

@@ -18,6 +18,10 @@ func (engine) Execute(ctx context.Context, k int) error { return nil }
 // Close takes a context but is not a deadline-propagation sink.
 func (engine) Close(ctx context.Context) error { return nil }
 
+type prepared struct{}
+
+func (prepared) Run(ctx context.Context, k int) error { return nil }
+
 type invoker struct{}
 
 func (invoker) Invoke(ctx context.Context, in map[string]string) error { return nil }
@@ -32,6 +36,8 @@ func handler(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var e engine
 	e.Execute(ctx, 10)
+	var p prepared
+	p.Run(ctx, 10)
 
 	vctx := context.WithValue(ctx, key{}, "v")
 	var inv invoker

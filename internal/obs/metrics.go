@@ -355,7 +355,7 @@ func writeHistJSON(b *strings.Builder, s histSnapshot) {
 }
 
 // Text renders a deterministic line-per-instrument dump, suitable for
-// embedding in Run.Metrics and for golden comparisons:
+// /metrics.txt and for golden comparisons:
 //
 //	seco.invoker.fetches.M 12
 //	seco.invoker.latency_ms.M count=12 sum=1440 p50=110 p99=119.8

@@ -10,7 +10,7 @@
 // plan.Validate remains the cheap structural gate used while plans are
 // being built; plancheck is the pre-execution verifier: the optimizer
 // asserts its outputs with it, the engine refuses plans that fail it (see
-// engine.Options.SkipValidate), and plancheck.Unmarshal guards plans
+// engine.PrepareOptions.SkipValidate), and plancheck.Unmarshal guards plans
 // loaded from JSON.
 package plancheck
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -11,7 +12,6 @@ import (
 
 	"seco/internal/admission"
 	"seco/internal/engine"
-	"seco/internal/obs"
 	"seco/internal/types"
 )
 
@@ -105,6 +105,9 @@ type queryRejection struct {
 // which would surface as an opaque execution error.
 const budgetGrace = 100 * time.Millisecond
 
+// maxBodyBytes bounds the POST /query body; larger bodies get 413.
+const maxBodyBytes = 1 << 20
+
 // handleQuery is POST /query: admission control, then a budgeted
 // degradable execution on the cached engine for the requested
 // (query, K) pair.
@@ -115,10 +118,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var req queryRequest
 	if r.ContentLength != 0 {
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad request body: "+err.Error(), status)
 			return
 		}
 	}
@@ -143,7 +151,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	dec, release := s.adm.Admit(admission.Request{Tenant: tenant, Deadline: deadline, Queued: queued})
 	defer release()
 	if dec.Tier == admission.TierReject {
-		s.reg.Counter("seco.serve.rejected").Add(1)
+		s.inst.rejected.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(dec.RetryAfter.Seconds()))))
 		w.WriteHeader(http.StatusTooManyRequests)
@@ -192,24 +200,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget+budgetGrace)
 	defer cancel()
-	run, err := entry.eng.Execute(ctx, entry.res.Annotated, engine.Options{
+	run, err := entry.prep.Run(ctx, engine.RunOptions{
 		Inputs:       inputs,
-		Weights:      entry.res.Query.Weights,
-		TargetK:      entry.res.Plan.K,
-		Parallelism:  s.cfg.Parallelism,
 		Budget:       budget,
-		Degrade:      true,
 		BudgetReason: reason,
 	})
 	if err != nil {
-		s.reg.Counter("seco.serve.http_500").Add(1)
+		s.inst.http500.Add(1)
 		http.Error(w, "execution failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 
-	s.reg.Counter("seco.serve.queries").Add(1)
+	s.inst.queries.Add(1)
 	elapsedMS := float64(run.Elapsed) / float64(time.Millisecond)
-	s.reg.Histogram("seco.serve.latency_ms", obs.LatencyBucketsMS).Observe(elapsedMS)
+	s.inst.latencyMS.Observe(elapsedMS)
 	resp := queryResponse{
 		Tenant:     tenant,
 		Tier:       dec.Tier.String(),
@@ -221,7 +225,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		CertifiedK: len(run.Combinations),
 	}
 	if run.Degraded != nil {
-		s.reg.Counter("seco.serve.degraded_runs").Add(1)
+		s.inst.degraded.Add(1)
 		resp.CertifiedK = run.Degraded.CertifiedK
 	}
 	resp.Combinations = make([]queryCombination, 0, len(run.Combinations))

@@ -17,6 +17,7 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -38,8 +39,8 @@ import (
 	"seco/internal/types"
 )
 
-// maxPlans bounds the plan/engine cache; distinct (query, K, metric)
-// triples past the bound evict an arbitrary older entry.
+// maxPlans bounds the plan/engine cache; a new entry past the bound
+// evicts the least recently used one.
 const maxPlans = 64
 
 // Config assembles a Server.
@@ -102,8 +103,14 @@ type Server struct {
 	reg         *obs.Registry
 	adm         *admission.Controller
 
+	inst instruments
+
+	// planMu guards plans and lru only; planning happens outside it.
+	// plans holds the resident entries and the ones being built; lru
+	// orders the resident ones, most recently used first.
 	planMu sync.Mutex
-	plans  map[string]*planEntry
+	plans  map[planKey]*planEntry
+	lru    list.List
 
 	mu        sync.Mutex
 	lastRun   *engine.Run
@@ -112,13 +119,52 @@ type Server struct {
 	failures  int64
 }
 
-// planEntry is one cached (query, K, metric) plan with its long-lived
-// engine. The engine — not just the plan — is cached so repeated queries
-// share one Invoker: the sharing layer, the hedging trigger histograms
-// and the cumulative metrics all need call history to be useful.
+// planKey identifies a cached plan: the query text and K under the
+// planning metric and join-topology toggle in force.
+type planKey struct {
+	k               int
+	metric          string
+	disableMultiway bool
+	text            string
+}
+
+// planEntry is one cached plan with its long-lived engine and the
+// program prepared on it. The engine — not just the plan — is cached so
+// repeated queries share one Invoker: the sharing layer, the hedging
+// trigger histograms and the cumulative metrics all need call history to
+// be useful. The Prepared is cached so a hit neither verifies nor
+// compiles.
 type planEntry struct {
-	res *optimizer.Result
-	eng *engine.Engine
+	res  *optimizer.Result
+	eng  *engine.Engine
+	prep *engine.Prepared
+
+	// ready is closed once the planner has filled the fields above or
+	// err; requests that find the entry meanwhile wait on it.
+	ready chan struct{}
+	err   error
+	// elem is the entry's place in the LRU order, nil until it is built.
+	elem *list.Element
+}
+
+// instruments are the server's own metrics, resolved by name once.
+type instruments struct {
+	queries, degraded, rejected, http500 *obs.Counter
+	hits, misses, evictions              *obs.Counter
+	latencyMS                            *obs.Histogram
+}
+
+func newInstruments(reg *obs.Registry) instruments {
+	return instruments{
+		queries:   reg.Counter("seco.serve.queries"),
+		degraded:  reg.Counter("seco.serve.degraded_runs"),
+		rejected:  reg.Counter("seco.serve.rejected"),
+		http500:   reg.Counter("seco.serve.http_500"),
+		hits:      reg.Counter("seco.serve.plan_cache.hits"),
+		misses:    reg.Counter("seco.serve.plan_cache.misses"),
+		evictions: reg.Counter("seco.serve.plan_cache.evictions"),
+		latencyMS: reg.Histogram("seco.serve.latency_ms", obs.LatencyBucketsMS),
+	}
 }
 
 // New builds a server over a built-in scenario.
@@ -176,7 +222,8 @@ func New(cfg Config) (*Server, error) {
 		clock:       clock,
 		reg:         reg,
 		adm:         admission.NewController(admCfg, clock),
-		plans:       map[string]*planEntry{},
+		inst:        newInstruments(reg),
+		plans:       map[planKey]*planEntry{},
 	}
 	// Warm the canonical entry so construction fails fast on a broken
 	// scenario and the background loop's first run needs no planning.
@@ -196,42 +243,77 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // Admission exposes the admission controller.
 func (s *Server) Admission() *admission.Controller { return s.adm }
 
-// entryFor returns the cached plan+engine for (text, k) under the
-// server's metric and join-topology toggle, planning and binding on
-// miss.
+// entryFor returns the cached plan, engine and prepared program for
+// (text, k) under the server's metric and join-topology toggle. On a miss
+// the caller plans, binds and prepares outside the cache lock; requests
+// for the same key arriving meanwhile wait for that one build (and count
+// as hits), requests for other keys are not held up.
 func (s *Server) entryFor(text string, k int) (*planEntry, error) {
-	key := fmt.Sprintf("%d|%s|%t|%s", k, s.cfg.Metric, s.cfg.DisableMultiway, text)
+	key := planKey{k: k, metric: s.cfg.Metric, disableMultiway: s.cfg.DisableMultiway, text: text}
+	s.planMu.Lock()
+	e, found := s.plans[key]
+	if !found {
+		e = &planEntry{ready: make(chan struct{})}
+		s.plans[key] = e
+	} else if e.elem != nil {
+		s.lru.MoveToFront(e.elem)
+	}
+	s.planMu.Unlock()
+	if found {
+		s.inst.hits.Add(1)
+		<-e.ready
+	} else {
+		s.inst.misses.Add(1)
+		e.err = s.build(e, text, k)
+		s.install(key, e)
+		close(e.ready)
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e, nil
+}
+
+// install makes a built entry resident, evicting the least recently used
+// one when the cache is full; a failed build is dropped instead, so the
+// next request for its key plans again.
+func (s *Server) install(key planKey, e *planEntry) {
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
-	if e, ok := s.plans[key]; ok {
-		s.reg.Counter("seco.serve.plan_cache.hits").Add(1)
-		return e, nil
+	if e.err != nil {
+		delete(s.plans, key)
+		return
 	}
-	s.reg.Counter("seco.serve.plan_cache.misses").Add(1)
+	if s.lru.Len() >= maxPlans {
+		delete(s.plans, s.lru.Remove(s.lru.Back()).(planKey))
+		s.inst.evictions.Add(1)
+	}
+	e.elem = s.lru.PushFront(key)
+}
+
+// build plans the query, binds an engine to the plan and prepares the
+// plan on it under the options every served run shares.
+func (s *Server) build(e *planEntry, text string, k int) error {
 	q, err := s.sys.Parse(text)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := s.sys.Plan(q, core.PlanOptions{
+	e.res, err = s.sys.Plan(q, core.PlanOptions{
 		K: k, Metric: s.cfg.Metric, DisableMultiway: s.cfg.DisableMultiway,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	eng, err := s.engineFor(res)
-	if err != nil {
-		return nil, err
+	if e.eng, err = s.engineFor(e.res); err != nil {
+		return err
 	}
-	if len(s.plans) >= maxPlans {
-		for k := range s.plans {
-			delete(s.plans, k)
-			s.reg.Counter("seco.serve.plan_cache.evictions").Add(1)
-			break
-		}
-	}
-	e := &planEntry{res: res, eng: eng}
-	s.plans[key] = e
-	return e, nil
+	e.prep, err = e.eng.Prepare(e.res.Annotated, engine.PrepareOptions{
+		Weights:     e.res.Query.Weights,
+		TargetK:     e.res.Plan.K,
+		Parallelism: s.cfg.Parallelism,
+		Degrade:     true,
+	})
+	return err
 }
 
 // engineFor binds the plan's aliases to the scenario services — through
@@ -278,14 +360,9 @@ func (s *Server) RunOnce() error {
 	// Fidelity is always scored on the refresh run: it is one cheap
 	// assessment per run and the /fidelity/last surface is how an
 	// operator notices the scenario statistics drifting from the data.
-	run, err := e.eng.Execute(ctx, e.res.Annotated, engine.Options{
-		Inputs:      s.inputs,
-		Weights:     e.res.Query.Weights,
-		TargetK:     e.res.Plan.K,
-		Parallelism: s.cfg.Parallelism,
-		Trace:       tr,
-		Fidelity:    true,
-	})
+	// The run uses the program /query serves, so a failing service shows
+	// up as a degraded run on /runs/last rather than as a failure.
+	run, err := e.prep.Run(ctx, engine.RunOptions{Inputs: s.inputs, Trace: tr, Fidelity: true})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.runs++

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -22,8 +24,8 @@ import (
 // exists only behind chunks 0..i-1 of one live invocation), so coalescing
 // two readers onto one wire stream requires retaining the prefix for the
 // later reader — which is exactly a memo cache with per-chunk flights.
-// Entries live as long as the Share, matching the per-engine lifetime the
-// old per-execution Cache had.
+// Entries live as long as the Share — the lifetime of the engine that
+// owns it.
 //
 // Error handling is per-caller: a failed wire fetch is never cached and
 // is returned only to the caller that led it; waiters re-enter the loop
@@ -113,6 +115,26 @@ func (s *Share) Interface() *mart.Interface { return s.inner.Interface() }
 
 // Stats implements Service.
 func (s *Share) Stats() Stats { return s.inner.Stats() }
+
+// inputKey canonicalizes a binding for use as a map key. Built with
+// direct writes rather than Fprintf: this runs on every Invoke through
+// the Share layer, and the formatter's reflection would allocate per
+// path.
+func inputKey(in Input) string {
+	paths := make([]string, 0, len(in))
+	for p := range in {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	var b strings.Builder
+	for _, p := range paths {
+		b.WriteString(p)
+		b.WriteByte('=')
+		b.WriteString(in[p].String())
+		b.WriteByte(';')
+	}
+	return b.String()
+}
 
 // Invoke implements Service.
 func (s *Share) Invoke(ctx context.Context, in Input) (Invocation, error) {

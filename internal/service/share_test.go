@@ -55,6 +55,50 @@ func TestShareMemoizesAcrossCallers(t *testing.T) {
 	}
 }
 
+// A reader that stops early leaves a prefix behind; a later reader of the
+// same binding replays it from memory and pays only for what lies beyond.
+func TestSharePrefixReuse(t *testing.T) {
+	tab := newMovieTable(t, 1) // matching rows: 2 chunks of 1
+	wire := NewCounter(tab, nil)
+	sh := NewShare(wire)
+	inv1, err := sh.Invoke(context.Background(), movieInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inv1.Fetch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Fetches() != 1 {
+		t.Fatalf("wire fetches = %d", wire.Fetches())
+	}
+	inv2, err := sh.Invoke(context.Background(), movieInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inv2.Fetch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Fetches() != 1 {
+		t.Errorf("prefix refetched: %d wire fetches", wire.Fetches())
+	}
+	if _, err := inv2.Fetch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Fetches() != 2 {
+		t.Errorf("extension fetches = %d, want 2", wire.Fetches())
+	}
+}
+
+func TestShareRejectsMissingInput(t *testing.T) {
+	sh := NewShare(newMovieTable(t, 0))
+	if _, err := sh.Invoke(context.Background(), Input{}); err == nil {
+		t.Error("unbound invoke accepted")
+	}
+	if sh.Interface() == nil || sh.Stats().Validate() != nil {
+		t.Error("forwarding broken")
+	}
+}
+
 func TestShareDistinguishesBindings(t *testing.T) {
 	tab := newMovieTable(t, 0)
 	wire := NewCounter(tab, nil)

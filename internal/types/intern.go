@@ -82,9 +82,13 @@ type Interner struct {
 	m  map[string]Value
 }
 
-// NewInterner returns an empty interning scope.
+// NewInterner returns an empty interning scope. The cache is not
+// pre-sized: a scope lives as long as its engine, the serving layer keeps
+// one engine per cached plan, and a 256-entry table is 48 KB each — most
+// of a full plan cache's heap — for a map that grows to its working size
+// within the engine's first run anyway.
 func NewInterner() *Interner {
-	return &Interner{m: make(map[string]Value, 256)}
+	return &Interner{m: map[string]Value{}}
 }
 
 // String interns s and returns the canonical string Value carrying its
