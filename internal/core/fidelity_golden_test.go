@@ -66,8 +66,12 @@ func fidelityEventCount(tr *obs.Trace) int {
 // TestTriangleFidelityGoldenDrain pins the full Chrome trace of the
 // triangle's drain-mode execution — fidelity events included — and the
 // textual fidelity report. Drain runs every operator to exhaustion, so
-// no halt races a branch prefetch: the virtual clock plus the sorted
-// per-node fidelity events make both artifacts byte-deterministic, and
+// no halt races a branch prefetch and every span's calls, tuples and
+// emissions are fixed; what drain does not fix is how often a consumer
+// probes Bound() on a shared node, which depends on which tee consumer
+// marked it done first — so operator spans carry no probe count. With
+// that, the virtual clock plus the sorted per-node fidelity events make
+// both artifacts byte-deterministic (CI runs every golden 20 times), and
 // the goldens double as a regression guard on the estimate/actual
 // accounting itself — any change to candidate counting, q-error math
 // or drift classification shows up as a diff here.

@@ -1,14 +1,15 @@
 // Package engine executes fully instantiated query plans against live
 // services through a unified pull-based operator runtime. A plan compiles
 // into a graph of operators (Open/Next/Close over ranked combination
-// chunks): service scans, pipe joins, parallel joins, selections, and
-// fan-out tees. Two thin driver policies execute the same graph: the
-// default K-bounded pull maintains the K-th best score pulled so far and
-// — using the score bounds each operator publishes, derived from the
-// services' Scoring curves — halts (and stops issuing request-responses)
-// as soon as the top-K set is guaranteed; Options.Materialize selects the
-// eager-drain policy, which evaluates everything the fetch budgets reach
-// before ranking and truncating — the measurement baseline.
+// chunks): service scans, pipe joins, parallel and multi-way joins,
+// selections, and fan-out tees. Two thin driver policies execute the same
+// graph: the default K-bounded pull maintains the K-th best score pulled
+// so far and — using the score bounds each operator publishes, derived
+// from the services' Scoring curves — halts (and stops issuing
+// request-responses) as soon as the top-K set is guaranteed;
+// Options.Materialize selects the eager-drain policy, which evaluates
+// everything the fetch budgets reach before ranking and truncating — the
+// measurement baseline.
 //
 // Execution has two steps. Engine.Prepare does, once, everything that
 // depends only on the plan and the run-invariant options — plancheck

@@ -92,7 +92,10 @@ func (g *graph) newOp(i int, pn *progNode) (Operator, error) {
 	case plancheck.OpScan, plancheck.OpPipe:
 		return g.newServiceOp(i, pn)
 	case plancheck.OpJoin:
-		return g.newJoinOp(pn)
+		if pn.multi == nil {
+			return g.newJoinOp(pn)
+		}
+		return g.newMultiJoinOp(pn), nil // all-equality: fan-in 2
 	case plancheck.OpMultiJoin:
 		return g.newMultiJoinOp(pn), nil
 	}
@@ -114,14 +117,7 @@ func (g *graph) newServiceOp(i int, pn *progNode) (Operator, error) {
 	// lane. Scope is nil (and WithScope a no-op) when the run is untraced.
 	sc := g.ex.run.Trace.Scope(pn.id)
 	cand := g.fid.Counter(pn.id)
-	switch {
-	case sp.paged:
-		return &pagedPipeOp{
-			svcProg: sp, ex: g.ex, counter: counter, fixed: fixed,
-			up: up, depth: depth, sc: sc, cand: cand,
-			arena: newCombArena(g.ex.layout.width()),
-		}, nil
-	case pn.kind == plancheck.OpPipe:
+	if pn.kind == plancheck.OpPipe && !sp.paged {
 		return &pipeOp{
 			svcProg: sp, g: g, ex: g.ex, counter: counter, fixed: fixed,
 			par: g.ex.opts.Parallelism, up: up, depth: depth, sc: sc, cand: cand,

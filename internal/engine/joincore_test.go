@@ -1,0 +1,401 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"seco/internal/plan"
+	"seco/internal/plancheck"
+	"seco/internal/query"
+	"seco/internal/service"
+	"seco/internal/synth"
+	"seco/internal/types"
+)
+
+// fullFetches annotates the plan with every chunked service at its fetch
+// cap, so the drivers — not the optimizer's fetch assignment — decide how
+// deep the services are read.
+func fullFetches(t *testing.T, p *plan.Plan) *plan.Annotated {
+	t.Helper()
+	fetches := map[string]int{}
+	for _, id := range p.NodeIDs() {
+		n, _ := p.Node(id)
+		if n.Kind == plan.KindService && n.Stats.Chunked() {
+			fetches[id] = int((n.Stats.AvgCardinality + float64(n.Stats.ChunkSize) - 1) / float64(n.Stats.ChunkSize))
+		}
+	}
+	a, err := plan.Annotate(p, fetches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// scoredComps is a combination reduced to what the oracles compare.
+type scoredComps struct {
+	score float64
+	comps map[string]*types.Tuple
+}
+
+// nameScores renders combinations as "score|alias=Name…" lines, sorted:
+// equal-score combinations may surface in either order, the set is what
+// must agree.
+func nameScores(cs []scoredComps) []string {
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		aliases := make([]string, 0, len(c.comps))
+		for a := range c.comps {
+			aliases = append(aliases, a)
+		}
+		sort.Strings(aliases)
+		var b strings.Builder
+		fmt.Fprintf(&b, "%.9f", c.score)
+		for _, a := range aliases {
+			fmt.Fprintf(&b, "|%s=%s", a, c.comps[a].Atomic("Name").Str())
+		}
+		out[i] = b.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+func runNameScores(run *Run) []string {
+	cs := make([]scoredComps, len(run.Combinations))
+	for i, c := range run.Combinations {
+		cs[i] = scoredComps{c.Score, c.Components}
+	}
+	return nameScores(cs)
+}
+
+// triangleReferenceTopK is the brute-force top-k of the triangle query:
+// every row of every service, the Section 3.1 semantics of
+// referenceCombos, ranked by the query's weights.
+func triangleReferenceTopK(t *testing.T, q *query.Query, w *synth.TriangleWorld, k int) []string {
+	t.Helper()
+	all := func(tab *service.Table, in service.Input) []*types.Tuple {
+		var rows []*types.Tuple
+		inv, err := tab.Invoke(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			c, err := inv.Fetch(context.Background())
+			if err != nil || len(c.Tuples) == 0 {
+				return rows
+			}
+			rows = append(rows, c.Tuples...)
+		}
+	}
+	city := service.Input{"City": types.String("Milano")}
+	byAlias := map[string][]*types.Tuple{
+		"S": all(w.Festivals, service.Input{"Name": w.Inputs["INPUT1"]}),
+		"A": all(w.Artists, city), "V": all(w.Venues, city), "P": all(w.Promoters, city),
+	}
+	aliases := q.Aliases()
+	rows := make([][]*types.Tuple, len(aliases))
+	for i, a := range aliases {
+		if rows[i] = byAlias[a]; len(rows[i]) == 0 {
+			t.Fatalf("reference found no rows for alias %s", a)
+		}
+	}
+	var found []scoredComps
+	referenceCombos(t, q, rows, w.Inputs, func(combo []*types.Tuple) {
+		sc := scoredComps{comps: map[string]*types.Tuple{}}
+		for i, a := range aliases {
+			sc.comps[a] = combo[i]
+			sc.score += q.Weights[a] * combo[i].Score
+		}
+		found = append(found, sc)
+	})
+	sort.SliceStable(found, func(i, j int) bool { return found[i].score > found[j].score })
+	if len(found) > k {
+		found = found[:k]
+	}
+	return nameScores(found)
+}
+
+// TestEqualityJoinRunsAtFanInTwo pins the routing of binary joins on the
+// binary-only triangle plan S → (A‖P) ⋈ V: join1 (P.Label = A.Label) is
+// all-equality and runs on the multi-way operator at fan-in 2, join2
+// carries the proximity condition A.Draw <= V.Capacity and stays on the
+// explorer-driven joinOp. Both are still OpJoin to plancheck.
+func TestEqualityJoinRunsAtFanInTwo(t *testing.T) {
+	res, world := triangleFixtureWith(t, 7, true)
+	e := New(world.Services(), nil)
+	prep, err := e.Prepare(res.Annotated, PrepareOptions{Weights: res.Query.Weights, Materialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]string{}
+	for _, d := range prep.describe().Ops {
+		kinds[d.Node] = d.Kind
+	}
+	ex := &executor{Prepared: prep, run: RunOptions{Inputs: world.Inputs}, scope: e.Invoker().NewRun()}
+	g, err := prep.instantiate(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.shutdown()
+	joins := 0
+	for i := range prep.nodes {
+		pn := &prep.nodes[i]
+		if pn.n.Kind != plan.KindJoin {
+			continue
+		}
+		joins++
+		if kinds[pn.id] != plancheck.OpJoin {
+			t.Errorf("%s described as %q, want %q", pn.id, kinds[pn.id], plancheck.OpJoin)
+		}
+		allEq := true
+		for _, jp := range pn.n.JoinPreds {
+			allEq = allEq && jp.Op == types.OpEq
+		}
+		inner := g.ops[i].(*countedOp).inner
+		if allEq {
+			if m, ok := inner.(*multiJoinOp); !ok || len(m.branches) != 2 {
+				t.Errorf("%s %v: operator %T, want the multi-way operator at fan-in 2", pn.id, pn.n.JoinPreds, inner)
+			}
+		} else if j, ok := inner.(*joinOp); !ok || j.explorer == nil {
+			t.Errorf("%s %v: operator %T, want joinOp with its explorer", pn.id, pn.n.JoinPreds, inner)
+		}
+	}
+	if joins != 2 {
+		t.Fatalf("binary triangle plan has %d joins, want 2", joins)
+	}
+
+	// Drain at the optimizer's budget: the calls are the parent's, and the
+	// join flow is the full 4×4 rectangle of chunk pairs — the multi-way
+	// operator enumerates every stored pair, where merge-scan/triangular
+	// without a flush admitted only the tiles under the anti-diagonal
+	// (47 at join1, 9 at join2).
+	run, err := prep.Run(context.Background(), RunOptions{Inputs: world.Inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int64{"S": 1, "A": 4, "P": 4, "V": 4}; !reflect.DeepEqual(run.Calls, want) {
+		t.Errorf("drain calls %v, want %v", run.Calls, want)
+	}
+	want := map[string]int{"input": 1, "S": 1, "A": 20, "P": 20, "V": 20, "join1": 73, "join2": 17, "output": 17}
+	if !reflect.DeepEqual(run.Produced, want) {
+		t.Errorf("drain produced %v, want %v", run.Produced, want)
+	}
+}
+
+// TestFanInTwoTopKMatchesReference: over seeds, the binary-only triangle
+// plan at full budget returns the brute-force top-5 under both drivers.
+func TestFanInTwoTopKMatchesReference(t *testing.T) {
+	for _, seed := range []int64{7, 23, 91} {
+		res, world := triangleFixtureWith(t, seed, true)
+		want := triangleReferenceTopK(t, res.Query, world, 5)
+		if len(want) != 5 {
+			t.Fatalf("seed %d: reference has %d combinations", seed, len(want))
+		}
+		a := fullFetches(t, res.Plan)
+		for _, materialize := range []bool{false, true} {
+			run, err := New(world.Services(), nil).Execute(context.Background(), a, Options{
+				Inputs: world.Inputs, Weights: res.Query.Weights, TargetK: 5, Materialize: materialize,
+			})
+			if err != nil {
+				t.Fatalf("seed %d materialize=%v: %v", seed, materialize, err)
+			}
+			if got := runNameScores(run); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d materialize=%v: top-5 differs from the reference:\ngot\n%s\nwant\n%s",
+					seed, materialize, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		}
+	}
+}
+
+// TestNonEqualityJoinKeepsExplorer: the running example's M ⋈ T join is a
+// repeating-group predicate, so it needs the explorer's tile order and
+// its node strategy.
+func TestNonEqualityJoinKeepsExplorer(t *testing.T) {
+	g := compileFixture(t)
+	defer g.shutdown()
+	found := false
+	for i := range g.ex.nodes {
+		pn := &g.ex.nodes[i]
+		if pn.n.Kind != plan.KindJoin {
+			continue
+		}
+		found = true
+		j, ok := g.ops[i].(*countedOp).inner.(*joinOp)
+		if !ok || pn.join == nil || pn.multi != nil {
+			t.Fatalf("%s: operator %T (join=%v multi=%v), want joinOp", pn.id, g.ops[i].(*countedOp).inner, pn.join != nil, pn.multi != nil)
+		}
+		if j.explorer == nil {
+			t.Errorf("%s: joinOp without an explorer", pn.id)
+		}
+	}
+	if !found {
+		t.Fatal("running-example plan has no join node")
+	}
+}
+
+// TestMixedClassKeyColumnIsAnError: an equality key column carrying both
+// strings and ints makes some row pair a cross-kind comparison. The one
+// equality index reports that comparison's error at fan-in 2 and n alike
+// instead of filing the rows under keys that never meet; a null key part
+// matches nothing and is no error.
+func TestMixedClassKeyColumnIsAnError(t *testing.T) {
+	extra := func(name string, label types.Value) *types.Tuple {
+		tu := types.NewTuple(1)
+		tu.Set("City", types.String("Milano")).Set("Score", types.Float(1)).
+			Set("Name", types.String(name)).Set("Genre", types.String("Genre-00")).
+			Set("Draw", types.Int(1))
+		if !label.IsNull() {
+			tu.Set("Label", label)
+		}
+		return tu
+	}
+	for _, tc := range []struct {
+		name       string
+		binaryOnly bool
+	}{{"fan-in 2", true}, {"fan-in 3", false}} {
+		for _, materialize := range []bool{false, true} {
+			run := func(label types.Value) (*Run, error) {
+				res, world := triangleFixtureWith(t, 7, tc.binaryOnly)
+				world.Artists.Add(extra("Artist-odd", label))
+				return New(world.Services(), nil).Execute(context.Background(), fullFetches(t, res.Plan), Options{
+					Inputs: world.Inputs, Weights: res.Query.Weights, TargetK: 5, Materialize: materialize,
+				})
+			}
+			if _, err := run(types.Int(7)); err == nil || !strings.Contains(err.Error(), "types: cannot compare") {
+				t.Errorf("%s materialize=%v: int Label among strings: err = %v, want a cross-kind comparison error",
+					tc.name, materialize, err)
+			}
+			got, err := run(types.Null)
+			if err != nil {
+				t.Fatalf("%s materialize=%v: null Label: %v", tc.name, materialize, err)
+			}
+			for _, c := range got.Combinations {
+				if c.Components["A"].Atomic("Name").Str() == "Artist-odd" {
+					t.Errorf("%s materialize=%v: the null-keyed artist joined: %v", tc.name, materialize, c)
+				}
+			}
+			if len(got.Combinations) != 5 {
+				t.Errorf("%s materialize=%v: %d combinations beside a null key, want 5", tc.name, materialize, len(got.Combinations))
+			}
+		}
+	}
+}
+
+// sliceOp replays fixed combinations and counts how often it was pulled.
+type sliceOp struct {
+	combs []*comb
+	pulls int
+}
+
+func (s *sliceOp) Open(context.Context) error { return nil }
+func (s *sliceOp) Next(context.Context) (*comb, error) {
+	s.pulls++
+	if len(s.combs) == 0 {
+		return nil, nil
+	}
+	c := s.combs[0]
+	s.combs = s.combs[1:]
+	return c, nil
+}
+func (s *sliceOp) Bound() float64 { return 0 }
+func (s *sliceOp) Close() error   { return nil }
+
+// TestServiceReaderModes drives the one demand-paged reader in its two
+// modes over a keyed service (6 tuples per key, chunks of 2, budget 3)
+// and three upstream combinations. A scan invokes once with its fixed
+// input, shares the fetched prefix across the combinations and gives up
+// the moment the service turns out empty; a piped reader invokes per
+// combination with the key the combination supplies, and in both modes a
+// chunk is fetched only when the enumeration runs past the prefix.
+func TestServiceReaderModes(t *testing.T) {
+	type step struct {
+		pull                 int // combinations to pull in this step (-1: to exhaustion)
+		got                  int // combinations the step must return
+		invocations, fetches int64
+		upstreamPulls        int
+	}
+	for _, tc := range []struct {
+		name   string
+		paged  bool
+		key    int64   // scan: the fixed Key binding
+		upKeys []int64 // the upstream combinations' Ids (piped: their keys)
+		steps  []step
+	}{
+		{"scan pages one shared prefix", false, 1, []int64{0, 1, 2}, []step{
+			{1, 1, 1, 1, 1},   // first combination: one chunk, not the budget
+			{2, 2, 1, 2, 1},   // third tuple needs the second chunk
+			{4, 4, 1, 3, 2},   // 2nd upstream combination re-reads the prefix: no call
+			{-1, 11, 1, 3, 4}, // 18 in all, still one invocation and three fetches
+		}},
+		{"scan stops on an empty service", false, 99, []int64{0, 1, 2}, []step{
+			{-1, 0, 1, 0, 1}, // nothing can compose: the other two upstream pulls are skipped
+		}},
+		{"piped starts over per combination", true, 0, []int64{0, 1, 2}, []step{
+			{1, 1, 1, 1, 1},   // no prepayment: pipeOp would have fetched 3 here
+			{5, 5, 1, 3, 1},   // the rest of combination 0
+			{1, 1, 2, 4, 2},   // combination 1 invokes afresh and pays one chunk
+			{-1, 11, 3, 9, 4}, // 18 in all: three invocations of three chunks
+		}},
+		{"piped survives an empty invocation", true, 0, []int64{99, 1}, []step{
+			{1, 1, 2, 1, 2}, // key 99 yields nothing; the next combination may still
+			{-1, 5, 2, 3, 3},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab, err := synth.NewKeyed("X", 4, 6, service.Stats{
+				AvgCardinality: 6, ChunkSize: 2, CostPerCall: 1, Scoring: service.Linear(6),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(map[string]service.Service{"X": tab}, nil)
+			layout := &aliasLayout{slots: map[string]int{"U": 0, "X": 1}, aliases: []string{"U", "X"}, weights: []float64{1, 1}}
+			up := &sliceOp{}
+			for _, k := range tc.upKeys {
+				tu := types.NewTuple(0.5)
+				tu.Set("Id", types.Int(k))
+				up.combs = append(up.combs, &comb{score: 0.5, comps: []*types.Tuple{tu, nil}})
+			}
+			sp := &svcProg{
+				n: &plan.Node{ID: "X", Alias: "X", Stats: tab.Stats()}, slot: 1, budget: 3, w: 1, hint: 6,
+				paged: tc.paged,
+			}
+			fixed := service.Input{"Key": types.Int(tc.key)}
+			if tc.paged {
+				fixed = service.Input{}
+				sp.pipes = []pipeBind{{path: "Key", slot: 0, from: query.PathRef{Alias: "U", Path: "Id"}}}
+			}
+			counter := e.Invoker().NewRun().Counter("X")
+			op := &serviceOp{
+				svcProg: sp, ex: &executor{Prepared: &Prepared{engine: e, layout: layout}},
+				counter: counter, fixed: fixed, up: up, depth: &atomic.Int64{},
+				arena: newCombArena(layout.width()),
+			}
+			defer op.Close()
+			ctx := context.Background()
+			for i, st := range tc.steps {
+				got := 0
+				for st.pull < 0 || got < st.pull {
+					c, err := op.Next(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c == nil {
+						break
+					}
+					got++
+				}
+				if got != st.got || counter.Invocations() != st.invocations ||
+					counter.Fetches() != st.fetches || up.pulls != st.upstreamPulls {
+					t.Fatalf("step %d: %d combinations, %d invocations, %d fetches, %d upstream pulls; want %d, %d, %d, %d",
+						i, got, counter.Invocations(), counter.Fetches(), up.pulls,
+						st.got, st.invocations, st.fetches, st.upstreamPulls)
+				}
+			}
+		})
+	}
+}

@@ -7,32 +7,27 @@ import (
 
 	"seco/internal/fidelity"
 	"seco/internal/join"
-	"seco/internal/types"
+	"seco/internal/topk"
 )
 
-// This file implements the parallel-join operator: the event-based join
-// explorer (merge-scan or nested-loop, per the node's strategy) driven
-// against live chunk arrivals from the two input operators. Each input is
-// wrapped in a joinBranch whose single outstanding prefetch goroutine
-// assembles the next chunk concurrently with the other branch — the
-// parallel service invocation the plan topology promises.
-//
-// Tile filling has two modes. When every pair predicate of the node is a
-// pure atomic equality, the operator builds a hash index over each right
-// chunk — pre-sized from the branch chunk sizes the optimizer's plan
-// statistics determine — and probes it with the left rows, verifying
-// bucket candidates with the compiled predicates (hash-then-verify, so
-// false hash positives are impossible). The nested-loop scan remains both
-// the fallback for non-equality predicates and the runtime escape hatch
-// whenever a key column carries mixed value classes, where the hash path
-// could hide the cross-kind comparison errors the scan would surface.
-// Both modes emit identical combinations in identical order.
+// This file implements the parallel-join operator for predicates that
+// need an exploration order: the event-based join explorer (merge-scan or
+// nested-loop, per the node's strategy) driven against live chunk
+// arrivals from the two input operators, each tile filled by evaluating
+// the compiled pair predicates over the chunk pair. A join whose every
+// pair predicate is a pure atomic equality does not come here — it
+// compiles to the multi-way operator at fan-in 2 (op_multijoin.go), which
+// owns the one equality index. Both operators read their inputs through
+// joinBranch, defined here: a single outstanding prefetch goroutine per
+// input assembles the next chunk concurrently with the other branches —
+// the parallel service invocation the plan topology promises.
 
-// joinBranch is one input of the join operator. A single outstanding
+// joinBranch is one input of a join operator. A single outstanding
 // prefetch goroutine owns the reader and assembles the next chunk;
-// results are handed over through a capacity-1 channel, so both branches
-// fetch concurrently while the explorer is driven from one goroutine.
+// results are handed over through a capacity-1 channel, so all branches
+// fetch concurrently while the join is driven from one goroutine.
 type joinBranch struct {
+	g      *graph
 	reader Operator
 	// id names the branch's input plan node — the pprof label of the
 	// prefetch goroutine when the run is observed.
@@ -40,7 +35,7 @@ type joinBranch struct {
 	size int
 	ch   chan branchPull
 	// outstanding marks a prefetch in flight whose result has not been
-	// consumed yet; Close drains it so the goroutine's reader ownership
+	// consumed yet; release drains it so the goroutine's reader ownership
 	// has ended before the graph closes the inputs.
 	outstanding bool
 
@@ -49,7 +44,7 @@ type joinBranch struct {
 	bestSeen float64
 	// bound is the reader's bound snapshot as of the last completed pull
 	// (the reader itself is owned by the prefetch goroutine while a pull
-	// is outstanding).
+	// is outstanding); -Inf once the branch has run dry.
 	bound  float64
 	noMore bool
 }
@@ -61,7 +56,19 @@ type branchPull struct {
 	err    error
 }
 
-func (g *graph) startPull(ctx context.Context, b *joinBranch) {
+// newBranch wraps input node `in` of a join with the single-outstanding
+// prefetch state.
+func (g *graph) newBranch(in, size int) *joinBranch {
+	reader := g.reader(in)
+	return &joinBranch{
+		g: g, reader: reader, id: g.ex.nodes[in].id, size: size,
+		ch: make(chan branchPull, 1), bestSeen: math.Inf(-1), bound: reader.Bound(),
+	}
+}
+
+// start launches the branch's next prefetch.
+func (b *joinBranch) start(ctx context.Context) {
+	g := b.g
 	b.outstanding = true
 	g.wg.Add(1)
 	observed := g.ex.run.Trace != nil || g.ex.engine.metrics != nil
@@ -88,12 +95,64 @@ func (g *graph) startPull(ctx context.Context, b *joinBranch) {
 		}
 		if observed {
 			// Label the prefetcher with its input node, so profiles split
-			// the two concurrently-fetching join branches.
+			// the concurrently-fetching join branches.
 			pprof.Do(ctx, pprof.Labels("seco.operator", b.id), pull)
 		} else {
 			pull(ctx)
 		}
 	}()
+}
+
+// take consumes the outstanding prefetch: it records the arrived chunk
+// (with its score maximum), the reader's bound and whether the reader ran
+// dry, and keeps one pull in flight while more can come. A nil chunk
+// means the branch has nothing more to deliver.
+func (b *joinBranch) take(ctx context.Context) ([]*comb, error) {
+	if b.noMore {
+		return nil, nil
+	}
+	res := <-b.ch
+	b.outstanding = false
+	if res.err != nil {
+		putCombSlice(res.combos)
+		return nil, res.err
+	}
+	b.bound = res.bound
+	b.noMore = res.short
+	if len(res.combos) == 0 {
+		putCombSlice(res.combos)
+		b.bound, b.noMore = math.Inf(-1), true
+		return nil, nil
+	}
+	b.chunks = append(b.chunks, res.combos)
+	m := maxScore(res.combos)
+	b.chunkMax = append(b.chunkMax, m)
+	if m > b.bestSeen {
+		b.bestSeen = m
+	}
+	if !b.noMore {
+		b.start(ctx)
+	}
+	return res.combos, nil
+}
+
+// best is the top score the branch has shown or can still show.
+func (b *joinBranch) best() float64 { return math.Max(b.bestSeen, b.bound) }
+
+// release drains the outstanding pull, so the prefetch goroutine's
+// ownership of the input reader has ended (the capacity-1 hand-over
+// channel guarantees a sender never blocks) before the graph closes the
+// input itself, and returns the chunk buffers to their pool.
+func (b *joinBranch) release() {
+	if b.outstanding {
+		res := <-b.ch
+		b.outstanding = false
+		putCombSlice(res.combos)
+	}
+	for _, ch := range b.chunks {
+		putCombSlice(ch)
+	}
+	b.chunks = nil
 }
 
 // joinOp drives the event-based join explorer against live chunk
@@ -103,23 +162,13 @@ func (g *graph) startPull(ctx context.Context, b *joinBranch) {
 // enumerate the same combinations in the same order.
 type joinOp struct {
 	*joinProg
-	g           *graph
 	ex          *executor
 	explorer    *join.Explorer
 	left, right *joinBranch
 	arena       *combArena
-	// cand tallies the candidate pairs the tiles examined (bucket
-	// candidates under the hash path, the full cross product under the
-	// nested scan); nil when fidelity is off.
+	// cand tallies the candidate pairs the tiles examined (the full cross
+	// product of each chunk pair); nil when fidelity is off.
 	cand *fidelity.Counter
-
-	// orient caches the per-predicate orientation (which branch holds
-	// which predicate side), resolved once from the first tile — branch
-	// alias sets are uniform across a branch's combs.
-	orient      []int8 // 0 = undetermined/skip, 1 = pred left on X, 2 = pred left on Y
-	orientReady bool
-	// rIdx lazily caches one hash index per right (Y) chunk.
-	rIdx []*chunkIndex
 
 	pending    []*comb
 	pendingIdx int
@@ -128,19 +177,10 @@ type joinOp struct {
 	done       bool
 }
 
-// newBranch wraps a join input reader with the single-outstanding
-// prefetch state.
-func newBranch(reader Operator, id string, size int) *joinBranch {
-	return &joinBranch{
-		reader: reader, id: id, size: size,
-		ch: make(chan branchPull, 1), bestSeen: math.Inf(-1), bound: reader.Bound(),
-	}
-}
-
 func (g *graph) newJoinOp(pn *progNode) (Operator, error) {
 	jp := pn.join
-	lb := newBranch(g.reader(pn.inputs[0]), g.ex.nodes[pn.inputs[0]].id, jp.sizes[0])
-	rb := newBranch(g.reader(pn.inputs[1]), g.ex.nodes[pn.inputs[1]].id, jp.sizes[1])
+	lb := g.newBranch(pn.inputs[0], jp.sizes[0])
+	rb := g.newBranch(pn.inputs[1], jp.sizes[1])
 	// No static fetch limits: branch lengths are unknown up front, so
 	// exhaustion is reported live (the explorer rolls the probing fetch
 	// back, leaving its state exactly as with a known limit).
@@ -155,12 +195,11 @@ func (g *graph) newJoinOp(pn *progNode) (Operator, error) {
 		return chunkTop(lb.chunks[t.X]) * chunkTop(rb.chunks[t.Y])
 	})
 	return &joinOp{
-		joinProg: jp, g: g, ex: g.ex, explorer: explorer,
+		joinProg: jp, ex: g.ex, explorer: explorer,
 		left: lb, right: rb,
-		arena:  newCombArena(g.ex.layout.width()),
-		orient: make([]int8, len(jp.preds)),
-		seen:   map[join.Tile]bool{},
-		cand:   g.fid.Counter(pn.id),
+		arena: newCombArena(g.ex.layout.width()),
+		seen:  map[join.Tile]bool{},
+		cand:  g.fid.Counter(pn.id),
 	}, nil
 }
 
@@ -183,8 +222,8 @@ func (s *joinOp) Next(ctx context.Context) (*comb, error) {
 		}
 		if !s.started {
 			s.started = true
-			s.g.startPull(ctx, s.left)
-			s.g.startPull(ctx, s.right)
+			s.left.start(ctx)
+			s.right.start(ctx)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -196,12 +235,18 @@ func (s *joinOp) Next(ctx context.Context) (*comb, error) {
 		}
 		switch ev.Kind {
 		case join.EventFetch:
+			// Reveal the chunk the explorer asked about, or report that the
+			// side has run dry.
 			b := s.left
 			if ev.Side == join.SideY {
 				b = s.right
 			}
-			if err := s.resolveFetch(ctx, ev.Side, b); err != nil {
+			chunk, err := b.take(ctx)
+			if err != nil {
 				return nil, err
+			}
+			if chunk == nil {
+				s.explorer.ReportExhausted(ev.Side)
 			}
 		case join.EventTile:
 			if err := s.fillTile(ev.Tile); err != nil {
@@ -209,60 +254,6 @@ func (s *joinOp) Next(ctx context.Context) (*comb, error) {
 			}
 		}
 	}
-}
-
-// resolveFetch consumes the outstanding prefetch for the side the explorer
-// asked about, reveals the chunk (or reports exhaustion) and keeps one
-// pull in flight.
-func (s *joinOp) resolveFetch(ctx context.Context, side join.Side, b *joinBranch) error {
-	if b.noMore {
-		s.explorer.ReportExhausted(side)
-		return nil
-	}
-	res := <-b.ch
-	b.outstanding = false
-	if res.err != nil {
-		putCombSlice(res.combos)
-		return res.err
-	}
-	b.bound = res.bound
-	if res.short {
-		b.noMore = true
-	}
-	if len(res.combos) == 0 {
-		putCombSlice(res.combos)
-		b.bound = math.Inf(-1)
-		s.explorer.ReportExhausted(side)
-		return nil
-	}
-	b.chunks = append(b.chunks, res.combos)
-	m := maxScore(res.combos)
-	b.chunkMax = append(b.chunkMax, m)
-	if m > b.bestSeen {
-		b.bestSeen = m
-	}
-	if !b.noMore {
-		s.g.startPull(ctx, b)
-	}
-	return nil
-}
-
-// resolveOrient fixes, from one concrete chunk pair, which branch holds
-// each predicate's sides. Alias sets are uniform within a branch, so the
-// answer holds for every subsequent tile.
-func (s *joinOp) resolveOrient(cl, cr *comb) {
-	for i := range s.preds {
-		jp := &s.preds[i]
-		switch {
-		case cl.comps[jp.leftSlot] != nil && cr.comps[jp.rightSlot] != nil:
-			s.orient[i] = 1
-		case cr.comps[jp.leftSlot] != nil && cl.comps[jp.rightSlot] != nil:
-			s.orient[i] = 2
-		default:
-			s.orient[i] = 0 // not split across the branches; checked earlier
-		}
-	}
-	s.orientReady = true
 }
 
 func (s *joinOp) fillTile(t join.Tile) error {
@@ -273,19 +264,6 @@ func (s *joinOp) fillTile(t join.Tile) error {
 	s.pending = s.pending[:0]
 	s.pendingIdx = 0
 	cl, cr := s.left.chunks[t.X], s.right.chunks[t.Y]
-	if len(cl) == 0 || len(cr) == 0 {
-		return nil
-	}
-	if !s.orientReady {
-		s.resolveOrient(cl[0], cr[0])
-	}
-	if s.hashable {
-		if done, err := s.fillTileHash(t, cl, cr); done || err != nil {
-			return err
-		}
-		// Key-class conflict: rerun the tile through the exact scan.
-		s.pending = s.pending[:0]
-	}
 	s.cand.Add(int64(len(cl) * len(cr)))
 	for _, l := range cl {
 		for _, r := range cr {
@@ -306,260 +284,9 @@ func (s *joinOp) fillTile(t join.Tile) error {
 	return nil
 }
 
-// fillTileHash fills the tile through a hash index over the right chunk,
-// probing with the left rows and verifying candidates with the compiled
-// predicates. It reports done=false (leaving partial pending state for
-// the caller to reset) when a key column carries mixed value classes —
-// the case where only the nested scan reproduces the error semantics of
-// pairwise evaluation.
-func (s *joinOp) fillTileHash(t join.Tile, cl, cr []*comb) (bool, error) {
-	idx := s.indexFor(t.Y, cr)
-	if idx == nil {
-		return false, nil
-	}
-	// Candidates examined accumulate locally and count only when the hash
-	// path commits to the tile — a key-class fallback reruns it through
-	// the nested scan, which tallies the full cross product itself.
-	var examined int64
-	var clsArr [16]uint8
-	for _, l := range cl {
-		h, cls, null, bad := s.probeKey(l, clsArr[:0])
-		if bad {
-			return false, nil
-		}
-		if null {
-			continue // a null key never equals anything: no match, no error
-		}
-		if !idx.classesCompatible(cls) {
-			return false, nil
-		}
-		examined += int64(len(idx.buckets[h]))
-		for _, ri := range idx.buckets[h] {
-			r := cr[ri]
-			ok, err := matchAcross(l, r, s.preds)
-			if err != nil {
-				s.cand.Add(examined)
-				return true, err
-			}
-			if !ok {
-				continue // hash collision; verification rejected it
-			}
-			merged, ok := mergeBranches(s.arena, s.ex.layout, l, r)
-			if !ok {
-				continue
-			}
-			s.pending = append(s.pending, merged)
-		}
-	}
-	s.cand.Add(examined)
-	return true, nil
-}
-
-// valueClass buckets a value's kind for hash-compatibility tracking:
-// numeric kinds share a class (they compare with each other), every other
-// kind is its own class. classNull marks a null (absent) key part.
-const (
-	classNull = iota
-	classNumeric
-	classString
-	classBool
-	classDate
-)
-
-func valueClass(v types.Value) uint8 {
-	switch v.Kind() {
-	case types.KindInt, types.KindFloat:
-		return classNumeric
-	case types.KindString:
-		return classString
-	case types.KindBool:
-		return classBool
-	case types.KindDate:
-		return classDate
-	default:
-		return classNull
-	}
-}
-
-// hashValue folds a value into an FNV-1a hash using a canonical encoding
-// per class, so numerically equal int/float keys hash identically.
-func hashValue(h uint64, v types.Value) uint64 {
-	const prime = 1099511628211
-	switch valueClass(v) {
-	case classNumeric:
-		bits := math.Float64bits(v.FloatVal())
-		for i := 0; i < 8; i++ {
-			h = (h ^ (bits & 0xff)) * prime
-			bits >>= 8
-		}
-	case classString:
-		s := v.Str()
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime
-		}
-		h = (h ^ 0xff) * prime // length delimiter for multi-column keys
-	case classBool:
-		b := uint64(0)
-		if v.BoolVal() {
-			b = 1
-		}
-		h = (h ^ b) * prime
-	case classDate:
-		bits := uint64(v.Time().UnixNano())
-		for i := 0; i < 8; i++ {
-			h = (h ^ (bits & 0xff)) * prime
-			bits >>= 8
-		}
-	}
-	return h
-}
-
-// chunkIndex is the hash index of one right chunk: bucket → row indices
-// in chunk order, plus the per-column value class the index saw. A nil
-// chunkIndex (or classes conflict) routes the tile to the nested scan.
-type chunkIndex struct {
-	buckets map[uint64][]int
-	classes []uint8 // one per key column; classNull until a value is seen
-}
-
-// keyCols enumerates the key columns of the join in predicate order: for
-// each split predicate, the (slot, attr) the given branch side
-// contributes. left selects the X branch's columns.
-func (s *joinOp) keyCols(left bool, fn func(slot int, attr string)) {
-	for i := range s.preds {
-		jp := &s.preds[i]
-		switch s.orient[i] {
-		case 1: // predicate left side lives on X
-			if left {
-				for _, a := range jp.eqLeft {
-					fn(jp.leftSlot, a)
-				}
-			} else {
-				for _, a := range jp.eqRight {
-					fn(jp.rightSlot, a)
-				}
-			}
-		case 2: // predicate left side lives on Y
-			if left {
-				for _, a := range jp.eqRight {
-					fn(jp.rightSlot, a)
-				}
-			} else {
-				for _, a := range jp.eqLeft {
-					fn(jp.leftSlot, a)
-				}
-			}
-		}
-	}
-}
-
-// indexFor returns the (cached) hash index of right chunk y, or nil when
-// the chunk cannot be indexed consistently (mixed classes in a key
-// column) or the join has no active key columns.
-func (s *joinOp) indexFor(y int, cr []*comb) *chunkIndex {
-	for len(s.rIdx) <= y {
-		s.rIdx = append(s.rIdx, nil)
-	}
-	if idx := s.rIdx[y]; idx != nil {
-		if idx.buckets == nil {
-			return nil // previously found unindexable
-		}
-		return idx
-	}
-	nCols := 0
-	s.keyCols(false, func(int, string) { nCols++ })
-	if nCols == 0 {
-		s.rIdx[y] = &chunkIndex{}
-		return nil
-	}
-	// Pre-size the bucket table to the chunk size the plan's service
-	// statistics fixed for this branch — the hash join never rehashes.
-	idx := &chunkIndex{
-		buckets: make(map[uint64][]int, len(cr)),
-		classes: make([]uint8, nCols),
-	}
-	bad := false
-	for ri, r := range cr {
-		h := uint64(14695981039346656037)
-		null := false
-		col := 0
-		s.keyCols(false, func(slot int, attr string) {
-			if bad {
-				return
-			}
-			t := r.comps[slot]
-			if t == nil {
-				// Unexpectedly absent component: only the scan's per-pair
-				// split checks are exact here.
-				bad = true
-				return
-			}
-			v := t.Atomic(attr)
-			cls := valueClass(v)
-			if cls == classNull {
-				null = true
-			} else if idx.classes[col] == classNull {
-				idx.classes[col] = cls
-			} else if idx.classes[col] != cls {
-				bad = true // mixed classes: unindexable
-				return
-			}
-			h = hashValue(h, v)
-			col++
-		})
-		if bad {
-			s.rIdx[y] = &chunkIndex{}
-			return nil
-		}
-		if null {
-			continue // rows with a null key part can never match
-		}
-		idx.buckets[h] = append(idx.buckets[h], ri)
-	}
-	s.rIdx[y] = idx
-	return idx
-}
-
-// probeKey computes a left row's key hash and column classes; null
-// reports a null key part (the row matches nothing), bad an absent
-// component (the tile must fall back to the scan).
-func (s *joinOp) probeKey(l *comb, cls []uint8) (h uint64, out []uint8, null, bad bool) {
-	h = 14695981039346656037
-	out = cls[:0]
-	s.keyCols(true, func(slot int, attr string) {
-		if bad {
-			return
-		}
-		t := l.comps[slot]
-		if t == nil {
-			bad = true
-			return
-		}
-		v := t.Atomic(attr)
-		c := valueClass(v)
-		if c == classNull {
-			null = true
-		}
-		out = append(out, c)
-		h = hashValue(h, v)
-	})
-	return h, out, null, bad
-}
-
-// classesCompatible reports whether a probe's column classes agree with
-// everything the index saw: any non-null class pair that differs would
-// make some row pair comparison a cross-kind error under the scan.
-func (idx *chunkIndex) classesCompatible(cls []uint8) bool {
-	for i, c := range cls {
-		if c == classNull || i >= len(idx.classes) {
-			continue
-		}
-		if idx.classes[i] != classNull && idx.classes[i] != c {
-			return false
-		}
-	}
-	return true
-}
+// unitPair are the weights the binary corner bound composes with: branch
+// combs carry weighted partial sums already.
+var unitPair = [2]float64{1, 1}
 
 func (s *joinOp) Bound() float64 {
 	b := math.Inf(-1)
@@ -573,21 +300,13 @@ func (s *joinOp) Bound() float64 {
 		return b
 	}
 	lb, rb := s.left, s.right
-	lBest := math.Max(lb.bestSeen, lb.bound)
-	rBest := math.Max(rb.bestSeen, rb.bound)
-	// Corner bounds: a future left chunk against the best right seen or
+	// Corner bound: a future left chunk against the best right seen or
 	// still to come, and symmetrically. Weights are non-negative, so a
 	// merged score is at most the sum of the two sides (shared-alias
 	// components are double-counted, which only loosens the bound).
-	if !math.IsInf(lb.bound, -1) && !math.IsInf(rBest, -1) {
-		if v := lb.bound + rBest; v > b {
-			b = v
-		}
-	}
-	if !math.IsInf(rb.bound, -1) && !math.IsInf(lBest, -1) {
-		if v := rb.bound + lBest; v > b {
-			b = v
-		}
+	best, cur := [2]float64{lb.best(), rb.best()}, [2]float64{lb.bound, rb.bound}
+	if v := topk.WeightedThreshold(unitPair[:], best[:], cur[:]); v > b {
+		b = v
 	}
 	// Stored chunk pairs the explorer has not processed yet (deferred by
 	// tile ordering, triangular admission, or a future flush).
@@ -604,32 +323,17 @@ func (s *joinOp) Bound() float64 {
 	return b
 }
 
-// Close drains any outstanding branch pulls, so the prefetch goroutines'
-// ownership of the input readers has ended (the capacity-1 hand-over
-// channel guarantees a sender never blocks) before the graph closes the
-// inputs themselves; then the chunk buffers go back to their pool and the
-// arena's blocks are released.
+// Close ends the branch prefetchers' ownership of the input readers
+// before the graph closes the inputs themselves; then the tile buffer
+// goes back to its pool and the arena's blocks are released.
 func (s *joinOp) Close() error {
 	s.done = true
-	for _, b := range []*joinBranch{s.left, s.right} {
-		if b == nil {
-			continue
-		}
-		if b.outstanding {
-			res := <-b.ch
-			b.outstanding = false
-			putCombSlice(res.combos)
-		}
-		for _, ch := range b.chunks {
-			putCombSlice(ch)
-		}
-		b.chunks = nil
-	}
+	s.left.release()
+	s.right.release()
 	if s.pending != nil {
 		putCombSlice(s.pending)
 		s.pending = nil
 	}
-	s.rIdx = nil
 	s.arena.release()
 	return nil
 }

@@ -9,29 +9,31 @@ import (
 	"seco/internal/types"
 )
 
-// This file implements the multi-way ranked join operator: the third join
-// topology beside pipe and parallel joins. All N branches prefetch
-// concurrently (reusing the binary join's single-outstanding joinBranch
-// machinery); arrivals are consumed round-robin, and each newly arrived
-// chunk is delta-joined against the accumulated rows of every other
-// branch, so by the time Next hands a combination out, every stored row
-// combination has been enumerated exactly once — there is no deferred-
-// tile backlog, and the operator's score bound reduces to the n-ary
-// corner bound of topk.WeightedThreshold over the branch frontiers.
+// This file implements the multi-way ranked join operator: the join core
+// of every all-equality join, binary (fan-in 2) or n-ary. All N branches
+// prefetch concurrently through joinBranch (op_join.go); arrivals are
+// consumed round-robin, and each newly arrived chunk is delta-joined
+// against the accumulated rows of every other branch, so by the time Next
+// hands a combination out, every stored row combination has been
+// enumerated exactly once — there is no deferred-tile backlog, and the
+// operator's score bound reduces to the n-ary corner bound of
+// topk.WeightedThreshold over the branch frontiers.
 //
 // Candidate enumeration is a leapfrog-style sorted intersection: every
 // hashable equality edge maintains, per endpoint branch, posting lists
-// from key to ascending row ids. Keys are interned uint32 handles for
-// string values (the engine's interner canonicalizes on the fly, so
-// handle equality is exact string equality process-wide) and the FNV
-// fold of op_join.go for other kinds. A new row binds its branch; the
-// remaining branches are bound most-constrained-first by intersecting
-// the posting lists their bound edges select, and every surviving
-// candidate is verified with the compiled pair predicates — which also
-// evaluate the bounded-proximity edges the legality rules admit. Key
-// columns mixing value classes never share a key, so cross-class pairs
-// are treated as non-matches (plancheck's legality rules keep
-// optimizer-built plans away from that corner).
+// from key to ascending row ids — the engine's one equality index. Keys
+// are interned uint32 handles for string values (the engine's interner
+// canonicalizes on the fly, so handle equality is exact string equality
+// process-wide) and a canonical FNV fold for other kinds. A new row binds
+// its branch; the remaining branches are bound most-constrained-first by
+// intersecting the posting lists their bound edges select, and every
+// surviving candidate is verified with the compiled pair predicates —
+// which also evaluate the bounded-proximity edges the legality rules
+// admit. The index records the value class each key column has carried:
+// two classes in one column would make some row pair a cross-kind
+// comparison, so indexing fails with that comparison's error rather than
+// filing the rows under keys that can never meet. A null key part matches
+// nothing and is no error.
 
 // multiEdge is one compiled cross-branch predicate of the multi-way
 // join, with both endpoint branches resolved and — when the predicate is
@@ -48,11 +50,13 @@ type multiEdge struct {
 	// postL/postR map an edge key to the ascending row ids carrying it,
 	// per endpoint branch (hashable edges only).
 	postL, postR map[uint64][]int32
+	// classOf holds, per key column, the first non-null value either
+	// endpoint indexed — the witness of the column's value class.
+	classOf []types.Value
 }
 
 // multiJoinOp is the n-ary ranked join operator.
 type multiJoinOp struct {
-	g        *graph
 	ex       *executor
 	branches []*joinBranch
 	// rows accumulates every arrived row per branch, flat across chunks
@@ -94,18 +98,19 @@ func (g *graph) newMultiJoinOp(pn *progNode) Operator {
 	nb := len(pn.inputs)
 	branches := make([]*joinBranch, nb)
 	for i, in := range pn.inputs {
-		branches[i] = newBranch(g.reader(in), g.ex.nodes[in].id, mp.sizes[i])
+		branches[i] = g.newBranch(in, mp.sizes[i])
 	}
 	edges := append([]multiEdge(nil), mp.edges...)
 	for i := range edges {
-		if edges[i].hashable {
-			edges[i].postL = make(map[uint64][]int32, 64)
-			edges[i].postR = make(map[uint64][]int32, 64)
+		if e := &edges[i]; e.hashable {
+			e.postL = make(map[uint64][]int32, 64)
+			e.postR = make(map[uint64][]int32, 64)
+			e.classOf = make([]types.Value, len(e.jp.eqLeft))
 		}
 	}
 	width := g.ex.layout.width()
 	return &multiJoinOp{
-		g: g, ex: g.ex,
+		ex:       g.ex,
 		cand:     g.fid.Counter(pn.id),
 		branches: branches,
 		rows:     make([][]*comb, nb),
@@ -142,7 +147,7 @@ func (s *multiJoinOp) Next(ctx context.Context) (*comb, error) {
 		if !s.started {
 			s.started = true
 			for _, b := range s.branches {
-				s.g.startPull(ctx, b)
+				b.start(ctx)
 			}
 		}
 		if err := ctx.Err(); err != nil {
@@ -174,100 +179,135 @@ func (s *multiJoinOp) nextBranch() int {
 }
 
 // resolve consumes the outstanding prefetch of branch bi, appends the
-// arrived rows to the branch's accumulated state (rows, posting lists,
-// score maxima) and delta-joins them against every other branch.
+// arrived rows to the branch's accumulated state (rows, posting lists)
+// and delta-joins them against every other branch.
 func (s *multiJoinOp) resolve(ctx context.Context, bi int) error {
-	b := s.branches[bi]
-	res := <-b.ch
-	b.outstanding = false
-	if res.err != nil {
-		putCombSlice(res.combos)
-		return res.err
-	}
-	b.bound = res.bound
-	if res.short {
-		b.noMore = true
-	}
-	if len(res.combos) == 0 {
-		putCombSlice(res.combos)
-		b.bound = math.Inf(-1)
-		b.noMore = true
-		return nil
-	}
-	b.chunks = append(b.chunks, res.combos)
-	m := maxScore(res.combos)
-	b.chunkMax = append(b.chunkMax, m)
-	if m > b.bestSeen {
-		b.bestSeen = m
-	}
-	if !b.noMore {
-		s.g.startPull(ctx, b)
+	chunk, err := s.branches[bi].take(ctx)
+	if err != nil || chunk == nil {
+		return err
 	}
 	from := len(s.rows[bi])
-	s.rows[bi] = append(s.rows[bi], res.combos...)
-	s.index(bi, from)
+	s.rows[bi] = append(s.rows[bi], chunk...)
+	if err := s.index(bi, from); err != nil {
+		return err
+	}
 	return s.joinDelta(bi, from)
 }
 
 // index extends the posting lists of branch bi's hashable edges with the
 // rows from index `from` on; appending in arrival order keeps every
 // posting list sorted ascending — the invariant the intersection walks
-// rely on.
-func (s *multiJoinOp) index(bi, from int) {
+// rely on. Every row passes through here once per incident edge, so this
+// is also where a key column mixing value classes is caught.
+func (s *multiJoinOp) index(bi, from int) error {
 	for _, ei := range s.incident[bi] {
 		e := &s.edges[ei]
 		if !e.hashable {
 			continue
 		}
-		slot, cols, post := e.jp.rightSlot, e.jp.eqRight, e.postR
-		if e.bl == bi {
-			slot, cols, post = e.jp.leftSlot, e.jp.eqLeft, e.postL
+		left := e.bl == bi
+		post := e.postR
+		if left {
+			post = e.postL
 		}
 		for ri := from; ri < len(s.rows[bi]); ri++ {
-			key, null, ok := s.edgeKey(s.rows[bi][ri], slot, cols)
-			if !ok || null {
-				continue // a null or absent key part matches nothing
+			key, ok, err := s.edgeKey(e, left, s.rows[bi][ri])
+			if err != nil {
+				return err
 			}
-			post[key] = append(post[key], int32(ri))
+			if ok {
+				post[key] = append(post[key], int32(ri))
+			}
 		}
+	}
+	return nil
+}
+
+// Value classes of key columns: numeric kinds share a class (they compare
+// with each other), every other kind is its own class.
+const (
+	classNull = iota
+	classNumeric
+	classString
+	classBool
+	classDate
+)
+
+func valueClass(v types.Value) uint8 {
+	switch v.Kind() {
+	case types.KindInt, types.KindFloat:
+		return classNumeric
+	case types.KindString:
+		return classString
+	case types.KindBool:
+		return classBool
+	case types.KindDate:
+		return classDate
+	default:
+		return classNull
 	}
 }
 
-// edgeKey folds one row's key columns for an edge endpoint: interned
-// handles for strings (canonicalized through the engine's interner, so
-// equal strings always collide), the canonical FNV fold otherwise.
-func (s *multiJoinOp) edgeKey(c *comb, slot int, cols []string) (key uint64, null, ok bool) {
+// edgeKey folds the key columns row c contributes to edge e, as the
+// predicate's left or right endpoint. ok is false when the row can match
+// nothing on this edge (a null key part, or the component is absent); err
+// is the comparison error of a column whose class differs from what the
+// edge has indexed before.
+func (s *multiJoinOp) edgeKey(e *multiEdge, left bool, c *comb) (key uint64, ok bool, err error) {
+	slot, cols := e.jp.rightSlot, e.jp.eqRight
+	if left {
+		slot, cols = e.jp.leftSlot, e.jp.eqLeft
+	}
 	t := c.comps[slot]
 	if t == nil {
-		return 0, false, false
+		return 0, false, nil
 	}
 	h := uint64(14695981039346656037)
-	for _, a := range cols {
+	for i, a := range cols {
 		v := t.Atomic(a)
-		if v.IsNull() {
-			return 0, true, true
+		cls := valueClass(v)
+		if cls == classNull {
+			return 0, false, nil
 		}
-		v = s.ex.engine.intern.Value(v)
-		if v.Interned() {
-			h = hashHandle(h, v.Handle())
-		} else {
-			h = hashValue(h, v)
+		if w := e.classOf[i]; w.IsNull() {
+			e.classOf[i] = v
+		} else if valueClass(w) != cls {
+			_, err := w.Compare(v)
+			return 0, false, err
 		}
+		h = s.hashValue(h, v, cls)
 	}
-	return h, false, true
+	return h, true, nil
 }
 
-// hashHandle folds an intern handle into the FNV chain, with a class
-// delimiter so handle keys never collide with raw-byte keys of another
-// column.
-func hashHandle(h uint64, id uint32) uint64 {
+// hashValue folds a key value into the FNV-1a chain using a canonical
+// encoding per class: strings by intern handle (canonicalized through the
+// engine's interner, so equal strings always collide), numerics by their
+// float bits, so numerically equal int/float keys hash identically.
+func (s *multiJoinOp) hashValue(h uint64, v types.Value, cls uint8) uint64 {
+	var bits uint64
+	n := 8
+	switch cls {
+	case classString:
+		// The trailing class delimiter keeps handle keys from colliding
+		// with raw-byte keys of another column.
+		bits, n = uint64(s.ex.engine.intern.Value(v).Handle())|0xfe<<32, 5
+	case classNumeric:
+		bits = math.Float64bits(v.FloatVal())
+	case classBool:
+		if v.BoolVal() {
+			bits = 1
+		}
+		n = 1
+	case classDate:
+		bits = uint64(v.Time().UnixNano())
+	}
 	const prime = 1099511628211
-	bits := uint64(id)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < n; i++ {
 		h = (h ^ (bits & 0xff)) * prime
 		bits >>= 8
 	}
-	return (h ^ 0xfe) * prime
+	return h
 }
 
 // joinDelta enumerates every combination using at least one of branch
@@ -323,19 +363,14 @@ func (s *multiJoinOp) expand(nBound int) error {
 		if !s.boundB[other] || !e.hashable {
 			continue
 		}
-		// Key the bound row on its side, look the delta branch up on the
-		// other.
-		var key uint64
-		var null, ok bool
-		var post map[uint64][]int32
+		// Key the bound row on its side, look branch j up on the other.
+		// The row was indexed on arrival, so its classes are settled.
+		post := e.postR
 		if e.bl == j {
-			key, null, ok = s.edgeKey(s.assign[other], e.jp.rightSlot, e.jp.eqRight)
 			post = e.postL
-		} else {
-			key, null, ok = s.edgeKey(s.assign[other], e.jp.leftSlot, e.jp.eqLeft)
-			post = e.postR
 		}
-		if !ok || null {
+		key, ok, _ := s.edgeKey(e, e.bl != j, s.assign[other])
+		if !ok {
 			return nil // this bound row's key matches nothing on branch j
 		}
 		list := post[key]
@@ -502,11 +537,8 @@ probe:
 
 // Bound is the n-ary corner bound: the best score any combination using
 // at least one unseen row can still achieve, plus the pending remainder.
-// Branch combs carry weighted partial sums already, so the bound
-// composes with unit weights; when every branch frontier is finite it is
-// exactly topk.WeightedThreshold, and the -Inf cases (an exhausted or
-// still-silent branch) fall back to the explicitly guarded loop — the
-// threshold formula would turn a -Inf frontier into NaN.
+// Branch combs carry weighted partial sums already, so the bound composes
+// with unit weights.
 func (s *multiJoinOp) Bound() float64 {
 	b := math.Inf(-1)
 	for i := s.pendingIdx; i < len(s.pending); i++ {
@@ -517,64 +549,21 @@ func (s *multiJoinOp) Bound() float64 {
 	if s.done {
 		return b
 	}
-	allFinite := true
 	for i, br := range s.branches {
-		best := math.Max(br.bestSeen, br.bound)
-		s.bestBuf[i] = best
-		s.curBuf[i] = br.bound
-		if math.IsInf(best, -1) || math.IsInf(br.bound, -1) {
-			allFinite = false
-		}
+		s.bestBuf[i], s.curBuf[i] = br.best(), br.bound
 	}
-	if allFinite {
-		if v := topk.WeightedThreshold(s.ones, s.bestBuf, s.curBuf); v > b {
-			b = v
-		}
-		return b
-	}
-	for i := range s.branches {
-		if math.IsInf(s.curBuf[i], -1) {
-			continue // branch exhausted: no unseen row can come from it
-		}
-		v := s.curBuf[i]
-		ok := true
-		for j := range s.branches {
-			if j == i {
-				continue
-			}
-			if math.IsInf(s.bestBuf[j], -1) {
-				// The branch is silent so far: with no row seen and no
-				// frontier, nothing can complete a combination through it.
-				ok = false
-				break
-			}
-			v += s.bestBuf[j]
-		}
-		if ok && v > b {
-			b = v
-		}
+	if v := topk.WeightedThreshold(s.ones, s.bestBuf, s.curBuf); v > b {
+		b = v
 	}
 	return b
 }
 
-// Close drains the outstanding branch pulls (ending the prefetch
-// goroutines' ownership of the input readers), returns every chunk
-// buffer to its pool, drops the posting lists and releases the arena.
+// Close ends the branch prefetchers' ownership of the input readers,
+// drops the posting lists and releases the tile buffer and the arena.
 func (s *multiJoinOp) Close() error {
 	s.done = true
 	for _, b := range s.branches {
-		if b == nil {
-			continue
-		}
-		if b.outstanding {
-			res := <-b.ch
-			b.outstanding = false
-			putCombSlice(res.combos)
-		}
-		for _, ch := range b.chunks {
-			putCombSlice(ch)
-		}
-		b.chunks = nil
+		b.release()
 	}
 	for i := range s.rows {
 		s.rows[i] = nil

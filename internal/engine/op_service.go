@@ -15,20 +15,28 @@ import (
 )
 
 // This file implements the two service-node operators. serviceOp is the
-// service scan of a non-piped node: the service is invoked lazily (never
-// before the first upstream combination arrives, and never at all when
-// the upstream is empty) and chunks are fetched only when the enumeration
-// demands tuples beyond the fetched prefix. pipeOp is the pipe join of a
-// piped node: a FIFO window of at most Parallelism in-flight invocations,
-// one per upstream combination, emitting results in upstream (ranking)
-// order. Both issue every service call through the run's Counter from the
-// shared Invoker, so budget probing, latency charging and call counting
-// happen at one choke point. Combinations are composed into per-operator
-// arenas; the fetched-tuple prefix lives in a pooled buffer pre-sized
-// from the node's fetch budget and chunk size, both returned on Close.
+// demand-paged service reader: the service is invoked lazily (never before
+// the first upstream combination arrives, and never at all when the
+// upstream is empty) and a chunk is fetched only when the enumeration
+// demands tuples beyond the fetched prefix. Its one mode difference is
+// where the invocation input comes from. A scan (non-piped node) invokes
+// once with the fixed input and shares the fetched prefix across every
+// upstream combination. A paged pipe (a piped node whose sole consumer is
+// an n-ary multijoin, which pulls its branches chunk by chunk and must
+// not pay for depth the corner bound never asked for) pipes the input
+// from the current upstream combination and starts over with each one.
+// pipeOp is the prepaid pipe join of every other piped node: a FIFO
+// window of at most Parallelism in-flight invocations, one per upstream
+// combination, each draining its whole fetch budget, emitting results in
+// upstream (ranking) order. Both issue every service call through the
+// run's Counter from the shared Invoker, so budget probing, latency
+// charging and call counting happen at one choke point. Combinations are
+// composed into per-operator arenas; the fetched-tuple prefix lives in a
+// pooled buffer pre-sized from the node's fetch budget and chunk size,
+// both returned on Close.
 
-// serviceOp runs a non-piped service node. Enumeration order is
-// upstream-outer, tuple-inner.
+// serviceOp is the demand-paged reader of a service node. Enumeration
+// order is upstream-outer, tuple-inner.
 type serviceOp struct {
 	*svcProg
 	ex      *executor
@@ -39,7 +47,9 @@ type serviceOp struct {
 	sc      *obs.Scope        // the node's trace lane; nil when untraced
 	cand    *fidelity.Counter // compose attempts; nil when fidelity is off
 
-	arena     *combArena
+	arena *combArena
+	// Invocation state: one invocation for the whole run when scanning,
+	// one per upstream combination (reset by spent) when piped.
 	inv       service.Invocation
 	tuples    []*types.Tuple
 	fetches   int
@@ -51,10 +61,11 @@ type serviceOp struct {
 
 func (s *serviceOp) Open(ctx context.Context) error { return s.up.Open(ctx) }
 
-// canFetch reports whether another chunk may still be requested. All three
-// disqualifiers (budget spent, limit reached, service exhausted) are
-// permanent, so once an upstream combination has finished its inner loop
-// the tuple list is final — which the bound relies on.
+// canFetch reports whether the invocation may still be asked for another
+// chunk. All three disqualifiers (budget spent, limit reached, service
+// exhausted) are permanent for an invocation, so once an upstream
+// combination has finished its inner loop a scan's tuple list is final —
+// which the bound relies on.
 func (s *serviceOp) canFetch() bool {
 	if s.exhausted || s.fetches >= s.budget {
 		return false
@@ -70,7 +81,14 @@ func (s *serviceOp) fetch(ctx context.Context) error {
 	// per-call spans and any middleware events attribute here.
 	ctx = obs.WithScope(ctx, s.sc)
 	if s.inv == nil {
-		inv, err := s.counter.Invoke(ctx, s.fixed)
+		in := s.fixed
+		if s.paged {
+			var err error
+			if in, err = s.pipeInput(s.fixed, s.cur); err != nil {
+				return err
+			}
+		}
+		inv, err := s.counter.Invoke(ctx, in)
 		if err != nil {
 			return withAlias(s.n.Alias, err)
 		}
@@ -141,11 +159,7 @@ func (s *serviceOp) Next(ctx context.Context) (*comb, error) {
 			}
 		}
 		if s.j >= len(s.tuples) {
-			s.cur = nil
-			if len(s.tuples) == 0 {
-				// The service yielded nothing: no upstream combination can
-				// ever compose, so skip the remaining upstream pulls.
-				s.done = true
+			if s.spent(); s.done {
 				return nil, nil
 			}
 			continue
@@ -161,6 +175,27 @@ func (s *serviceOp) Next(ctx context.Context) (*comb, error) {
 			return merged, nil
 		}
 	}
+}
+
+// spent retires the current upstream combination once its inner loop has
+// run out of tuples. A scan keeps its prefix for the next combination —
+// unless the service yielded nothing, when no combination can ever
+// compose and the remaining upstream pulls are skipped. A piped reader
+// drops the invocation: the next combination pipes a different input and
+// may still yield.
+func (s *serviceOp) spent() {
+	s.cur = nil
+	if !s.paged {
+		s.done = len(s.tuples) == 0
+		return
+	}
+	s.inv = nil
+	if s.tuples != nil {
+		putTupleSlice(s.tuples)
+		s.tuples = nil
+	}
+	s.fetches = 0
+	s.exhausted = false
 }
 
 func (s *serviceOp) Bound() float64 {
@@ -212,8 +247,12 @@ func (s *serviceOp) unseenCap() float64 {
 }
 
 // bestTupleCap bounds the best tuple this service contributes to any
-// future upstream combination.
+// future upstream combination: a scan's shared prefix pins it, while a
+// piped reader starts a fresh invocation whose best is the curve's top.
 func (s *serviceOp) bestTupleCap() float64 {
+	if s.paged {
+		return scoringCap(s.n.Stats.Scoring, 0)
+	}
 	if len(s.tuples) > 0 {
 		return s.tuples[0].Score
 	}
@@ -233,12 +272,13 @@ func scoringCap(sc service.Scoring, pos int) float64 {
 	return sc.Score(pos)
 }
 
-// pipeOp runs a piped service node: instead of a barrier over all
-// upstream rows, it keeps a FIFO window of at most Parallelism in-flight
-// invocations as a bounded prefetch, emitting results in upstream
-// (ranking) order. Each window slot composes into its own arena (the slot
-// goroutine is the arena's single owner until the slot's done channel
-// closes); the operator collects the arenas and releases them on Close.
+// pipeOp runs a piped service node with a prepaid window: instead of a
+// barrier over all upstream rows, it keeps a FIFO window of at most
+// Parallelism in-flight invocations as a bounded prefetch, emitting
+// results in upstream (ranking) order. Each window slot composes into its
+// own arena (the slot goroutine is the arena's single owner until the
+// slot's done channel closes); the operator collects the arenas and
+// releases them on Close.
 type pipeOp struct {
 	*svcProg
 	g       *graph

@@ -49,14 +49,16 @@ var ErrClosed = errors.New("engine: operator closed")
 // state machine (idempotent Open/Close, ErrClosed after Close), counts
 // distinct emissions for Run.Produced, and — when the run is traced —
 // records the operator's Open→Close span with aggregate pull statistics
-// into the operator's trace lane.
+// into the operator's trace lane. Bound probes are deliberately not
+// counted: how often a consumer asks depends on which sibling consumer of
+// a shared node marked it done first, so the count is schedule-dependent
+// even under the drain policy.
 type countedOp struct {
 	inner  Operator
 	n      *atomic.Int64
 	sc     *obs.Scope // nil when the run is untraced
 	endSp  func(...obs.Attr)
 	nexts  atomic.Int64
-	bounds atomic.Int64
 	opened bool
 	closed bool
 }
@@ -96,9 +98,6 @@ func (c *countedOp) Bound() float64 {
 	if c.closed {
 		return math.Inf(-1)
 	}
-	if c.sc != nil {
-		c.bounds.Add(1)
-	}
 	return c.inner.Bound()
 }
 
@@ -111,7 +110,6 @@ func (c *countedOp) Close() error {
 		c.endSp(
 			obs.KI("nexts", c.nexts.Load()),
 			obs.KI("emitted", c.n.Load()),
-			obs.KI("bounds", c.bounds.Load()),
 		)
 		c.endSp = nil
 	}

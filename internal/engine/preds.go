@@ -98,9 +98,10 @@ func (sp *svcPred) match(selfT, otherT *types.Tuple) (bool, error) {
 	return sp.cp.Match(otherT, selfT)
 }
 
-// joinPred is one compiled pair predicate as seen from a parallel join:
-// both alias slots resolved, plus the equality-column split the hash tile
-// fill keys on (empty when the predicate is not a pure atomic equality).
+// joinPred is one compiled pair predicate as seen from a join: both alias
+// slots resolved, plus the equality-column split the multi-way operator's
+// posting lists key on (empty when the predicate is not a pure atomic
+// equality).
 type joinPred struct {
 	cp                  *join.CompiledPredicate
 	leftSlot, rightSlot int

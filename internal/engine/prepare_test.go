@@ -48,6 +48,13 @@ func withInput(base map[string]types.Value, name string, v types.Value) map[stri
 // world; the optimizer picks the multi-way plan.
 func triangleFixture(t testing.TB) (*optimizer.Result, *synth.TriangleWorld) {
 	t.Helper()
+	return triangleFixtureWith(t, 7, false)
+}
+
+// triangleFixtureWith optimizes the triangle query over the world of the
+// given seed, restricted to binary join trees when binaryOnly is set.
+func triangleFixtureWith(t testing.TB, seed int64, binaryOnly bool) (*optimizer.Result, *synth.TriangleWorld) {
+	t.Helper()
 	reg, err := mart.TriangleScenario()
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +63,7 @@ func triangleFixture(t testing.TB) (*optimizer.Result, *synth.TriangleWorld) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := synth.NewTriangleWorld(reg, synth.TriangleConfig{Seed: 7})
+	world, err := synth.NewTriangleWorld(reg, synth.TriangleConfig{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +73,7 @@ func triangleFixture(t testing.TB) (*optimizer.Result, *synth.TriangleWorld) {
 	}
 	res, err := optimizer.Optimize(q, reg, optimizer.Options{
 		K: 5, Metric: cost.RequestResponse{}, Stats: stats, FixedInterfaces: true,
+		DisableMultiway: binaryOnly,
 	})
 	if err != nil {
 		t.Fatal(err)

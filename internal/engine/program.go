@@ -31,10 +31,13 @@ type progNode struct {
 	// tee per consumer.
 	shared bool
 
-	sels  []compiledSel // OpSelection
-	svc   *svcProg      // OpScan, OpPipe
-	join  *joinProg     // OpJoin
-	multi *multiProg    // OpMultiJoin
+	sels []compiledSel // OpSelection
+	svc  *svcProg      // OpScan, OpPipe
+	// An OpJoin carries multi when every pair predicate is an equality
+	// (the multi-way operator at fan-in 2), join otherwise; an OpMultiJoin
+	// always carries multi.
+	join  *joinProg
+	multi *multiProg
 }
 
 // svcProg is the run-invariant part of a service scan or pipe join.
@@ -48,7 +51,10 @@ type svcProg struct {
 	w      float64
 	// hint pre-sizes the fetched-tuple prefix buffer.
 	hint int
-	// paged selects the demand-paged pipe reader (see op_pipepaged.go).
+	// paged marks a piped node read on demand by serviceOp instead of
+	// through pipeOp's prepaid window: its sole consumer is a KindMultiJoin,
+	// which stops pulling a branch the moment its bound certifies. Piped
+	// nodes under any other consumer keep the window (and its call counts).
 	paged bool
 	// consts holds the constant input bindings; inputs lists the paths
 	// still to bind from RunOptions.Inputs, pipes those bound from each
@@ -117,14 +123,12 @@ func (sp *svcProg) pipeInput(fixed service.Input, src *comb) (service.Input, err
 	return in, nil
 }
 
-// joinProg is the run-invariant part of a parallel join.
+// joinProg is the run-invariant part of a parallel join explored tile by
+// tile.
 type joinProg struct {
 	preds []joinPred
 	// sizes are the re-chunking granularities of the two inputs.
 	sizes [2]int
-	// hashable marks that every pair predicate is a pure atomic equality,
-	// so tiles may be filled through the pre-sized hash index.
-	hashable bool
 }
 
 // multiProg is the run-invariant part of a multi-way join: the edge table
@@ -184,7 +188,7 @@ func (c *compiler) node(id string) (int, error) {
 			return 0, fmt.Errorf("engine: join %s has %d predecessors", id, len(preds))
 		}
 		if pn.inputs, err = c.inputs(preds); err == nil {
-			pn.join, err = c.join(n, preds)
+			pn.join, pn.multi, err = c.join(n, preds)
 		}
 	case plan.KindMultiJoin:
 		pn.kind = plancheck.OpMultiJoin
@@ -192,7 +196,10 @@ func (c *compiler) node(id string) (int, error) {
 			return 0, fmt.Errorf("engine: multijoin %s has %d predecessors", id, len(preds))
 		}
 		if pn.inputs, err = c.inputs(preds); err == nil {
-			pn.multi, err = c.multi(id, n, preds)
+			var jps []joinPred
+			if jps, err = compileJoinPreds(n, c.layout); err == nil {
+				pn.multi, err = c.multi(id, jps, preds)
+			}
 		}
 	default:
 		err = fmt.Errorf("engine: unsupported node kind %v", n.Kind)
@@ -228,7 +235,7 @@ func (c *compiler) service(id string, n *plan.Node) (*svcProg, error) {
 	sp := &svcProg{
 		n: n, budget: budget, w: c.opts.Weights[n.Alias],
 		hint:   prefixHint(n, budget),
-		paged:  n.PipedFrom() && pagedFeedsMultiJoin(c.ann.Plan, id),
+		paged:  n.PipedFrom() && c.feedsOnlyMultiJoin(id),
 		consts: service.Input{},
 	}
 	for _, b := range n.Bindings {
@@ -255,32 +262,46 @@ func (c *compiler) service(id string, n *plan.Node) (*svcProg, error) {
 	return sp, nil
 }
 
-func (c *compiler) join(n *plan.Node, preds []string) (*joinProg, error) {
+// feedsOnlyMultiJoin reports whether the node's only consumer is a
+// KindMultiJoin node.
+func (c *compiler) feedsOnlyMultiJoin(id string) bool {
+	succ := c.ann.Plan.Successors(id)
+	if len(succ) != 1 {
+		return false
+	}
+	n, ok := c.ann.Plan.Node(succ[0])
+	return ok && n.Kind == plan.KindMultiJoin
+}
+
+// join compiles a parallel join to exactly one of its two programs. When
+// every pair predicate is a pure atomic equality spanning the two inputs,
+// the join is the fan-in-2 case of the multi-way operator; the explorer
+// and its tile strategy serve the predicates that need an exploration
+// order (and any node the edge table cannot resolve).
+func (c *compiler) join(n *plan.Node, preds []string) (*joinProg, *multiProg, error) {
 	if err := n.Strategy.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	jps, err := compileJoinPreds(n, c.layout)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	hashable := len(jps) > 0
+	allEq := len(jps) > 0
 	for i := range jps {
-		if jps[i].eqLeft == nil {
-			hashable = false
-			break
+		allEq = allEq && jps[i].eqLeft != nil
+	}
+	if allEq {
+		if mp, err := c.multi(n.ID, jps, preds); err == nil {
+			return nil, mp, nil
 		}
 	}
 	return &joinProg{
-		preds: jps, hashable: hashable,
+		preds: jps,
 		sizes: [2]int{c.chunkSizeOf(preds[0]), c.chunkSizeOf(preds[1])},
-	}, nil
+	}, nil, nil
 }
 
-func (c *compiler) multi(id string, n *plan.Node, preds []string) (*multiProg, error) {
-	jps, err := compileJoinPreds(n, c.layout)
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) multi(id string, jps []joinPred, preds []string) (*multiProg, error) {
 	// Resolve which branch produces each layout slot, so every predicate
 	// maps to the two branches it spans.
 	slotBranch := make([]int, c.layout.width())

@@ -33,13 +33,26 @@ func referenceEvaluate(t *testing.T, q *query.Query, tables map[string]*service.
 	for i, a := range aliases {
 		rows[i] = drainTable(t, tables[a])
 	}
-	joins := q.JoinPredicates()
 	result := map[string]bool{}
+	referenceCombos(t, q, rows, inputs, func(combo []*types.Tuple) {
+		result[comboSig(aliases, combo)] = true
+	})
+	return result
+}
+
+// referenceCombos enumerates the brute-force semantics over the given
+// rows (rows[i] are the rows of q.Aliases()[i]); emit sees each satisfying
+// composite tuple, in alias order, and must not retain the slice.
+func referenceCombos(t *testing.T, q *query.Query, rows [][]*types.Tuple,
+	inputs map[string]types.Value, emit func(combo []*types.Tuple)) {
+	t.Helper()
+	aliases := q.Aliases()
+	joins := q.JoinPredicates()
 	combo := make([]*types.Tuple, len(aliases))
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(aliases) {
-			result[comboSig(aliases, combo)] = true
+			emit(combo)
 			return
 		}
 		for _, tu := range rows[i] {
@@ -51,7 +64,6 @@ func referenceEvaluate(t *testing.T, q *query.Query, tables map[string]*service.
 		combo[i] = nil
 	}
 	rec(0)
-	return result
 }
 
 // refSatisfies checks all predicates whose aliases are bound among the

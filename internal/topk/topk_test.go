@@ -2,6 +2,7 @@ package topk
 
 import (
 	"context"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -279,13 +280,19 @@ func TestThresholdDominatesUnseenPairs(t *testing.T) {
 }
 
 // WeightedThreshold at n=2 must agree with the pairwise Threshold under
-// the same weighted-sum combiner.
+// the same weighted-sum combiner — including the -Inf frontiers of an
+// exhausted side, where the pairwise formula loses the term the same way.
 func TestWeightedThresholdMatchesPairwise(t *testing.T) {
+	ninf := math.Inf(-1)
 	cases := []struct{ wx, wy, topX, topY, curX, curY float64 }{
 		{0.5, 0.5, 1, 1, 0.7, 0.4},
 		{0.3, 0.7, 0.9, 0.95, 0.9, 0.2},
 		{1, 0, 0.8, 0.6, 0.1, 0.6},
 		{0.25, 0.75, 0.5, 0.5, 0.5, 0.5},
+		{0.5, 0.5, 0.9, 0.8, ninf, 0.3},    // X exhausted: only a new Y can come
+		{0.5, 0.5, ninf, 0.8, ninf, 0.3},   // X silent: nothing completes through it
+		{0.5, 0.5, 0.9, 0.8, ninf, ninf},   // both exhausted
+		{0.5, 0.5, ninf, ninf, ninf, ninf}, // both silent
 	}
 	for _, c := range cases {
 		pair := Threshold(WeightedSum{WX: c.wx, WY: c.wy}, c.topX, c.topY, c.curX, c.curY)
@@ -294,8 +301,59 @@ func TestWeightedThresholdMatchesPairwise(t *testing.T) {
 			[]float64{c.topX, c.topY},
 			[]float64{c.curX, c.curY},
 		)
-		if diff := pair - nary; diff > 1e-12 || diff < -1e-12 {
+		if pair != nary && !(math.Abs(pair-nary) <= 1e-12) {
 			t.Errorf("case %+v: pairwise %v vs n-ary %v", c, pair, nary)
+		}
+	}
+}
+
+// The n-ary table: all-finite rows must be bit-identical to the original
+// formula (total − wᵢ·bestᵢ + wᵢ·curᵢ, in that order — the pull driver
+// halts on exact ties, so the arithmetic must not be reordered); -Inf
+// rows skip exhausted inputs and collapse to -Inf on a silent one, zero
+// weights included (0·-Inf would be NaN under the bare formula).
+func TestWeightedThresholdInfinities(t *testing.T) {
+	ninf := math.Inf(-1)
+	original := func(w, best, cur []float64) float64 {
+		total := 0.0
+		for i := range w {
+			total += w[i] * best[i]
+		}
+		tau := ninf
+		for i := range w {
+			if v := total - w[i]*best[i] + w[i]*cur[i]; v > tau {
+				tau = v
+			}
+		}
+		return tau
+	}
+	one := []float64{1, 1, 1}
+	// Variables, not constants: expected sums must round like the runtime's.
+	a, b, c, zero := 0.9, 0.8, 0.7, 0.0
+	cases := []struct {
+		name         string
+		w, best, cur []float64
+		want         float64 // NaN: the original formula's value, bit for bit
+	}{
+		{"all finite, unit weights", one, []float64{0.91, 0.83, 0.77}, []float64{0.35, 0.61, 0.77}, math.NaN()},
+		{"all finite, mixed weights", []float64{0.3, 0.5, 0.2}, []float64{1, 0.9, 0.8}, []float64{0.6, 0.5, 0.8}, math.NaN()},
+		{"all finite, tie-prone thirds", one, []float64{0.1, 0.2, 0.3}, []float64{0.1, 0.2, 0.3}, math.NaN()},
+		{"one exhausted", one, []float64{0.9, 0.8, 0.7}, []float64{ninf, 0.5, 0.2}, a + b + c - b + 0.5},
+		{"two exhausted", one, []float64{0.9, 0.8, 0.7}, []float64{ninf, ninf, 0.2}, a + b + c - c + 0.2},
+		{"all exhausted", one, []float64{0.9, 0.8, 0.7}, []float64{ninf, ninf, ninf}, ninf},
+		{"one silent", one, []float64{0.9, ninf, 0.7}, []float64{0.4, ninf, 0.2}, ninf},
+		{"silent under zero weight", []float64{1, 0, 1}, []float64{0.9, ninf, 0.7}, []float64{0.4, ninf, 0.2}, ninf},
+		{"exhausted under zero weight", []float64{1, 0, 1}, []float64{0.9, 0.8, 0.7}, []float64{0.4, ninf, 0.2}, a + zero*b + c - c + 0.2},
+		{"no inputs", nil, nil, nil, ninf},
+	}
+	for _, c := range cases {
+		got := WeightedThreshold(c.w, c.best, c.cur)
+		want := c.want
+		if math.IsNaN(want) {
+			want = original(c.w, c.best, c.cur)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: got %v (%#x), want %v (%#x)", c.name, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }
