@@ -46,7 +46,7 @@ func (ex *executor) runDrain(ctx context.Context, g *graph, start time.Time) (*R
 	if err := g.root.Open(pullCtx); err != nil {
 		return nil, err
 	}
-	all := make([]*comb, 0, ex.outHint)
+	best := newTopK(ex.opts.TargetK, ex.outHint)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -58,7 +58,7 @@ func (ex *executor) runDrain(ctx context.Context, g *graph, start time.Time) (*R
 		if c == nil {
 			break
 		}
-		all = append(all, c)
+		best.push(c)
 	}
 	// Stop the prefetchers and wait for every pipeline goroutine before
 	// reading the counters.
@@ -66,10 +66,10 @@ func (ex *executor) runDrain(ctx context.Context, g *graph, start time.Time) (*R
 	g.wg.Wait()
 
 	fid := ex.assessFidelity(g)
-	ranked := rankTruncate(all, ex.opts.TargetK)
-	run := ex.newRun(g, ex.materialize(ranked), len(all), start, false)
+	res := ex.materialize(best.ranked())
+	run := ex.newRun(g, res, best.pulled, start, false)
 	run.Fidelity = fid
-	endRun(run.Elapsed, obs.KI("combinations", int64(len(ranked))), obs.KI("pulled", int64(len(all))))
+	endRun(run.Elapsed, obs.KI("combinations", int64(len(res))), obs.KI("pulled", int64(best.pulled)))
 	return run, nil
 }
 
@@ -95,14 +95,10 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 
 	budget := ex.budgetCheck(start)
 	var (
-		all    = make([]*comb, 0, ex.outHint)
-		kth    minHeap
+		best   = newTopK(ex.opts.TargetK, ex.outHint)
 		halted bool
 		deg    *Degradation
 	)
-	if ex.earlyStop {
-		kth.grow(ex.opts.TargetK + 1)
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -129,20 +125,14 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 		if c == nil {
 			break
 		}
-		all = append(all, c)
-		if ex.earlyStop {
-			kth.push(c.score)
-			if kth.len() > ex.opts.TargetK {
-				kth.popMin()
-			}
-			if kth.len() == ex.opts.TargetK && kth.min() >= g.root.Bound() {
-				halted = true
-				runSc.Event("halted",
-					obs.KI("pulled", int64(len(all))),
-					obs.KV("kth", trim(kth.min())),
-					obs.KV("bound", trim(g.root.Bound())))
-				break
-			}
+		best.push(c)
+		if ex.earlyStop && best.full() && best.kth() >= g.root.Bound() {
+			halted = true
+			runSc.Event("halted",
+				obs.KI("pulled", int64(best.pulled)),
+				obs.KV("kth", trim(best.kth())),
+				obs.KV("bound", trim(g.root.Bound())))
+			break
 		}
 	}
 	// The degradation report needs the stop bound before the pipeline is
@@ -163,9 +153,8 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 	g.wg.Wait()
 
 	fid := ex.assessFidelity(g)
-	ranked := rankTruncate(all, ex.opts.TargetK)
-	res := ex.materialize(ranked)
-	run := ex.newRun(g, res, len(all), start, halted)
+	res := ex.materialize(best.ranked())
+	run := ex.newRun(g, res, best.pulled, start, halted)
 	run.Fidelity = fid
 	if deg != nil {
 		deg.Bound = stopBound
@@ -180,33 +169,21 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 	}
 	endRun(
 		run.Elapsed,
-		obs.KI("combinations", int64(len(ranked))),
-		obs.KI("pulled", int64(len(all))),
+		obs.KI("combinations", int64(len(res))),
+		obs.KI("pulled", int64(best.pulled)),
 		obs.KV("halted", boolAttr(halted)),
 		obs.KV("degraded", boolAttr(deg != nil)),
 	)
 	return run, nil
 }
 
-// rankTruncate stable-sorts the pulled combs by decreasing score and
-// truncates to the top-K (K = 0 keeps everything) — all still in compact
-// form, so the sort moves slice headers, not alias maps.
-func rankTruncate(all []*comb, k int) []*comb {
-	ranked := all
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score > ranked[j].score })
-	if k > 0 && len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	return ranked
-}
-
 // materialize converts the surviving combs to the public map-backed
 // Combinations. This is the only place the runtime builds alias maps, and
 // it must run before the graph teardown releases the operator arenas.
-func (ex *executor) materialize(ranked []*comb) []*types.Combination {
+func (ex *executor) materialize(ranked []rankedComb) []*types.Combination {
 	out := make([]*types.Combination, len(ranked))
-	for i, c := range ranked {
-		out[i] = ex.layout.materialize(c)
+	for i, r := range ranked {
+		out[i] = ex.layout.materialize(r.c)
 	}
 	return out
 }
@@ -232,50 +209,81 @@ func nonNegative(weights map[string]float64) bool {
 	return true
 }
 
-// minHeap keeps the K best scores pulled so far; its root is the K-th
-// best, the score an unseen combination must beat to enter the top-K.
-// Hand-rolled over plain float64s: the container/heap interface would box
-// every pushed score into an interface value, which is exactly the kind
-// of per-pull allocation the compact runtime exists to avoid.
-type minHeap struct{ h []float64 }
+// topK keeps the K best combs pulled so far, ranked by decreasing score
+// with arrival order breaking ties — the order a stable sort of every
+// pulled comb by score would give, without sorting (or retaining) what
+// cannot be in the answer. With k > 0 it is a bounded heap whose root is
+// the worst comb kept: the K-th best, the score an unseen combination must
+// beat to enter the top-K. With k = 0 nothing is dropped. Hand-rolled over
+// a plain slice: container/heap would box every pushed entry into an
+// interface value, the per-pull allocation the compact runtime avoids.
+type topK struct {
+	k      int
+	h      []rankedComb
+	pulled int
+}
 
-func (m *minHeap) len() int     { return len(m.h) }
-func (m *minHeap) min() float64 { return m.h[0] }
-func (m *minHeap) grow(n int)   { m.h = make([]float64, 0, n) }
+// rankedComb is a pulled comb and its arrival number.
+type rankedComb struct {
+	c   *comb
+	seq int
+}
 
-func (m *minHeap) push(x float64) {
-	m.h = append(m.h, x)
-	i := len(m.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if m.h[p] <= m.h[i] {
-			break
+// before reports whether a ranks ahead of b.
+func (a rankedComb) before(b rankedComb) bool {
+	return a.c.score > b.c.score || (a.c.score == b.c.score && a.seq < b.seq)
+}
+
+// newTopK returns a top-K of bound k; hint pre-sizes the unbounded case.
+func newTopK(k, hint int) topK {
+	if k > 0 {
+		hint = k
+	}
+	return topK{k: k, h: make([]rankedComb, 0, hint)}
+}
+
+// full reports whether K combs are held, so kth is the K-th best score.
+func (t *topK) full() bool   { return t.k > 0 && len(t.h) == t.k }
+func (t *topK) kth() float64 { return t.h[0].c.score }
+
+func (t *topK) push(c *comb) {
+	r := rankedComb{c, t.pulled}
+	t.pulled++
+	switch {
+	case t.k == 0:
+		t.h = append(t.h, r)
+	case len(t.h) < t.k:
+		t.h = append(t.h, r)
+		for i := len(t.h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !t.h[p].before(t.h[i]) {
+				break
+			}
+			t.h[p], t.h[i] = t.h[i], t.h[p]
+			i = p
 		}
-		m.h[p], m.h[i] = m.h[i], m.h[p]
-		i = p
+	case r.before(t.h[0]):
+		t.h[0] = r
+		for i, n := 0, len(t.h); ; {
+			l, rt, worst := 2*i+1, 2*i+2, i
+			if l < n && t.h[worst].before(t.h[l]) {
+				worst = l
+			}
+			if rt < n && t.h[worst].before(t.h[rt]) {
+				worst = rt
+			}
+			if worst == i {
+				break
+			}
+			t.h[i], t.h[worst] = t.h[worst], t.h[i]
+			i = worst
+		}
 	}
 }
 
-func (m *minHeap) popMin() float64 {
-	v := m.h[0]
-	n := len(m.h) - 1
-	m.h[0] = m.h[n]
-	m.h = m.h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && m.h[l] < m.h[small] {
-			small = l
-		}
-		if r < n && m.h[r] < m.h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		m.h[i], m.h[small] = m.h[small], m.h[i]
-		i = small
-	}
-	return v
+// ranked sorts the kept combs into rank order. Arrival numbers make the
+// order total, so no stable sort is needed.
+func (t *topK) ranked() []rankedComb {
+	sort.Slice(t.h, func(i, j int) bool { return t.h[i].before(t.h[j]) })
+	return t.h
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -280,6 +281,72 @@ func TestMixedClassKeyColumnIsAnError(t *testing.T) {
 			}
 			if len(got.Combinations) != 5 {
 				t.Errorf("%s materialize=%v: %d combinations beside a null key, want 5", tc.name, materialize, len(got.Combinations))
+			}
+		}
+	}
+}
+
+// TestNumericEdgeKeysMatchReference: the posting lists key on the shared
+// types.EqKey, which agrees with Value.Compare where raw float bits do
+// not. The triangle's Label edge is rewritten to numbers — ints on the
+// artists, the equal floats on the promoters, label 0 as 0 against -0.0 —
+// and the engine must still find every combination the brute force finds,
+// at fan-in 2 and 3. A NaN label has no key at all (it compares equal to
+// every number): the edge then falls back to verifying candidates.
+func TestNumericEdgeKeysMatchReference(t *testing.T) {
+	relabel := func(tab *service.Table, number func(name string, n int) types.Value) *service.Table {
+		out, err := service.NewTable(tab.Interface(), tab.Stats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := tab.Invoke(context.Background(), service.Input{"City": types.String("Milano")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			c, err := inv.Fetch(context.Background())
+			if err != nil {
+				return out
+			}
+			for _, tu := range c.Tuples {
+				var n int
+				if _, err := fmt.Sscanf(tu.Atomic("Label").Str(), "Label-%d", &n); err != nil {
+					t.Fatal(err)
+				}
+				out.Add(tu.Clone().Set("Label", number(tu.Atomic("Name").Str(), n)))
+			}
+		}
+	}
+	for _, tc := range []struct{ binaryOnly, nan bool }{{true, false}, {false, false}, {true, true}, {false, true}} {
+		binaryOnly := tc.binaryOnly
+		res, world := triangleFixtureWith(t, 7, binaryOnly)
+		const nanArtist = "Artist-060" // mid-list, so posting lists exist when it arrives
+		world.Artists = relabel(world.Artists, func(name string, n int) types.Value {
+			if tc.nan && name == nanArtist {
+				return types.Float(math.NaN())
+			}
+			return types.Int(int64(n))
+		})
+		world.Promoters = relabel(world.Promoters, func(_ string, n int) types.Value {
+			if n == 0 {
+				return types.Float(math.Copysign(0, -1))
+			}
+			return types.Float(float64(n))
+		})
+		want := triangleReferenceTopK(t, res.Query, world, 1<<20)
+		if len(want) < 20 {
+			t.Fatalf("%+v: reference has only %d combinations", tc, len(want))
+		}
+		for _, materialize := range []bool{false, true} {
+			run, err := New(world.Services(), nil).Execute(context.Background(), fullFetches(t, res.Plan), Options{
+				Inputs: world.Inputs, Weights: res.Query.Weights, Materialize: materialize,
+			})
+			if err != nil {
+				t.Fatalf("%+v materialize=%v: %v", tc, materialize, err)
+			}
+			if got := runNameScores(run); !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v materialize=%v: %d combinations, the reference has %d",
+					tc, materialize, len(got), len(want))
 			}
 		}
 	}

@@ -22,18 +22,18 @@ import (
 // Candidate enumeration is a leapfrog-style sorted intersection: every
 // hashable equality edge maintains, per endpoint branch, posting lists
 // from key to ascending row ids — the engine's one equality index. Keys
-// are interned uint32 handles for string values (the engine's interner
-// canonicalizes on the fly, so handle equality is exact string equality
-// process-wide) and a canonical FNV fold for other kinds. A new row binds
-// its branch; the remaining branches are bound most-constrained-first by
-// intersecting the posting lists their bound edges select, and every
-// surviving candidate is verified with the compiled pair predicates —
-// which also evaluate the bounded-proximity edges the legality rules
-// admit. The index records the value class each key column has carried:
-// two classes in one column would make some row pair a cross-kind
-// comparison, so indexing fails with that comparison's error rather than
-// filing the rows under keys that can never meet. A null key part matches
-// nothing and is no error.
+// fold the columns' types.EqKey bits: interned handles for string values
+// (the engine's interner canonicalizes on the fly, so handle equality is
+// exact string equality process-wide), canonical float bits for numerics.
+// A new row binds its branch; the remaining branches are bound
+// most-constrained-first by intersecting the posting lists their bound
+// edges select, and every surviving candidate is verified with the
+// compiled pair predicates — which also evaluate the bounded-proximity
+// edges the legality rules admit. The index records the value class each
+// key column has carried: two classes in one column would make some row
+// pair a cross-kind comparison, so indexing fails with that comparison's
+// error rather than filing the rows under keys that can never meet. A null
+// key part matches nothing and is no error.
 
 // multiEdge is one compiled cross-branch predicate of the multi-way
 // join, with both endpoint branches resolved and — when the predicate is
@@ -45,7 +45,9 @@ type multiEdge struct {
 	// right alias.
 	bl, br int
 	// hashable marks a pure atomic-equality edge that can key posting
-	// lists; proximity edges are verified per candidate instead.
+	// lists; proximity edges are verified per candidate instead, and so
+	// is a run's copy of an equality edge once a row brings a key part
+	// without an equality key (edgeKey clears the flag).
 	hashable bool
 	// postL/postR map an edge key to the ascending row ids carrying it,
 	// per endpoint branch (hashable edges only).
@@ -210,7 +212,7 @@ func (s *multiJoinOp) index(bi, from int) error {
 		if left {
 			post = e.postL
 		}
-		for ri := from; ri < len(s.rows[bi]); ri++ {
+		for ri := from; ri < len(s.rows[bi]) && e.hashable; ri++ {
 			key, ok, err := s.edgeKey(e, left, s.rows[bi][ri])
 			if err != nil {
 				return err
@@ -223,36 +225,14 @@ func (s *multiJoinOp) index(bi, from int) error {
 	return nil
 }
 
-// Value classes of key columns: numeric kinds share a class (they compare
-// with each other), every other kind is its own class.
-const (
-	classNull = iota
-	classNumeric
-	classString
-	classBool
-	classDate
-)
-
-func valueClass(v types.Value) uint8 {
-	switch v.Kind() {
-	case types.KindInt, types.KindFloat:
-		return classNumeric
-	case types.KindString:
-		return classString
-	case types.KindBool:
-		return classBool
-	case types.KindDate:
-		return classDate
-	default:
-		return classNull
-	}
-}
-
 // edgeKey folds the key columns row c contributes to edge e, as the
 // predicate's left or right endpoint. ok is false when the row can match
-// nothing on this edge (a null key part, or the component is absent); err
-// is the comparison error of a column whose class differs from what the
-// edge has indexed before.
+// nothing through the posting lists: a null key part or an absent
+// component matches nothing at all; a part with no equality key (a NaN
+// compares equal to every number) demotes the edge to a verified one for
+// the rest of the run, and err is the comparison error of a column whose
+// class differs from what the edge has indexed before. The class of a
+// column is fixed by that check, so the fold covers the key bits alone.
 func (s *multiJoinOp) edgeKey(e *multiEdge, left bool, c *comb) (key uint64, ok bool, err error) {
 	slot, cols := e.jp.rightSlot, e.jp.eqRight
 	if left {
@@ -264,50 +244,27 @@ func (s *multiJoinOp) edgeKey(e *multiEdge, left bool, c *comb) (key uint64, ok 
 	}
 	h := uint64(14695981039346656037)
 	for i, a := range cols {
-		v := t.Atomic(a)
-		cls := valueClass(v)
-		if cls == classNull {
+		// Canonicalize through the engine's interner, so a string keys on
+		// its handle without a trip to the global registry.
+		v := s.ex.engine.intern.Value(t.Atomic(a))
+		k, keyed := v.EqKey()
+		if k.Class == types.ClassNull {
 			return 0, false, nil
 		}
 		if w := e.classOf[i]; w.IsNull() {
 			e.classOf[i] = v
-		} else if valueClass(w) != cls {
+		} else if wk, _ := w.EqKey(); wk.Class != k.Class {
 			_, err := w.Compare(v)
 			return 0, false, err
 		}
-		h = s.hashValue(h, v, cls)
+		if !keyed {
+			e.hashable = false
+			return 0, false, nil
+		}
+		h = (h ^ k.Bits) * 1099511628211
+		h ^= h >> 32
 	}
 	return h, true, nil
-}
-
-// hashValue folds a key value into the FNV-1a chain using a canonical
-// encoding per class: strings by intern handle (canonicalized through the
-// engine's interner, so equal strings always collide), numerics by their
-// float bits, so numerically equal int/float keys hash identically.
-func (s *multiJoinOp) hashValue(h uint64, v types.Value, cls uint8) uint64 {
-	var bits uint64
-	n := 8
-	switch cls {
-	case classString:
-		// The trailing class delimiter keeps handle keys from colliding
-		// with raw-byte keys of another column.
-		bits, n = uint64(s.ex.engine.intern.Value(v).Handle())|0xfe<<32, 5
-	case classNumeric:
-		bits = math.Float64bits(v.FloatVal())
-	case classBool:
-		if v.BoolVal() {
-			bits = 1
-		}
-		n = 1
-	case classDate:
-		bits = uint64(v.Time().UnixNano())
-	}
-	const prime = 1099511628211
-	for i := 0; i < n; i++ {
-		h = (h ^ (bits & 0xff)) * prime
-		bits >>= 8
-	}
-	return h
 }
 
 // joinDelta enumerates every combination using at least one of branch

@@ -108,10 +108,14 @@ func CheckInput(si *mart.Interface, in Input) error {
 	for _, p := range si.InputPaths() {
 		v, ok := in[p]
 		if !ok || v.IsNull() {
-			return fmt.Errorf("service %s: input attribute %q not bound", si.Name, p)
+			return unboundError(si, p)
 		}
 	}
 	return nil
+}
+
+func unboundError(si *mart.Interface, path string) error {
+	return fmt.Errorf("service %s: input attribute %q not bound", si.Name, path)
 }
 
 // FuncInvocation adapts a fetch closure to the Invocation interface.

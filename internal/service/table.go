@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"seco/internal/mart"
 	"seco/internal/types"
@@ -17,6 +19,11 @@ import (
 // paths must be bound), filters rows by the input binding with the
 // single-sub-tuple repeating-group semantics of Section 3.1, and serves the
 // matching rows in decreasing score order, chunk by chunk.
+//
+// Loading (Add, SetMatchOp) must finish before invocations start; from then
+// on Invoke is safe for concurrent use. The first Invoke after the last
+// load freezes the rows into a tableIndex, and every invocation is answered
+// from it.
 type Table struct {
 	si    *mart.Interface
 	stats Stats
@@ -25,6 +32,11 @@ type Table struct {
 	// path; the default is equality. The running example uses OpGe for
 	// Movie1's Openings.Date input ("opening after the given date").
 	matchOps map[string]types.Op
+
+	// idx is the frozen index, nil until the first Invoke after a load;
+	// mu serializes its construction.
+	mu  sync.Mutex
+	idx atomic.Pointer[tableIndex]
 }
 
 // NewTable builds a table service over si with the given statistics.
@@ -38,7 +50,10 @@ func NewTable(si *mart.Interface, stats Stats) (*Table, error) {
 // SetMatchOp overrides the comparison operator used when matching the
 // given input path against its bound value. The operator is evaluated as
 // "row value op bound value".
-func (t *Table) SetMatchOp(path string, op types.Op) { t.matchOps[path] = op }
+func (t *Table) SetMatchOp(path string, op types.Op) {
+	t.matchOps[path] = op
+	t.idx.Store(nil)
+}
 
 // Add appends rows to the table, interning their string values in the
 // process-global scope. Load time is the one point the table exclusively
@@ -50,6 +65,7 @@ func (t *Table) Add(rows ...*types.Tuple) {
 		types.InternTupleInPlace(row)
 	}
 	t.rows = append(t.rows, rows...)
+	t.idx.Store(nil)
 }
 
 // Len returns the number of rows loaded.
@@ -61,120 +77,319 @@ func (t *Table) Interface() *mart.Interface { return t.si }
 // Stats implements Service.
 func (t *Table) Stats() Stats { return t.stats }
 
-// Invoke implements Service: it filters rows by the binding, sorts the
-// matches by decreasing score (stable, so generation order breaks ties) and
-// returns an invocation serving them in chunks of Stats().ChunkSize.
+// tableIndex is a table frozen for serving: the rows ranked once, and one
+// compiled column per input path of the interface.
+type tableIndex struct {
+	t *Table
+	// order holds the rows by decreasing score, load order breaking ties;
+	// a row's position in it is its rank, and every posting list is
+	// ascending in it — candidates arrive ranked and nothing is sorted per
+	// invocation.
+	order []*types.Tuple
+	// cols are the interface's input paths in InputPaths order (sorted,
+	// which keeps the paths of one repeating group adjacent).
+	cols []*column
+}
+
+// column is one matched path, pre-cut and with its operator resolved.
+type column struct {
+	path       string
+	group, sub string // group is "" for an atomic path, else path is group.sub
+	op         types.Op
+	// kinds holds, for an atomic path, the first value of each non-null
+	// kind in load order. Whether the operator can compare two values
+	// depends on their kinds alone, so these witnesses decide — before any
+	// row is looked at, and with the error the first offending row would
+	// raise — whether a bound value is comparable with the whole column.
+	kinds []types.Value
+	// span delimits, for a group path, the sub-tuples of each row in the
+	// group's flat numbering: row i owns span[i] ≤ s < span[i+1]. The
+	// columns of one group share it.
+	span []int32
+	// post, on an equality column whose every non-null value has an
+	// equality key, lists per key the rows carrying it (for a group path:
+	// in some sub-tuple). keys holds the same keys positionally — per row
+	// for an atomic path, per sub-tuple for a group path, the zero key for
+	// null — so that a candidate from one column's list is checked against
+	// another column without touching the row's maps.
+	post map[types.EqKey][]int32
+	keys []types.EqKey
+}
+
+// index returns the frozen index, building it on first use.
+func (t *Table) index() *tableIndex {
+	if ix := t.idx.Load(); ix != nil {
+		return ix
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ix := t.idx.Load(); ix != nil {
+		return ix
+	}
+	ix := t.buildIndex()
+	t.idx.Store(ix)
+	return ix
+}
+
+func (t *Table) buildIndex() *tableIndex {
+	ix := &tableIndex{t: t, order: append([]*types.Tuple(nil), t.rows...)}
+	sort.SliceStable(ix.order, func(i, j int) bool { return ix.order[i].Score > ix.order[j].Score })
+	for _, p := range t.si.InputPaths() {
+		c := t.newColumn(p)
+		if n := len(ix.cols); c.group != "" && n > 0 && ix.cols[n-1].group == c.group {
+			c.span = ix.cols[n-1].span
+		} else if c.group != "" {
+			c.span = groupSpan(ix.order, c.group)
+		}
+		if c.op == types.OpEq {
+			c.fill(ix.order)
+		}
+		ix.cols = append(ix.cols, c)
+	}
+	return ix
+}
+
+// groupSpan numbers the sub-tuples of a repeating group across the rows.
+func groupSpan(order []*types.Tuple, group string) []int32 {
+	span := make([]int32, 1, len(order)+1)
+	for _, row := range order {
+		span = append(span, span[len(span)-1]+int32(len(row.Groups[group])))
+	}
+	return span
+}
+
+// newColumn cuts a path, resolves its operator and, for an atomic path,
+// collects the kind witnesses.
+func (t *Table) newColumn(path string) *column {
+	c := &column{path: path, op: types.OpEq}
+	if op, ok := t.matchOps[path]; ok {
+		c.op = op
+	}
+	if g, sub, dotted := strings.Cut(path, "."); dotted {
+		c.group, c.sub = g, sub
+		return c
+	}
+	// Load order, so the witness is the row a scan would trip on first.
+next:
+	for _, row := range t.rows {
+		v := row.Atomic(path)
+		if v.IsNull() {
+			continue
+		}
+		for _, w := range c.kinds {
+			if w.Kind() == v.Kind() {
+				continue next
+			}
+		}
+		c.kinds = append(c.kinds, v)
+	}
+	return c
+}
+
+// fill builds the posting lists and positional keys of an equality column.
+// A value without an equality key (a NaN equals every number) leaves the
+// column unkeyed: it is then matched by comparison like a range column.
+func (c *column) fill(order []*types.Tuple) {
+	post := make(map[types.EqKey][]int32)
+	var keys []types.EqKey
+	add := func(pos int, v types.Value) bool {
+		k, ok := v.EqKey()
+		if !ok {
+			keys = append(keys, types.EqKey{})
+			return v.IsNull()
+		}
+		keys = append(keys, k)
+		if l := post[k]; len(l) == 0 || l[len(l)-1] != int32(pos) {
+			post[k] = append(l, int32(pos))
+		}
+		return true
+	}
+	for pos, row := range order {
+		if c.group == "" {
+			if !add(pos, row.Atomic(c.path)) {
+				return
+			}
+			continue
+		}
+		for _, st := range row.Groups[c.group] {
+			if !add(pos, st[c.sub]) {
+				return
+			}
+		}
+	}
+	c.post, c.keys = post, keys
+}
+
+// bound is one column with the value an invocation binds it to.
+type bound struct {
+	*column
+	v types.Value
+	// keyed selects the key comparison (the column is keyed and so is v);
+	// otherwise the operator is evaluated on the values.
+	keyed bool
+	key   types.EqKey
+	// run is, on the first column of a repeating group, the number of
+	// adjacent bound columns on that group; 1 on an atomic column.
+	run int
+}
+
+// bind pairs every compiled column with its bound value, rejecting
+// missing bindings (access limitations are mandatory) and bindings an
+// atomic column's values cannot be compared with.
+func (ix *tableIndex) bind(in Input, bs []bound) ([]bound, error) {
+	for _, c := range ix.cols {
+		v, ok := in[c.path]
+		if !ok || v.IsNull() {
+			return nil, unboundError(ix.t.si, c.path)
+		}
+		b := bound{column: c, v: v}
+		if c.post != nil {
+			b.key, b.keyed = v.EqKey()
+		}
+		bs = append(bs, b)
+	}
+	if len(in) > len(ix.cols) {
+		bs = ix.bindExtras(in, bs)
+	}
+	for i := 0; i < len(bs); i += bs[i].run {
+		b := &bs[i]
+		for _, w := range b.kinds {
+			if _, err := b.op.Eval(w, b.v); err != nil {
+				return nil, fmt.Errorf("service %s: matching %q: %w", ix.t.si.Name, b.path, err)
+			}
+		}
+		b.run = 1
+		for b.group != "" && i+b.run < len(bs) && bs[i+b.run].group == b.group {
+			b.run++
+		}
+	}
+	return bs, nil
+}
+
+// bindExtras adds the keys of in beyond the interface's inputs: they
+// filter too, by comparison, on columns made up for the invocation. One on
+// an input path's repeating group joins that group's single-sub-tuple
+// test. The result is a fresh slice in path order.
+func (ix *tableIndex) bindExtras(in Input, bs []bound) []bound {
+	out := append(make([]bound, 0, len(in)), bs...)
+	for p, v := range in {
+		if ix.t.si.Adornments[p] == mart.Input {
+			continue
+		}
+		c := ix.t.newColumn(p)
+		for _, ic := range ix.cols {
+			if ic.group == c.group {
+				c.span = ic.span // nil between atomic paths
+			}
+		}
+		out = append(out, bound{column: c, v: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].path < out[j].path })
+	return out
+}
+
+// Invoke implements Service: the candidates are the shortest posting list
+// an equality binding selects (every row when none does), in rank order;
+// the remaining bindings filter them. The invocation serves the matches in
+// chunks of Stats().ChunkSize.
 func (t *Table) Invoke(ctx context.Context, in Input) (Invocation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := CheckInput(t.si, in); err != nil {
+	ix := t.index()
+	var buf [8]bound
+	bs, err := ix.bind(in, buf[:0])
+	if err != nil {
 		return nil, err
 	}
-	mp := t.planMatch(in)
-	var matches []*types.Tuple
-	for _, row := range t.rows {
-		ok, err := t.matches(row, in, mp)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			matches = append(matches, row)
+	drive, n := -1, len(ix.order)
+	var cand []int32
+	for i := range bs {
+		if b := &bs[i]; b.keyed {
+			if l := b.post[b.key]; len(l) < n || drive < 0 {
+				drive, cand, n = i, l, len(l)
+			}
 		}
 	}
-	sort.SliceStable(matches, func(i, j int) bool {
-		return matches[i].Score > matches[j].Score
-	})
+	var matches []*types.Tuple
+	if drive >= 0 {
+		matches = make([]*types.Tuple, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		pos := i
+		if drive >= 0 {
+			pos = int(cand[i])
+		}
+		if ix.matches(pos, bs, drive) {
+			matches = append(matches, ix.order[pos])
+		}
+	}
 	return &tableInvocation{table: t, matches: matches}, nil
 }
 
-// matchPlan is the per-invocation decomposition of an input binding:
-// atomic paths and per-group dotted paths split and sorted once, instead
-// of rebuilding the grouping map (and re-cutting every path) per row.
-type matchPlan struct {
-	atomics []string
-	groups  []matchGroup
-}
-
-type matchGroup struct {
-	name  string
-	paths []string // full dotted paths, sorted
-	subs  []string // the sub-attribute of each path
-}
-
-// planMatch decomposes the binding for one invocation's row scan.
-func (t *Table) planMatch(in Input) matchPlan {
-	var mp matchPlan
-	byGroup := map[string]int{}
-	for p := range in {
-		g, _, dotted := strings.Cut(p, ".")
-		if !dotted {
-			mp.atomics = append(mp.atomics, p)
-			continue
-		}
-		i, ok := byGroup[g]
-		if !ok {
-			i = len(mp.groups)
-			byGroup[g] = i
-			mp.groups = append(mp.groups, matchGroup{name: g})
-		}
-		mp.groups[i].paths = append(mp.groups[i].paths, p)
-	}
-	for i := range mp.groups {
-		sort.Strings(mp.groups[i].paths)
-		mp.groups[i].subs = make([]string, len(mp.groups[i].paths))
-		for j, p := range mp.groups[i].paths {
-			_, sub, _ := strings.Cut(p, ".")
-			mp.groups[i].subs[j] = sub
-		}
-	}
-	return mp
-}
-
-// matches evaluates the input binding against one row. Atomic paths must
-// satisfy their operator directly. Input paths on the same repeating group
-// must be satisfied together by a single sub-tuple, realizing the
-// existential single-mapping semantics of Section 3.1.
-func (t *Table) matches(row *types.Tuple, in Input, mp matchPlan) (bool, error) {
-	for _, p := range mp.atomics {
-		ok, err := t.op(p).Eval(row.Get(p), in[p])
-		if err != nil {
-			return false, fmt.Errorf("service %s: matching %q: %w", t.si.Name, p, err)
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	for i := range mp.groups {
-		if !t.groupMatches(row, &mp.groups[i], in) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func (t *Table) groupMatches(row *types.Tuple, g *matchGroup, in Input) bool {
-	for _, st := range row.Groups[g.name] {
-		all := true
-		for j, p := range g.paths {
-			ok, err := t.op(p).Eval(st[g.subs[j]], in[p])
-			if err != nil || !ok {
-				all = false
-				break
+// matches evaluates the bound columns against the row at pos. Atomic
+// paths must satisfy their operator directly. Input paths on the same
+// repeating group must be satisfied together by a single sub-tuple,
+// realizing the existential single-mapping semantics of Section 3.1. The
+// column whose posting list produced pos is settled already, unless it is
+// one of several on its group.
+func (ix *tableIndex) matches(pos int, bs []bound, drive int) bool {
+	row := ix.order[pos]
+	for i := 0; i < len(bs); i += bs[i].run {
+		b := &bs[i]
+		switch {
+		case i == drive && b.run == 1:
+		case b.group != "":
+			if !groupMatches(row, pos, bs[i:i+b.run]) {
+				return false
+			}
+		case b.keyed:
+			if b.keys[pos] != b.key {
+				return false
+			}
+		default:
+			// bind has established that the operator applies to every
+			// value of the column, so err is nil.
+			if ok, _ := b.op.Eval(row.Atomic(b.path), b.v); !ok {
+				return false
 			}
 		}
-		if all {
-			return true
-		}
 	}
-	return false
+	return true
 }
 
-func (t *Table) op(path string) types.Op {
-	if op, ok := t.matchOps[path]; ok {
-		return op
+// groupMatches reports whether one sub-tuple of the row at pos satisfies
+// every bound column of the group; a sub-value that cannot be compared
+// with its binding does not satisfy it.
+func groupMatches(row *types.Tuple, pos int, run []bound) bool {
+	var subs []types.SubTuple // the row's map-backed sub-tuples, if an unkeyed column needs them
+	lo, n := 0, 0
+	if span := run[0].span; span != nil {
+		lo, n = int(span[pos]), int(span[pos+1]-span[pos])
+	} else {
+		subs = row.Groups[run[0].group]
+		n = len(subs)
 	}
-	return types.OpEq
+next:
+	for s := 0; s < n; s++ {
+		for i := range run {
+			b := &run[i]
+			if b.keyed {
+				if b.keys[lo+s] != b.key {
+					continue next
+				}
+				continue
+			}
+			if subs == nil {
+				subs = row.Groups[b.group]
+			}
+			if ok, err := b.op.Eval(subs[s][b.sub], b.v); err != nil || !ok {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
 }
 
 type tableInvocation struct {

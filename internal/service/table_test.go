@@ -3,6 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -301,5 +307,431 @@ func TestFuncInvocation(t *testing.T) {
 	c, err := inv.Fetch(context.Background())
 	if err != nil || c.Index != 0 || calls != 1 {
 		t.Errorf("FuncInvocation: %+v %v %d", c, err, calls)
+	}
+}
+
+// referenceChunks is the substrate's specification, kept as the scan it
+// used to run on every call: check the binding, walk every row in load
+// order through every bound path (atomic paths directly, the paths of one
+// repeating group against a single sub-tuple), stable-sort the survivors by
+// decreasing score and cut them into chunks. Paths are taken in sorted
+// order, and an atomic binding that cannot be compared with some row of its
+// column is an error whatever the other columns filter out.
+func referenceChunks(t *Table, in Input) ([]Chunk, error) {
+	if err := CheckInput(t.si, in); err != nil {
+		return nil, err
+	}
+	op := func(p string) types.Op {
+		if op, ok := t.matchOps[p]; ok {
+			return op
+		}
+		return types.OpEq
+	}
+	paths := make([]string, 0, len(in))
+	for p := range in {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if strings.Contains(p, ".") {
+			continue
+		}
+		for _, row := range t.rows {
+			if _, err := op(p).Eval(row.Get(p), in[p]); err != nil {
+				return nil, fmt.Errorf("service %s: matching %q: %w", t.si.Name, p, err)
+			}
+		}
+	}
+	var matches []*types.Tuple
+rows:
+	for _, row := range t.rows {
+		for i, p := range paths {
+			g, _, dotted := strings.Cut(p, ".")
+			if !dotted {
+				if ok, _ := op(p).Eval(row.Get(p), in[p]); !ok {
+					continue rows
+				}
+				continue
+			}
+			if i > 0 && strings.HasPrefix(paths[i-1], g+".") {
+				continue // the group was settled at its first path
+			}
+			found := false
+			for _, st := range row.Groups[g] {
+				all := true
+				for _, q := range paths[i:] {
+					qg, sub, _ := strings.Cut(q, ".")
+					if qg != g {
+						break
+					}
+					if ok, err := op(q).Eval(st[sub], in[q]); err != nil || !ok {
+						all = false
+						break
+					}
+				}
+				if all {
+					found = true
+					break
+				}
+			}
+			if !found {
+				continue rows
+			}
+		}
+		matches = append(matches, row)
+	}
+	sort.SliceStable(matches, func(i, j int) bool { return matches[i].Score > matches[j].Score })
+	size := t.stats.ChunkSize
+	if size <= 0 {
+		return []Chunk{{Index: 0, Tuples: matches}}, nil
+	}
+	var chunks []Chunk
+	for lo := 0; lo < len(matches); lo += size {
+		hi := lo + size
+		if hi > len(matches) {
+			hi = len(matches)
+		}
+		chunks = append(chunks, Chunk{Index: len(chunks), Tuples: matches[lo:hi]})
+	}
+	return chunks, nil
+}
+
+// fetchAll drains an invocation chunk by chunk.
+func fetchAll(t *testing.T, inv Invocation) []Chunk {
+	t.Helper()
+	var chunks []Chunk
+	for {
+		c, err := inv.Fetch(context.Background())
+		if errors.Is(err, ErrExhausted) {
+			return chunks
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks = append(chunks, c)
+	}
+}
+
+// randomWorld draws a table and a stream of bindings for the differential
+// test: a random subset of seven paths adorned as input, range and like
+// operators on some of them, small value domains so that keys, scores and
+// nulls collide, and bindings that now and then carry a key beyond the
+// interface's inputs, a negative zero, a NaN or a value of the wrong kind.
+type randomWorld struct {
+	rng *rand.Rand
+	tab *Table
+}
+
+var worldPaths = []string{"A", "B", "C", "D", "G.X", "G.Y", "H.Z"}
+
+func newRandomWorld(t *testing.T, seed int64) *randomWorld {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	m := &mart.Mart{Name: "W", Attributes: []mart.Attribute{
+		{Name: "A", Kind: types.KindString},
+		{Name: "B", Kind: types.KindFloat},
+		{Name: "C", Kind: types.KindInt},
+		{Name: "D", Kind: types.KindString},
+		{Name: "Out", Kind: types.KindString},
+		{Name: "G", Sub: []mart.Attribute{{Name: "X", Kind: types.KindString}, {Name: "Y", Kind: types.KindInt}}},
+		{Name: "H", Sub: []mart.Attribute{{Name: "Z", Kind: types.KindString}}},
+	}}
+	ad := map[string]mart.Adornment{}
+	for _, p := range worldPaths {
+		if rng.Intn(2) == 0 {
+			ad[p] = mart.Input
+		}
+	}
+	si, err := mart.NewInterface("W1", m, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewTable(si, Stats{ChunkSize: []int{0, 1, 3, 7}[rng.Intn(4)], Scoring: Constant(0.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rng.Intn(3) > 0 {
+		tab.SetMatchOp("C", types.OpGe)
+	}
+	tab.SetMatchOp("D", types.OpLike)
+	if rng.Intn(2) == 0 {
+		tab.SetMatchOp("G.Y", types.OpGe)
+	}
+	w := &randomWorld{rng: rng, tab: tab}
+	tab.Add(w.rows(rng.Intn(60))...)
+	return w
+}
+
+func (w *randomWorld) str() types.Value {
+	return types.String([]string{"ann", "bob", "cy", "Dee"}[w.rng.Intn(4)])
+}
+
+// num draws from {0, 1, 2, 3} as an int or the equal float, with the odd
+// negative zero and — when wild — NaN.
+func (w *randomWorld) num(wild bool) types.Value {
+	n := w.rng.Intn(4)
+	switch r := w.rng.Intn(20); {
+	case wild && r == 0:
+		return types.Float(math.NaN())
+	case r == 1:
+		return types.Float(math.Copysign(0, -1))
+	case r < 10:
+		return types.Float(float64(n))
+	default:
+		return types.Int(int64(n))
+	}
+}
+
+func (w *randomWorld) rows(n int) []*types.Tuple {
+	wild := w.rng.Intn(4) == 0
+	out := make([]*types.Tuple, n)
+	for i := range out {
+		tu := types.NewTuple(float64(w.rng.Intn(5)) / 4)
+		set := func(attr string, v types.Value) {
+			if w.rng.Intn(10) > 0 { // else the attribute stays null
+				tu.Set(attr, v)
+			}
+		}
+		set("A", w.str())
+		set("B", w.num(wild))
+		set("C", w.num(false))
+		set("D", w.str())
+		set("Out", w.str())
+		for k := w.rng.Intn(4); k > 0; k-- {
+			st := types.SubTuple{"X": w.str()}
+			if w.rng.Intn(10) > 0 {
+				st["Y"] = w.num(wild)
+			}
+			tu.AddGroup("G", st)
+		}
+		for k := w.rng.Intn(3); k > 0; k-- {
+			tu.AddGroup("H", types.SubTuple{"Z": w.str()})
+		}
+		out[i] = tu
+	}
+	return out
+}
+
+func (w *randomWorld) binding() Input {
+	in := Input{}
+	bind := func(p string) {
+		switch p {
+		case "B", "C", "G.Y":
+			in[p] = w.num(w.rng.Intn(10) == 0)
+		case "D":
+			in[p] = types.String([]string{"%n%", "b%", "%y", "dee"}[w.rng.Intn(4)])
+		default:
+			in[p] = w.str()
+		}
+		if w.rng.Intn(40) == 0 {
+			in[p] = types.Int(1) // the wrong kind for a string path now and then
+		}
+	}
+	for _, p := range w.tab.si.InputPaths() {
+		bind(p)
+	}
+	if w.rng.Intn(4) == 0 {
+		extras := append([]string{"Out", "Nope", "Nope.Sub"}, worldPaths...)
+		for k := w.rng.Intn(3); k >= 0; k-- {
+			if p := extras[w.rng.Intn(len(extras))]; w.tab.si.Adornments[p] != mart.Input {
+				bind(p)
+			}
+		}
+	}
+	return in
+}
+
+// TestTableMatchesReferenceScan is the differential test of the indexed
+// substrate: Invoke must serve exactly the chunk sequence the reference
+// scan-and-sort computes — chunk indexes, tuple identity and order — or
+// fail with the same error, also after rows are added behind a first
+// Invoke.
+func TestTableMatchesReferenceScan(t *testing.T) {
+	served, failed := 0, 0
+	for seed := int64(1); seed <= 300; seed++ {
+		w := newRandomWorld(t, seed)
+		for round := 0; round < 2; round++ {
+			for q := 0; q < 12; q++ {
+				in := w.binding()
+				want, wantErr := referenceChunks(w.tab, in)
+				inv, err := w.tab.Invoke(context.Background(), in)
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("seed %d %v: Invoke error %v, reference %v", seed, in, err, wantErr)
+				}
+				if err != nil {
+					failed++
+					continue
+				}
+				got := fetchAll(t, inv)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %v: %d chunks, reference %d", seed, in, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Index != want[i].Index || len(got[i].Tuples) != len(want[i].Tuples) {
+						t.Fatalf("seed %d %v: chunk %d = #%d with %d tuples, reference #%d with %d",
+							seed, in, i, got[i].Index, len(got[i].Tuples), want[i].Index, len(want[i].Tuples))
+					}
+					for j := range got[i].Tuples {
+						if got[i].Tuples[j] != want[i].Tuples[j] {
+							t.Fatalf("seed %d %v: chunk %d tuple %d = %v, reference %v",
+								seed, in, i, j, got[i].Tuples[j], want[i].Tuples[j])
+						}
+						served++
+					}
+				}
+			}
+			w.tab.Add(w.rows(1 + w.rng.Intn(10))...)
+		}
+	}
+	// The generator must reach both outcomes, or the test shows nothing.
+	if served < 1000 || failed < 10 {
+		t.Errorf("differential test too thin: %d tuples served, %d bindings refused", served, failed)
+	}
+}
+
+// TestTableMismatchErrorIsDeterministic pins the kind-mismatch error: a
+// string bound against an int column fails the same way on every call,
+// even when another column alone would empty the result.
+func TestTableMismatchErrorIsDeterministic(t *testing.T) {
+	m := &mart.Mart{Name: "Hotel", Attributes: []mart.Attribute{
+		{Name: "City", Kind: types.KindString},
+		{Name: "Stars", Kind: types.KindInt},
+		{Name: "Zone", Kind: types.KindString},
+	}}
+	si, err := mart.NewInterface("Hotel1", m, map[string]mart.Adornment{
+		"City": mart.Input, "Stars": mart.Input, "Zone": mart.Input,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewTable(si, Stats{Scoring: Constant(0.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Add(
+		types.NewTuple(0.5).Set("City", types.String("Rome")).Set("Stars", types.Int(3)).Set("Zone", types.String("N")),
+		types.NewTuple(0.5).Set("City", types.String("Oslo")).Set("Stars", types.Int(4)).Set("Zone", types.String("S")),
+	)
+	in := Input{"City": types.String("Bern"), "Stars": types.String("three"), "Zone": types.String("W")}
+	const want = `service Hotel1: matching "Stars": types: cannot compare int with string`
+	if _, err := tab.Invoke(context.Background(), in); err == nil || err.Error() != want {
+		t.Fatalf("Invoke error = %v, want %s", err, want)
+	}
+}
+
+// TestTableFirstInvokeConcurrent races eight first invocations on a fresh
+// table: the index is built once and every caller is served from it.
+func TestTableFirstInvokeConcurrent(t *testing.T) {
+	tab := newMovieTable(t, 1)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inv, err := tab.Invoke(context.Background(), movieInput())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			c, err := inv.Fetch(context.Background())
+			if err != nil || len(c.Tuples) != 1 || c.Tuples[0].Get("Title").Str() != "A" {
+				t.Errorf("first chunk = %+v, %v", c, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// flightTable builds the substrate benchmark's table: 800 rows over 20
+// cities and 10 days, the shape of the conftravel scenario's Flight1.
+func flightTable(tb testing.TB, inputs ...string) *Table {
+	tb.Helper()
+	m := &mart.Mart{Name: "Flight", Attributes: []mart.Attribute{
+		{Name: "From", Kind: types.KindString},
+		{Name: "To", Kind: types.KindString},
+		{Name: "Day", Kind: types.KindInt},
+		{Name: "Price", Kind: types.KindFloat},
+		{Name: "Legs", Sub: []mart.Attribute{{Name: "Via", Kind: types.KindString}, {Name: "Carrier", Kind: types.KindString}}},
+	}}
+	ad := map[string]mart.Adornment{"Price": mart.Ranked}
+	for _, p := range inputs {
+		ad[p] = mart.Input
+	}
+	si, err := mart.NewInterface("Flight1", m, ad)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tab, err := NewTable(si, Stats{ChunkSize: 5, Scoring: Linear(800)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tab.SetMatchOp("Price", types.OpGe)
+	rng := rand.New(rand.NewSource(21))
+	city := func() types.Value { return types.String(fmt.Sprintf("city%02d", rng.Intn(20))) }
+	for i := 0; i < 800; i++ {
+		tu := types.NewTuple(rng.Float64())
+		tu.Set("From", city()).Set("To", city()).Set("Day", types.Int(int64(rng.Intn(10))))
+		tu.Set("Price", types.Float(float64(rng.Intn(400))))
+		for k := 0; k < 2; k++ {
+			tu.AddGroup("Legs", types.SubTuple{"Via": city(), "Carrier": types.String(fmt.Sprintf("c%d", rng.Intn(5)))})
+		}
+		tab.Add(tu)
+	}
+	return tab
+}
+
+var benchChunk Chunk
+
+// BenchmarkTableInvoke is the substrate layer's own benchmark: one Invoke
+// plus the first Fetch against 800 rows, with nothing above the table.
+func BenchmarkTableInvoke(b *testing.B) {
+	cases := []struct {
+		name   string
+		inputs []string
+		in     Input
+	}{
+		{"equality3", []string{"From", "To", "Day"}, Input{
+			"From": types.String("city03"), "To": types.String("city11"), "Day": types.Int(4)}},
+		{"range", []string{"Price"}, Input{"Price": types.Float(390)}},
+		{"group", []string{"Legs.Via", "Legs.Carrier"}, Input{
+			"Legs.Via": types.String("city07"), "Legs.Carrier": types.String("c2")}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			tab := flightTable(b, c.inputs...)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inv, err := tab.Invoke(ctx, c.in)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if benchChunk, err = inv.Fetch(ctx); err != nil && !errors.Is(err, ErrExhausted) {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestTableInvokeAllocationCeiling bounds what an equality invocation and
+// its first fetch allocate once the index exists: the invocation and its
+// match list, nothing per row or per bound path.
+func TestTableInvokeAllocationCeiling(t *testing.T) {
+	tab := flightTable(t, "From", "To", "Day")
+	in := Input{"From": types.String("city03"), "To": types.String("city11"), "Day": types.Int(4)}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		inv, err := tab.Invoke(ctx, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inv.Fetch(ctx); err != nil && !errors.Is(err, ErrExhausted) {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("equality Invoke + Fetch allocates %.0f times, ceiling 2", allocs)
 	}
 }

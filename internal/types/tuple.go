@@ -3,6 +3,7 @@ package types
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -113,6 +114,19 @@ func (t *Tuple) Clone() *Tuple {
 // test output.
 func (t *Tuple) String() string {
 	var b strings.Builder
+	t.write(&b)
+	return b.String()
+}
+
+// write renders the tuple into b. Rendering is on the serving path (every
+// /query response prints its combinations), so names and values go to the
+// builder directly rather than through fmt's reflection.
+func (t *Tuple) write(b *strings.Builder) {
+	var buf [32]byte // scratch for one value
+	if t == nil {
+		b.WriteString("<nil>") // as fmt renders a nil Stringer
+		return
+	}
 	b.WriteByte('{')
 	keys := make([]string, 0, len(t.Attrs))
 	for k := range t.Attrs {
@@ -123,7 +137,9 @@ func (t *Tuple) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s:%s", k, t.Attrs[k])
+		b.WriteString(k)
+		b.WriteByte(':')
+		b.Write(t.Attrs[k].appendTo(buf[:0]))
 	}
 	groups := make([]string, 0, len(t.Groups))
 	for g := range t.Groups {
@@ -131,38 +147,38 @@ func (t *Tuple) String() string {
 	}
 	sort.Strings(groups)
 	for _, g := range groups {
-		if b.Len() > 1 {
+		if len(keys) > 0 || g != groups[0] {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s:[", g)
+		b.WriteString(g)
+		b.WriteString(":[")
 		for i, st := range t.Groups[g] {
 			if i > 0 {
-				b.WriteString(" ")
+				b.WriteByte(' ')
 			}
-			b.WriteString(subString(st))
+			st.write(b, buf[:0])
 		}
 		b.WriteByte(']')
 	}
 	b.WriteByte('}')
-	return b.String()
 }
 
-func subString(st SubTuple) string {
+func (st SubTuple) write(b *strings.Builder, buf []byte) {
 	keys := make([]string, 0, len(st))
 	for k := range st {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
 	b.WriteByte('<')
 	for i, k := range keys {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%s", k, st[k])
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.Write(st[k].appendTo(buf))
 	}
 	b.WriteByte('>')
-	return b.String()
 }
 
 // Combination is a composite tuple t1·…·tn formed by joining component
@@ -251,9 +267,14 @@ func (c *Combination) Aliases() []string {
 // String renders the combination alias by alias in sorted order.
 func (c *Combination) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "[score=%.4f", c.Score)
+	var num [32]byte
+	b.WriteString("[score=")
+	b.Write(strconv.AppendFloat(num[:0], c.Score, 'f', 4, 64))
 	for _, a := range c.Aliases() {
-		fmt.Fprintf(&b, " %s=%s", a, c.Components[a])
+		b.WriteByte(' ')
+		b.WriteString(a)
+		b.WriteByte('=')
+		c.Components[a].write(&b)
 	}
 	b.WriteByte(']')
 	return b.String()

@@ -1,8 +1,12 @@
 package types
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleTuple() *Tuple {
@@ -121,5 +125,97 @@ func TestCombinationString(t *testing.T) {
 	s := c.String()
 	if !strings.Contains(s, "score=0.8000") || !strings.Contains(s, "M=") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// fmtTuple and fmtCombination are the fmt-based renderings String used to
+// be; the goldens and every /query response were produced by them.
+func fmtTuple(t *Tuple) string {
+	if t == nil {
+		return "<nil>"
+	}
+	var b strings.Builder
+	b.WriteByte('{')
+	keys := make([]string, 0, len(t.Attrs))
+	for k := range t.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s:%s", k, t.Attrs[k])
+	}
+	groups := make([]string, 0, len(t.Groups))
+	for g := range t.Groups {
+		groups = append(groups, g)
+	}
+	sort.Strings(groups)
+	for _, g := range groups {
+		if b.Len() > 1 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s:[", g)
+		for i, st := range t.Groups[g] {
+			if i > 0 {
+				b.WriteString(" ")
+			}
+			subKeys := make([]string, 0, len(st))
+			for k := range st {
+				subKeys = append(subKeys, k)
+			}
+			sort.Strings(subKeys)
+			b.WriteByte('<')
+			for j, k := range subKeys {
+				if j > 0 {
+					b.WriteByte(',')
+				}
+				fmt.Fprintf(&b, "%s=%s", k, st[k])
+			}
+			b.WriteByte('>')
+		}
+		b.WriteByte(']')
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+func fmtCombination(c *Combination) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "[score=%.4f", c.Score)
+	for _, a := range c.Aliases() {
+		fmt.Fprintf(&b, " %s=%s", a, fmtTuple(c.Components[a]))
+	}
+	b.WriteByte(']')
+	return b.String()
+}
+
+// TestStringRendersAsFmtDid: writing names and values to the builder
+// directly is byte-identical to formatting them through fmt, for every
+// value kind, empty and group-only tuples, and awkward scores.
+func TestStringRendersAsFmtDid(t *testing.T) {
+	all := NewTuple(0.25)
+	all.Set("S", String("a \"quoted\"\tstring, long enough to outgrow the scratch buffer")).
+		Set("I", Int(-42)).Set("F", Float(1e21)).Set("G", Float(0.1)).Set("B", Bool(true)).
+		Set("D", Date(time.Date(2009, 7, 1, 12, 0, 0, 0, time.UTC))).Set("N", Null).
+		Set("H", Intern("interned"))
+	all.AddGroup("R", SubTuple{"X": Int(1), "Y": String("y")})
+	all.AddGroup("R", SubTuple{})
+	all.AddGroup("Q", SubTuple{"Z": Float(math.Inf(-1))})
+	groupOnly := NewTuple(0)
+	groupOnly.AddGroup("R", SubTuple{"X": Null})
+	groupOnly.Groups["Empty"] = nil
+	tuples := []*Tuple{all, groupOnly, NewTuple(1), sampleTuple()}
+	for _, tu := range tuples {
+		if got, want := tu.String(), fmtTuple(tu); got != want {
+			t.Errorf("Tuple.String() = %s\nwant             %s", got, want)
+		}
+	}
+	for _, score := range []float64{0, 0.8, 0.99995, -1.5, 1e9, math.Inf(1), math.NaN()} {
+		c := &Combination{Components: map[string]*Tuple{"M": all, "T": groupOnly, "Z": nil}, Score: score}
+		if got, want := c.String(), fmtCombination(c); got != want {
+			t.Errorf("Combination.String() = %s\nwant                   %s", got, want)
+		}
 	}
 }

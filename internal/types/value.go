@@ -10,6 +10,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -117,21 +118,27 @@ func (v Value) Time() time.Time { return v.t }
 // String renders the value as in query literals: strings are quoted, dates
 // use RFC 3339 date form, null renders as NULL.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.appendTo(buf[:0]))
+}
+
+// appendTo appends the String rendering to dst.
+func (v Value) appendTo(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(dst, v.s)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.AppendBool(dst, v.b)
 	case KindDate:
-		return v.t.Format("2006-01-02")
+		return v.t.AppendFormat(dst, "2006-01-02")
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
@@ -196,6 +203,68 @@ func (v Value) Compare(w Value) (int, error) {
 		}
 	default:
 		return 0, fmt.Errorf("types: cannot compare kind %s", v.kind)
+	}
+}
+
+// Value classes partition the kinds by comparability: the numeric kinds
+// share a class (they compare with each other), every other kind is its
+// own class, and Compare fails exactly when two non-null classes differ.
+const (
+	ClassNull uint8 = iota
+	ClassNumeric
+	ClassString
+	ClassBool
+	ClassDate
+)
+
+// EqKey is the canonical equality key of a value — the one key every
+// equality index (the multi-way join's posting lists, service.Table's)
+// files values under. Two keys are equal exactly when Compare reports the
+// values equal, so an index lookup needs no verification.
+type EqKey struct {
+	Class uint8
+	Bits  uint64
+}
+
+// maxKeySec bounds the dates whose UnixNano fits an int64.
+const maxKeySec = math.MaxInt64 / int64(time.Second)
+
+// EqKey returns the value's equality key. The class is always reported;
+// ok is false when the value cannot be keyed: null (it equals nothing), a
+// NaN (Compare reports it equal to every number) and a date outside
+// UnixNano's range. Such values must be matched by comparison instead.
+// Numerics key on their float bits with -0 normalised to +0, as Compare
+// widens ints to floats; a string keys on its intern handle and is
+// interned in the process-global scope if it carries none yet.
+func (v Value) EqKey() (k EqKey, ok bool) {
+	switch v.kind {
+	case KindInt, KindFloat:
+		f := v.FloatVal()
+		if math.IsNaN(f) {
+			return EqKey{Class: ClassNumeric}, false
+		}
+		if f == 0 {
+			f = 0 // -0 == +0
+		}
+		return EqKey{ClassNumeric, math.Float64bits(f)}, true
+	case KindString:
+		h := v.iid
+		if h == 0 {
+			h = internGlobal(v.s).iid
+		}
+		return EqKey{ClassString, uint64(h)}, true
+	case KindBool:
+		if v.b {
+			return EqKey{ClassBool, 1}, true
+		}
+		return EqKey{ClassBool, 0}, true
+	case KindDate:
+		if s := v.t.Unix(); s < -maxKeySec || s > maxKeySec {
+			return EqKey{Class: ClassDate}, false
+		}
+		return EqKey{ClassDate, uint64(v.t.UnixNano())}, true
+	default:
+		return EqKey{}, false
 	}
 }
 

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -196,5 +197,47 @@ func TestCompareStringTotalOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEqKeyAgreesWithCompare: two values share an equality key exactly
+// when Compare reports them equal — across int and float, across the two
+// zeros — and the values Compare cannot settle by a key have none.
+func TestEqKeyAgreesWithCompare(t *testing.T) {
+	day := time.Date(2009, 7, 1, 0, 0, 0, 0, time.UTC)
+	vals := []Value{
+		Int(3), Float(3.0), Int(0), Float(0), Float(math.Copysign(0, -1)), Float(0.5), Int(-3),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Int(1 << 60), Float(1 << 60),
+		String("a"), Intern("a"), String("b"), String(""), Bool(true), Bool(false),
+		Date(day), Date(day.In(time.FixedZone("CET", 3600))), Date(day.Add(time.Nanosecond)),
+	}
+	for _, a := range vals {
+		ka, ok := a.EqKey()
+		if !ok {
+			t.Errorf("%v has no key", a)
+		}
+		for _, b := range vals {
+			kb, _ := b.EqKey()
+			c, err := a.Compare(b)
+			if equal := err == nil && c == 0; equal != (ka == kb) {
+				t.Errorf("%v / %v: Compare equal = %v, keys %v %v", a, b, equal, ka, kb)
+			}
+			if (err != nil) != (ka.Class != kb.Class) {
+				t.Errorf("%v / %v: Compare error %v, classes %d %d", a, b, err, ka.Class, kb.Class)
+			}
+		}
+	}
+	for _, c := range []struct {
+		v     Value
+		class uint8
+	}{
+		{Null, ClassNull},
+		{Float(math.NaN()), ClassNumeric},
+		{Date(time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)), ClassDate},
+		{Date(time.Date(1000, 1, 1, 0, 0, 0, 0, time.UTC)), ClassDate},
+	} {
+		if k, ok := c.v.EqKey(); ok || k.Class != c.class {
+			t.Errorf("%v: key %v ok=%v, want no key of class %d", c.v, k, ok, c.class)
+		}
 	}
 }
