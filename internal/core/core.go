@@ -30,16 +30,17 @@ import (
 type System struct {
 	reg      *mart.Registry
 	services map[string]service.Service // by interface name
+	stats    map[string]service.Stats   // each bound service's statistics, read once at Bind
 }
 
 // NewSystem returns an empty system with a fresh registry.
 func NewSystem() *System {
-	return &System{reg: mart.NewRegistry(), services: map[string]service.Service{}}
+	return NewSystemWith(mart.NewRegistry())
 }
 
 // NewSystemWith wraps an existing registry.
 func NewSystemWith(reg *mart.Registry) *System {
-	return &System{reg: reg, services: map[string]service.Service{}}
+	return &System{reg: reg, services: map[string]service.Service{}, stats: map[string]service.Stats{}}
 }
 
 // Registry exposes the design-time registry for mart/pattern registration.
@@ -56,6 +57,7 @@ func (s *System) Bind(svc service.Service) error {
 		return fmt.Errorf("core: interface %q already bound", name)
 	}
 	s.services[name] = svc
+	s.stats[name] = svc.Stats()
 	return nil
 }
 
@@ -107,15 +109,11 @@ func (s *System) Plan(q *query.Query, opts PlanOptions) (*optimizer.Result, erro
 	if err != nil {
 		return nil, err
 	}
-	byIface := map[string]service.Stats{}
-	for name, svc := range s.services {
-		byIface[name] = svc.Stats()
-	}
 	return optimizer.Optimize(q, s.reg, optimizer.Options{
 		K:                opts.K,
 		Metric:           metric,
 		Heuristics:       opts.Heuristics,
-		StatsByInterface: byIface,
+		StatsByInterface: s.stats,
 		MaxPlans:         opts.MaxPlans,
 		FixedInterfaces:  !opts.ExploreInterfaces,
 		DisableMultiway:  opts.DisableMultiway,

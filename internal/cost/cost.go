@@ -75,15 +75,17 @@ func (Sum) Name() string { return "sum" }
 
 // Cost implements Metric.
 func (m Sum) Cost(a *plan.Annotated) float64 {
+	l, err := a.Plan.Layout()
+	if err != nil {
+		return 0
+	}
 	total := 0.0
-	for _, id := range a.Plan.NodeIDs() {
-		n, _ := a.Plan.Node(id)
-		ann := a.Ann[id]
+	for _, n := range l.Nodes {
 		switch n.Kind {
 		case plan.KindService:
-			total += ann.Calls * n.Stats.CostPerCall
+			total += a.Ann[n.ID].Calls * n.Stats.CostPerCall
 		case plan.KindJoin, plan.KindMultiJoin:
-			total += ann.Candidates * m.PerComparison
+			total += a.Ann[n.ID].Candidates * m.PerComparison
 		}
 	}
 	return total
@@ -111,13 +113,16 @@ func (Bottleneck) Name() string { return "bottleneck" }
 
 // Cost implements Metric.
 func (Bottleneck) Cost(a *plan.Annotated) float64 {
+	l, err := a.Plan.Layout()
+	if err != nil {
+		return 0
+	}
 	worst := 0.0
-	for _, id := range a.Plan.NodeIDs() {
-		n, _ := a.Plan.Node(id)
+	for _, n := range l.Nodes {
 		if n.Kind != plan.KindService {
 			continue
 		}
-		if t := a.Ann[id].Calls * n.Stats.Latency.Seconds(); t > worst {
+		if t := a.Ann[n.ID].Calls * n.Stats.Latency.Seconds(); t > worst {
 			worst = t
 		}
 	}
@@ -125,26 +130,29 @@ func (Bottleneck) Cost(a *plan.Annotated) float64 {
 }
 
 // slowestPath computes the maximum, over all input-to-output paths, of the
-// summed node weights (longest path in the DAG).
+// summed node weights (longest path in the DAG), walking the plan's
+// resolved layout; plans of up to 32 nodes need no allocation.
 func slowestPath(a *plan.Annotated, weight func(*plan.Node, plan.Annotation) float64) float64 {
-	order, err := a.Plan.TopoSort()
+	l, err := a.Plan.Layout()
 	if err != nil {
 		return 0
 	}
-	best := make(map[string]float64, len(order))
+	var buf [32]float64
+	best := buf[:0]
+	if len(l.Nodes) > len(buf) {
+		best = make([]float64, 0, len(l.Nodes))
+	}
 	overall := 0.0
-	for _, id := range order {
-		n, _ := a.Plan.Node(id)
-		w := weight(n, a.Ann[id])
+	for i, n := range l.Nodes {
 		in := 0.0
-		for _, pr := range a.Plan.Predecessors(id) {
+		for _, pr := range l.Preds[i] {
 			if best[pr] > in {
 				in = best[pr]
 			}
 		}
-		best[id] = in + w
-		if best[id] > overall {
-			overall = best[id]
+		best = append(best, in+weight(n, a.Ann[n.ID]))
+		if best[i] > overall {
+			overall = best[i]
 		}
 	}
 	return overall

@@ -111,3 +111,49 @@ func TestAllMetricsNonNegative(t *testing.T) {
 		}
 	}
 }
+
+// Every metric is a pure function of the annotation: sums over nodes are
+// taken in plan order, not in the iteration order of a map, so repeated
+// evaluations agree to the last bit (completePlan breaks cost ties with
+// a strict <).
+func TestMetricsAreBitStable(t *testing.T) {
+	reg, err := mart.TravelScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := plan.TravelPlan(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four services with non-dyadic call counts, chosen so that the order
+	// of the additions shows in the last bit of the total.
+	p := base.Clone()
+	for id, sel := range map[string]float64{"C": 0.24, "W": 0.79, "F": 0.21, "H": 0.48} {
+		n, _ := p.Node(id)
+		n.PipeSelectivity = sel
+	}
+	fetches := map[string]int{"F": 2, "H": 3}
+	calls := map[uint64]bool{}
+	costs := make([]map[uint64]bool, len(All()))
+	for i := range costs {
+		costs[i] = map[uint64]bool{}
+	}
+	for round := 0; round < 2000; round++ {
+		a, err := plan.Annotate(p, fetches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls[math.Float64bits(a.TotalCalls())] = true
+		for i, m := range All() {
+			costs[i][math.Float64bits(m.Cost(a))] = true
+		}
+	}
+	if len(calls) != 1 {
+		t.Errorf("TotalCalls took %d distinct values over 2000 evaluations", len(calls))
+	}
+	for i, m := range All() {
+		if len(costs[i]) != 1 {
+			t.Errorf("%s took %d distinct values over 2000 evaluations", m.Name(), len(costs[i]))
+		}
+	}
+}

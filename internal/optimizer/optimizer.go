@@ -134,7 +134,7 @@ func Optimize(q *query.Query, reg *mart.Registry, opt Options) (*Result, error) 
 		if !feasible(qa) {
 			continue
 		}
-		if err := searchTopologies(qa, assign, opt, res); err != nil {
+		if err := searchTopologies(qa, opt, res); err != nil {
 			return nil, err
 		}
 		if opt.MaxPlans > 0 && res.Explored >= opt.MaxPlans {
@@ -212,20 +212,23 @@ func feasible(q *query.Query) bool {
 
 // searchTopologies runs phases 2–3 for one interface assignment,
 // branch-and-bounding over topology prefixes.
-func searchTopologies(q *query.Query, assign map[string]*mart.Interface, opt Options, res *Result) error {
+func searchTopologies(q *query.Query, opt Options, res *Result) error {
 	stats, err := resolveStats(q, opt)
 	if err != nil {
 		return err
 	}
+	f, err := newFacts(q, stats)
+	if err != nil {
+		return err
+	}
 	var current Topology
-	included := map[string]bool{}
-	var rec func() error
-	rec = func() error {
+	var rec func(included aliasSet) error
+	rec = func(included aliasSet) error {
 		if opt.MaxPlans > 0 && res.Explored >= opt.MaxPlans {
 			return nil
 		}
-		if len(included) == len(q.Services) {
-			return completePlan(q, current, stats, opt, res)
+		if included == f.all {
+			return completePlan(f, current, opt, res)
 		}
 		// Bound: the partial plan with minimal fetches lower-bounds every
 		// completion; prune when it already exceeds the best cost. The
@@ -233,7 +236,7 @@ func searchTopologies(q *query.Query, assign map[string]*mart.Interface, opt Opt
 		// binary bound alone could wrongly prune a cheaper multi-way
 		// completion.
 		if !opt.DisablePruning && len(current) > 0 && res.Plan != nil {
-			bound, err := partialBound(q, current, stats, opt)
+			bound, err := partialBound(f, current, opt)
 			if err != nil {
 				return err
 			}
@@ -242,51 +245,51 @@ func searchTopologies(q *query.Query, assign map[string]*mart.Interface, opt Opt
 				return nil
 			}
 		}
-		for _, step := range orderedSteps(q, stats, included, opt.Heuristics.Topology) {
+		for _, step := range f.orderedSteps(included, opt.Heuristics.Topology) {
 			current = append(current, step)
-			for _, a := range step.Group {
-				included[a] = true
-			}
-			if err := rec(); err != nil {
+			if err := rec(included | f.setOf(step.Group)); err != nil {
 				return err
-			}
-			for _, a := range step.Group {
-				delete(included, a)
 			}
 			current = current[:len(current)-1]
 		}
 		return nil
 	}
-	return rec()
+	return rec(0)
+}
+
+// variants materializes a topology or topology prefix: its binary-tree
+// plan and, when multi-way joins are enabled and some parallel step takes
+// the n-ary form, that plan too.
+func (f *facts) variants(t Topology, opt Options, partial bool) ([]*plan.Plan, error) {
+	p, err := f.buildPlan(t, opt.K, partial, false)
+	if err != nil {
+		return nil, err
+	}
+	if opt.DisableMultiway || !f.hasMultiway(t) {
+		return []*plan.Plan{p}, nil
+	}
+	mp, err := f.buildPlan(t, opt.K, partial, true)
+	if err != nil {
+		return nil, err
+	}
+	return []*plan.Plan{p, mp}, nil
 }
 
 // partialBound lower-bounds the cost of every completion of a topology
 // prefix: the cheaper of its binary and (when distinct and enabled)
 // multi-way materializations with minimal fetches.
-func partialBound(q *query.Query, t Topology, stats map[string]service.Stats, opt Options) (float64, error) {
-	pp, err := BuildPlan(q, t, stats, opt.K, true)
+func partialBound(f *facts, t Topology, opt Options) (float64, error) {
+	plans, err := f.variants(t, opt, true)
 	if err != nil {
 		return 0, err
 	}
-	pa, err := plan.Annotate(pp, nil)
-	if err != nil {
-		return 0, err
-	}
-	bound := opt.Metric.Cost(pa)
-	if !opt.DisableMultiway {
-		mp, used, err := BuildPlanMultiway(q, t, stats, opt.K, true)
+	bound := math.Inf(1)
+	for _, p := range plans {
+		a, err := plan.Annotate(p, nil)
 		if err != nil {
 			return 0, err
 		}
-		if used {
-			ma, err := plan.Annotate(mp, nil)
-			if err != nil {
-				return 0, err
-			}
-			if c := opt.Metric.Cost(ma); c < bound {
-				bound = c
-			}
-		}
+		bound = math.Min(bound, opt.Metric.Cost(a))
 	}
 	return bound, nil
 }
@@ -294,22 +297,12 @@ func partialBound(q *query.Query, t Topology, stats map[string]service.Stats, op
 // completePlan builds, instantiates and costs a full topology — both its
 // binary-tree and, when a parallel step is multiway-eligible, its n-ary
 // materialization — updating the incumbent when cheaper.
-func completePlan(q *query.Query, t Topology, stats map[string]service.Stats, opt Options, res *Result) error {
-	p, err := BuildPlan(q, t, stats, opt.K, false)
+func completePlan(f *facts, t Topology, opt Options, res *Result) error {
+	plans, err := f.variants(t, opt, false)
 	if err != nil {
 		return err
 	}
-	variants := []*plan.Plan{p}
-	if !opt.DisableMultiway {
-		mp, used, err := BuildPlanMultiway(q, t, stats, opt.K, false)
-		if err != nil {
-			return err
-		}
-		if used {
-			variants = append(variants, mp)
-		}
-	}
-	for _, p := range variants {
+	for _, p := range plans {
 		a, err := ChooseFetches(p, opt.Metric, opt.Heuristics.Fetch)
 		if err != nil {
 			return err
@@ -330,7 +323,7 @@ func completePlan(q *query.Query, t Topology, stats map[string]service.Stats, op
 			res.Plan = p
 			res.Annotated = a
 			res.Cost = c
-			res.Query = q
+			res.Query = f.q
 			res.Topology = append(Topology(nil), t...)
 		}
 	}
@@ -338,14 +331,14 @@ func completePlan(q *query.Query, t Topology, stats map[string]service.Stats, op
 }
 
 // orderedSteps lists the candidate next steps in heuristic order.
-func orderedSteps(q *query.Query, stats map[string]service.Stats, included map[string]bool, h TopologyHeuristic) []Step {
-	reachable := reachableAliases(q, included)
+func (f *facts) orderedSteps(included aliasSet, h TopologyHeuristic) []Step {
+	reachable := f.reachable(included)
 	var singles []Step
 	for _, a := range reachable {
 		singles = append(singles, Step{Group: []string{a}})
 	}
 	var groups []Step
-	for _, g := range groupCandidates(q, reachable, included) {
+	for _, g := range f.groupCandidates(reachable, included) {
 		groups = append(groups, Step{Group: g})
 	}
 	switch h {
@@ -356,7 +349,7 @@ func orderedSteps(q *query.Query, stats map[string]service.Stats, included map[s
 		return append(groups, singles...)
 	default: // SelectiveFirst
 		sort.SliceStable(singles, func(i, j int) bool {
-			return standaloneYield(stats, singles[i].Group[0]) < standaloneYield(stats, singles[j].Group[0])
+			return standaloneYield(f.stats, singles[i].Group[0]) < standaloneYield(f.stats, singles[j].Group[0])
 		})
 		return append(singles, groups...)
 	}

@@ -83,19 +83,16 @@ func (g *goldenPlans) bytes() []byte {
 	return b.Bytes()
 }
 
-// TestPlansGolden pins what the optimizer chooses, and how it searched,
-// on every committed scenario across metrics, heuristics, K and join
-// topology, and on a hundred random workloads: a change to the cost
-// evaluator or the search must leave every line as it is.
-func TestPlansGolden(t *testing.T) {
-	g := &goldenPlans{plans: map[string]string{}}
-
-	type scenario struct {
+// forEachGoldenCell plans every cell the golden covers — the four
+// committed scenarios across metrics, heuristics, K and join topology,
+// then a hundred random workloads — and hands each result to visit.
+func forEachGoldenCell(t *testing.T, visit func(cell string, res *optimizer.Result)) {
+	t.Helper()
+	scenarios := []struct {
 		name  string
 		build func(int64) (*core.System, map[string]types.Value, error)
 		text  string
-	}
-	scenarios := []scenario{
+	}{
 		{"movienight", core.MovieNight, query.RunningExampleText},
 		{"conftravel", core.ConfTravel, query.TravelExampleText},
 		{"triangle", core.Triangle, query.TriangleExampleText},
@@ -125,7 +122,7 @@ func TestPlansGolden(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", cell, err)
 							}
-							g.add(t, cell, res)
+							visit(cell, res)
 						}
 					}
 				}
@@ -156,8 +153,16 @@ func TestPlansGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cell, err)
 		}
-		g.add(t, cell, res)
+		visit(cell, res)
 	}
+}
+
+// TestPlansGolden pins what the optimizer chooses, and how it searched,
+// on every cell: a change to the cost evaluator or the search must leave
+// every line as it is.
+func TestPlansGolden(t *testing.T) {
+	g := &goldenPlans{plans: map[string]string{}}
+	forEachGoldenCell(t, func(cell string, res *optimizer.Result) { g.add(t, cell, res) })
 
 	got := g.bytes()
 	path := filepath.Join("testdata", "plans.golden")

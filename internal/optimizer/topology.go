@@ -10,6 +10,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -65,6 +66,119 @@ func (t Topology) Aliases() []string {
 	return out
 }
 
+// aliasSet is a set of the query's service aliases, one bit per alias in
+// select order.
+type aliasSet uint64
+
+// facts holds what phases 2–3 derive from one analyzed query under one
+// interface assignment, each computed once per search instead of once per
+// candidate plan: the bindings and connecting predicates of a service
+// placed after a given set of aliases, the predicates and selectivity of
+// a join between two alias sets, and the multi-way eligibility of a
+// parallel group.
+type facts struct {
+	q       *query.Query
+	stats   map[string]service.Stats
+	bit     map[string]aliasSet
+	all     aliasSet
+	aliases []string // sorted
+	chains  map[chainKey]*chain
+	joins   map[[2]aliasSet]joinFacts
+	multi   map[aliasSet]joinFacts
+}
+
+type chainKey struct {
+	alias    string
+	included aliasSet
+}
+
+// chain is the service node of one alias placed after a set of included
+// aliases, plus the selection node that follows it.
+type chain struct {
+	reachable   bool
+	bindings    []query.InputBinding
+	deps        aliasSet // the aliases the bindings pipe from
+	pipeSel     float64
+	connPreds   []query.Predicate
+	residual    []query.Predicate
+	selEstimate float64
+}
+
+// joinFacts is the selectivity and predicate list of one join; ok is the
+// multi-way eligibility of a parallel group.
+type joinFacts struct {
+	sel   float64
+	preds []query.Predicate
+	ok    bool
+}
+
+func newFacts(q *query.Query, stats map[string]service.Stats) (*facts, error) {
+	if len(q.Services) > 64 {
+		return nil, fmt.Errorf("optimizer: %d services, at most 64 supported", len(q.Services))
+	}
+	f := &facts{
+		q: q, stats: stats,
+		bit:    make(map[string]aliasSet, len(q.Services)),
+		chains: map[chainKey]*chain{},
+		joins:  map[[2]aliasSet]joinFacts{},
+		multi:  map[aliasSet]joinFacts{},
+	}
+	for i, ref := range q.Services {
+		f.bit[ref.Alias] = 1 << i
+		f.all |= 1 << i
+		f.aliases = append(f.aliases, ref.Alias)
+	}
+	sort.Strings(f.aliases)
+	return f, nil
+}
+
+// setOf returns the bits of the given aliases.
+func (f *facts) setOf(aliases []string) aliasSet {
+	var s aliasSet
+	for _, a := range aliases {
+		s |= f.bit[a]
+	}
+	return s
+}
+
+// chain derives, once per (alias, included set), how the alias is invoked
+// when exactly the included aliases precede it.
+func (f *facts) chain(alias string, included aliasSet) *chain {
+	key := chainKey{alias, included}
+	if c, ok := f.chains[key]; ok {
+		return c
+	}
+	c := &chain{}
+	f.chains[key] = c
+	in := make(map[string]bool, len(f.aliases))
+	for a, b := range f.bit {
+		if included&b != 0 {
+			in[a] = true
+		}
+	}
+	if c.bindings, c.reachable = f.q.BindingsGiven(alias, in); !c.reachable {
+		return c
+	}
+	for _, b := range c.bindings {
+		if b.Source.Kind == query.BindJoin {
+			c.deps |= f.bit[b.Source.From.Alias]
+		}
+	}
+	c.pipeSel, c.connPreds = connectionSelectivity(f.q, alias, in)
+	// Residual selections: predicates over non-input paths, evaluable as
+	// soon as the service has been called.
+	ref, _ := f.q.Service(alias)
+	c.selEstimate = 1
+	for _, pr := range f.q.SelectionsFor(alias) {
+		if ref.Interface.Adornments[pr.Left.Path] == mart.Input {
+			continue // consumed by the invocation binding
+		}
+		c.residual = append(c.residual, pr)
+		c.selEstimate *= pr.Op.Selectivity()
+	}
+	return c
+}
+
 // EnumerateTopologies generates every topology of the analyzed query under
 // the given interface assignment: every ordered partition of the services
 // into steps such that each step's services are reachable from the user
@@ -76,26 +190,27 @@ func EnumerateTopologies(q *query.Query) ([]Topology, error) {
 	if !q.Analyzed() {
 		return nil, fmt.Errorf("optimizer: query not analyzed")
 	}
+	f, err := newFacts(q, nil)
+	if err != nil {
+		return nil, err
+	}
 	var (
 		result  []Topology
 		current Topology
 	)
-	included := map[string]bool{}
-	var rec func()
-	rec = func() {
-		if len(included) == len(q.Services) {
+	var rec func(included aliasSet)
+	rec = func(included aliasSet) {
+		if included == f.all {
 			cp := make(Topology, len(current))
 			copy(cp, current)
 			result = append(result, cp)
 			return
 		}
-		reachable := reachableAliases(q, included)
+		reachable := f.reachable(included)
 		// Singletons.
 		for _, a := range reachable {
 			current = append(current, Step{Group: []string{a}})
-			included[a] = true
-			rec()
-			delete(included, a)
+			rec(included | f.bit[a])
 			current = current[:len(current)-1]
 		}
 		// Groups of every size ≥ 2, restricted to peers: members of a
@@ -103,48 +218,38 @@ func EnumerateTopologies(q *query.Query) ([]Topology, error) {
 		// are fed identically from the plan frontier before being merged
 		// (this restriction reproduces exactly the four topologies of
 		// Fig. 9 for the running example).
-		for _, g := range groupCandidates(q, reachable, included) {
-			for _, a := range g {
-				included[a] = true
-			}
+		for _, g := range f.groupCandidates(reachable, included) {
 			current = append(current, Step{Group: g})
-			rec()
+			rec(included | f.setOf(g))
 			current = current[:len(current)-1]
-			for _, a := range g {
-				delete(included, a)
-			}
 		}
 	}
-	rec()
+	rec(0)
 	return result, nil
 }
 
-// reachableAliases lists the not-yet-included aliases whose inputs are
-// coverable given the included set, sorted.
-func reachableAliases(q *query.Query, included map[string]bool) []string {
+// reachable lists the not-yet-included aliases whose inputs are coverable
+// given the included set, sorted.
+func (f *facts) reachable(included aliasSet) []string {
 	var out []string
-	for _, ref := range q.Services {
-		if included[ref.Alias] {
-			continue
-		}
-		if _, ok := q.BindingsGiven(ref.Alias, included); ok {
-			out = append(out, ref.Alias)
+	for _, a := range f.aliases {
+		if included&f.bit[a] == 0 && f.chain(a, included).reachable {
+			out = append(out, a)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // groupCandidates enumerates the admissible parallel groups among the
-// reachable aliases: subsets of size ≥ 2 whose members share the same
-// dependency set given the included services.
-func groupCandidates(q *query.Query, reachable []string, included map[string]bool) [][]string {
+// reachable aliases: subsets of size ≥ 2 whose members pipe from the same
+// aliases given the included services.
+func (f *facts) groupCandidates(reachable []string, included aliasSet) [][]string {
 	var out [][]string
 	for _, g := range subsetsAtLeast2(reachable) {
-		sig := depSignature(q, g[0], included)
+		sig := f.chain(g[0], included).deps
 		same := true
 		for _, a := range g[1:] {
-			if depSignature(q, a, included) != sig {
+			if f.chain(a, included).deps != sig {
 				same = false
 				break
 			}
@@ -156,34 +261,13 @@ func groupCandidates(q *query.Query, reachable []string, included map[string]boo
 	return out
 }
 
-// depSignature returns a canonical string of the aliases the given alias
-// pipes from, given the included set.
-func depSignature(q *query.Query, alias string, included map[string]bool) string {
-	bindings, ok := q.BindingsGiven(alias, included)
-	if !ok {
-		return "<unreachable>"
-	}
-	set := map[string]bool{}
-	for _, b := range bindings {
-		if b.Source.Kind == query.BindJoin {
-			set[b.Source.From.Alias] = true
-		}
-	}
-	deps := make([]string, 0, len(set))
-	for d := range set {
-		deps = append(deps, d)
-	}
-	sort.Strings(deps)
-	return strings.Join(deps, ",")
-}
-
 // subsetsAtLeast2 enumerates the subsets of size ≥ 2 of the sorted slice,
 // each returned sorted, in deterministic order.
 func subsetsAtLeast2(items []string) [][]string {
 	var out [][]string
 	n := len(items)
 	for mask := 1; mask < 1<<n; mask++ {
-		if popcount(mask) < 2 {
+		if bits.OnesCount(uint(mask)) < 2 {
 			continue
 		}
 		var g []string
@@ -197,14 +281,6 @@ func subsetsAtLeast2(items []string) [][]string {
 	return out
 }
 
-func popcount(x int) int {
-	c := 0
-	for ; x != 0; x &= x - 1 {
-		c++
-	}
-	return c
-}
-
 // BuildPlan materializes a topology into a plan DAG with the given
 // statistics and K: service nodes with their input bindings and pipe
 // selectivities, selection nodes for residual predicates over output
@@ -215,130 +291,142 @@ func popcount(x int) int {
 // When partial is true the output node is omitted (the plan annotates but
 // does not validate), which is how the branch-and-bound costs prefixes.
 func BuildPlan(q *query.Query, t Topology, stats map[string]service.Stats, k int, partial bool) (*plan.Plan, error) {
-	p, _, err := buildPlan(q, t, stats, k, partial, false)
-	return p, err
+	f, err := newFacts(q, stats)
+	if err != nil {
+		return nil, err
+	}
+	return f.buildPlan(t, k, partial, false)
 }
 
-// BuildPlanMultiway materializes a topology like BuildPlan, except that
-// every parallel step of three or more services whose cross-predicate
-// graph is multiway-legal and cyclic is merged by a single n-ary
-// multijoin node instead of a left-deep binary tree. The boolean reports
-// whether any step actually took the multi-way form; when false the plan
-// is structurally identical to BuildPlan's and need not be costed again.
-func BuildPlanMultiway(q *query.Query, t Topology, stats map[string]service.Stats, k int, partial bool) (*plan.Plan, bool, error) {
-	return buildPlan(q, t, stats, k, partial, true)
-}
-
-func buildPlan(q *query.Query, t Topology, stats map[string]service.Stats, k int, partial, multiway bool) (*plan.Plan, bool, error) {
+// buildPlan is BuildPlan over memoised facts. With multiway set, every
+// parallel step of three or more services whose cross-predicate graph is
+// multiway-legal and cyclic (see multiway) is merged by a single n-ary
+// multijoin node instead of a left-deep binary tree.
+func (f *facts) buildPlan(t Topology, k int, partial, multiway bool) (*plan.Plan, error) {
 	p := plan.New(k)
 	if err := p.AddNode(&plan.Node{ID: "input", Kind: plan.KindInput}); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	frontier := "input"
-	included := map[string]bool{}
+	var included aliasSet
 	joinSeq := 0
-	usedMultiway := false
+	nextJoin := func() string {
+		joinSeq++
+		return fmt.Sprintf("join%d", joinSeq)
+	}
 	for _, step := range t {
-		if step.Parallel() {
-			// Add every member branch off the frontier, then merge:
-			// through one n-ary multijoin node when asked for and the
-			// group is eligible, left-deep binary joins otherwise.
-			var branchTop []string // top node of each branch (service or selection)
-			var branchAliases [][]string
-			for _, a := range step.Group {
-				top, err := addServiceChain(p, q, a, frontier, included, stats)
-				if err != nil {
-					return nil, false, err
-				}
-				branchTop = append(branchTop, top)
-				branchAliases = append(branchAliases, []string{a})
-			}
-			if sel, preds, ok := multiwayStep(q, step.Group); multiway && len(branchTop) >= 3 && ok {
-				joinSeq++
-				id := fmt.Sprintf("join%d", joinSeq)
-				n := &plan.Node{
-					ID: id, Kind: plan.KindMultiJoin,
-					JoinSelectivity: sel,
-					JoinPreds:       preds,
-				}
-				if err := p.AddNode(n); err != nil {
-					return nil, false, err
-				}
-				for _, top := range branchTop {
-					if err := p.Connect(top, id); err != nil {
-						return nil, false, err
-					}
-				}
-				frontier = id
-				usedMultiway = true
-				for _, a := range step.Group {
-					included[a] = true
-				}
-				continue
-			}
-			for len(branchTop) > 1 {
-				joinSeq++
-				id := fmt.Sprintf("join%d", joinSeq)
-				leftAliases, rightAliases := branchAliases[0], branchAliases[1]
-				sel, preds := joinSelectivity(q, leftAliases, rightAliases)
-				n := &plan.Node{
-					ID: id, Kind: plan.KindJoin,
-					Strategy:        chooseStrategy(q, stats, leftAliases, rightAliases),
-					JoinSelectivity: sel,
-					JoinPreds:       preds,
-				}
-				if err := p.AddNode(n); err != nil {
-					return nil, false, err
-				}
-				if err := p.Connect(branchTop[0], id); err != nil {
-					return nil, false, err
-				}
-				if err := p.Connect(branchTop[1], id); err != nil {
-					return nil, false, err
-				}
-				merged := append(append([]string(nil), leftAliases...), rightAliases...)
-				branchTop = append([]string{id}, branchTop[2:]...)
-				branchAliases = append([][]string{merged}, branchAliases[2:]...)
-			}
-			frontier = branchTop[0]
-			for _, a := range step.Group {
-				included[a] = true
-			}
-		} else {
-			a := step.Group[0]
-			top, err := addServiceChain(p, q, a, frontier, included, stats)
+		if !step.Parallel() {
+			top, err := f.addServiceChain(p, step.Group[0], frontier, included)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			frontier = top
-			included[a] = true
+			included |= f.bit[step.Group[0]]
+			continue
+		}
+		// Add every member branch off the frontier, then merge: through
+		// one n-ary multijoin node when asked for and the group is
+		// eligible, left-deep binary joins otherwise.
+		tops := make([]string, len(step.Group)) // top node of each branch (service or selection)
+		for i, a := range step.Group {
+			top, err := f.addServiceChain(p, a, frontier, included)
+			if err != nil {
+				return nil, err
+			}
+			tops[i] = top
+		}
+		included |= f.setOf(step.Group)
+		if mw := f.multiway(step.Group); multiway && mw.ok {
+			frontier = nextJoin()
+			n := &plan.Node{
+				ID: frontier, Kind: plan.KindMultiJoin,
+				JoinSelectivity: mw.sel,
+				JoinPreds:       mw.preds,
+			}
+			if err := p.AddNode(n); err != nil {
+				return nil, err
+			}
+			for _, top := range tops {
+				if err := p.Connect(top, frontier); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		}
+		// The left side of the first join is a single service; from the
+		// second join on it is the join below, which has no alias.
+		frontier = tops[0]
+		left, leftAlias := f.bit[step.Group[0]], step.Group[0]
+		for i := 1; i < len(tops); i++ {
+			right := f.bit[step.Group[i]]
+			jf := f.join(left, right)
+			n := &plan.Node{
+				ID: nextJoin(), Kind: plan.KindJoin,
+				Strategy:        chooseStrategy(f.stats, leftAlias, step.Group[i]),
+				JoinSelectivity: jf.sel,
+				JoinPreds:       jf.preds,
+			}
+			if err := p.AddNode(n); err != nil {
+				return nil, err
+			}
+			if err := p.Connect(frontier, n.ID); err != nil {
+				return nil, err
+			}
+			if err := p.Connect(tops[i], n.ID); err != nil {
+				return nil, err
+			}
+			frontier, left, leftAlias = n.ID, left|right, ""
 		}
 	}
 	if !partial {
 		if err := p.AddNode(&plan.Node{ID: "output", Kind: plan.KindOutput}); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if err := p.Connect(frontier, "output"); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if err := p.Validate(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	return p, usedMultiway, nil
+	return p, nil
 }
 
-// multiwayStep inspects a parallel group for n-ary eligibility. The group
-// qualifies when its cross-predicate graph (one vertex per member, one
-// edge per member pair related by at least one predicate) is cyclic —
-// a tree of equalities gains nothing over a binary join cascade, while a
-// cycle gives the n-ary intersection an extra pruning edge the left-deep
-// tree can only apply after materializing an oversized intermediate —
-// every member is touched by some edge, and the predicate set satisfies
-// the multi-way legality rules (atomic equalities or bounded proximity,
-// at least one equality). It returns the combined selectivity and the
-// collected cross predicates.
-func multiwayStep(q *query.Query, group []string) (float64, []query.Predicate, bool) {
+// hasMultiway reports whether any step of the topology takes the n-ary
+// form, i.e. whether its multi-way plan differs from its binary one.
+func (f *facts) hasMultiway(t Topology) bool {
+	for _, step := range t {
+		if f.multiway(step.Group).ok {
+			return true
+		}
+	}
+	return false
+}
+
+// multiway inspects a parallel group for n-ary eligibility. A group of
+// three or more qualifies when its cross-predicate graph (one vertex per
+// member, one edge per member pair related by at least one predicate) is
+// cyclic — a tree of equalities gains nothing over a binary join cascade,
+// while a cycle gives the n-ary intersection an extra pruning edge the
+// left-deep tree can only apply after materializing an oversized
+// intermediate — every member is touched by some edge, and the predicate
+// set satisfies the multi-way legality rules (atomic equalities or
+// bounded proximity, at least one equality). It returns the combined
+// selectivity and the collected cross predicates.
+func (f *facts) multiway(group []string) joinFacts {
+	if len(group) < 3 {
+		return joinFacts{}
+	}
+	key := f.setOf(group)
+	if mw, ok := f.multi[key]; ok {
+		return mw
+	}
+	mw := f.multiwayStep(group)
+	f.multi[key] = mw
+	return mw
+}
+
+func (f *facts) multiwayStep(group []string) joinFacts {
 	sel := 1.0
 	var preds []query.Predicate
 	parent := make([]int, len(group))
@@ -357,12 +445,12 @@ func multiwayStep(q *query.Query, group []string) (float64, []query.Predicate, b
 	touched := make([]bool, len(group))
 	for i := 0; i < len(group); i++ {
 		for j := i + 1; j < len(group); j++ {
-			ps, pp := joinSelectivity(q, group[i:i+1], group[j:j+1])
-			if len(pp) == 0 {
+			jf := f.join(f.bit[group[i]], f.bit[group[j]])
+			if len(jf.preds) == 0 {
 				continue
 			}
-			sel *= ps
-			preds = append(preds, pp...)
+			sel *= jf.sel
+			preds = append(preds, jf.preds...)
 			touched[i], touched[j] = true, true
 			if ri, rj := find(i), find(j); ri == rj {
 				cyclic = true
@@ -372,47 +460,46 @@ func multiwayStep(q *query.Query, group []string) (float64, []query.Predicate, b
 		}
 	}
 	if !cyclic {
-		return 0, nil, false
+		return joinFacts{}
 	}
 	for _, t := range touched {
 		if !t {
-			return 0, nil, false
+			return joinFacts{}
 		}
 	}
 	if join.LegalMultiway(preds) != nil {
-		return 0, nil, false
+		return joinFacts{}
 	}
-	return sel, preds, true
+	return joinFacts{sel: sel, preds: preds, ok: true}
 }
 
 // addServiceChain adds the service node for alias (fed from the given
 // upstream node) followed by a selection node for its residual output
 // predicates, if any. It returns the topmost node added.
-func addServiceChain(p *plan.Plan, q *query.Query, alias, from string, included map[string]bool, stats map[string]service.Stats) (string, error) {
-	ref, ok := q.Service(alias)
+func (f *facts) addServiceChain(p *plan.Plan, alias, from string, included aliasSet) (string, error) {
+	ref, ok := f.q.Service(alias)
 	if !ok {
 		return "", fmt.Errorf("optimizer: unknown alias %q", alias)
 	}
-	bindings, ok := q.BindingsGiven(alias, included)
-	if !ok {
+	c := f.chain(alias, included)
+	if !c.reachable {
 		return "", fmt.Errorf("optimizer: alias %q not reachable at its step", alias)
 	}
-	st, ok := stats[alias]
+	st, ok := f.stats[alias]
 	if !ok {
 		return "", fmt.Errorf("optimizer: no statistics for alias %q", alias)
 	}
-	pipeSel, connPreds := connectionSelectivity(q, alias, included)
 	n := &plan.Node{
 		ID: alias, Kind: plan.KindService, Alias: alias,
 		Interface: ref.Interface, Stats: st,
-		Bindings:        bindings,
-		PipeSelectivity: pipeSel,
+		Bindings:        c.bindings,
+		PipeSelectivity: c.pipeSel,
 		// The connecting join predicates are evaluated by the engine
 		// when composing this service's tuples with the upstream stream
 		// (they hold trivially for equalities realized by the pipe
 		// bindings, and do the actual filtering work for sequential
 		// compositions of independent services).
-		JoinPreds: connPreds,
+		JoinPreds: c.connPreds,
 	}
 	if err := p.AddNode(n); err != nil {
 		return "", err
@@ -420,23 +507,12 @@ func addServiceChain(p *plan.Plan, q *query.Query, alias, from string, included 
 	if err := p.Connect(from, alias); err != nil {
 		return "", err
 	}
-	// Residual selections: predicates over non-input paths, evaluable as
-	// soon as the service has been called.
-	var residual []query.Predicate
-	selEstimate := 1.0
-	for _, pr := range q.SelectionsFor(alias) {
-		if ref.Interface.Adornments[pr.Left.Path] == mart.Input {
-			continue // consumed by the invocation binding
-		}
-		residual = append(residual, pr)
-		selEstimate *= pr.Op.Selectivity()
-	}
-	if len(residual) == 0 {
+	if len(c.residual) == 0 {
 		return alias, nil
 	}
 	sigma := &plan.Node{
 		ID: "sigma_" + alias, Kind: plan.KindSelection,
-		Selections: residual, Selectivity: selEstimate,
+		Selections: c.residual, Selectivity: c.selEstimate,
 	}
 	if err := p.AddNode(sigma); err != nil {
 		return "", err
@@ -486,38 +562,39 @@ func connectionSelectivity(q *query.Query, alias string, included map[string]boo
 	return sel, preds
 }
 
-// joinSelectivity estimates the selectivity of a parallel join between two
-// alias sets, and collects the predicates it evaluates.
-func joinSelectivity(q *query.Query, left, right []string) (float64, []query.Predicate) {
-	inLeft, inRight := toSet(left), toSet(right)
-	sel := 1.0
-	var preds []query.Predicate
-	for _, u := range q.Patterns {
-		if u.Pattern == nil {
+// join estimates the selectivity of a parallel join between two alias
+// sets, and collects the predicates it evaluates.
+func (f *facts) join(left, right aliasSet) joinFacts {
+	key := [2]aliasSet{left, right}
+	if jf, ok := f.joins[key]; ok {
+		return jf
+	}
+	across := func(a, b string) bool {
+		x, y := f.bit[a], f.bit[b]
+		return (left&x != 0 && right&y != 0) || (right&x != 0 && left&y != 0)
+	}
+	jf := joinFacts{sel: 1}
+	for _, u := range f.q.Patterns {
+		if u.Pattern == nil || !across(u.FromAlias, u.ToAlias) {
 			continue
 		}
-		if (inLeft[u.FromAlias] && inRight[u.ToAlias]) || (inRight[u.FromAlias] && inLeft[u.ToAlias]) {
-			sel *= u.Pattern.Selectivity
-			for _, j := range u.Pattern.Joins {
-				preds = append(preds, query.Predicate{
-					Left: query.PathRef{Alias: u.FromAlias, Path: j.From},
-					Right: query.Term{Kind: query.TermPath,
-						Path: query.PathRef{Alias: u.ToAlias, Path: j.To}},
-				})
-			}
+		jf.sel *= u.Pattern.Selectivity
+		for _, j := range u.Pattern.Joins {
+			jf.preds = append(jf.preds, query.Predicate{
+				Left: query.PathRef{Alias: u.FromAlias, Path: j.From},
+				Right: query.Term{Kind: query.TermPath,
+					Path: query.PathRef{Alias: u.ToAlias, Path: j.To}},
+			})
 		}
 	}
-	for _, pr := range q.Predicates {
-		if !pr.IsJoin() {
-			continue
-		}
-		l, r := pr.Left.Alias, pr.Right.Path.Alias
-		if (inLeft[l] && inRight[r]) || (inLeft[r] && inRight[l]) {
-			sel *= pr.Op.Selectivity()
-			preds = append(preds, pr)
+	for _, pr := range f.q.Predicates {
+		if pr.IsJoin() && across(pr.Left.Alias, pr.Right.Path.Alias) {
+			jf.sel *= pr.Op.Selectivity()
+			jf.preds = append(jf.preds, pr)
 		}
 	}
-	return sel, preds
+	f.joins[key] = jf
+	return jf
 }
 
 // chooseStrategy applies the guidance of Section 4.3: nested loop with the
@@ -526,10 +603,11 @@ func joinSelectivity(q *query.Query, left, right []string) (float64, []query.Pre
 // services (approximating extraction-optimality), rectangular otherwise.
 // Merge-scan ratios follow the services' per-call latencies (the variable
 // inter-service ratio the chapter defers to Chapter 11's clocks): the
-// cheaper side is fetched proportionally more often.
-func chooseStrategy(q *query.Query, stats map[string]service.Stats, left, right []string) join.Strategy {
-	ls, lok := singleAliasStats(stats, left)
-	rs, rok := singleAliasStats(stats, right)
+// cheaper side is fetched proportionally more often. A side that is
+// itself a join has no alias ("") and so no statistics of its own.
+func chooseStrategy(stats map[string]service.Stats, left, right string) join.Strategy {
+	ls, lok := stats[left]
+	rs, rok := stats[right]
 	if lok {
 		if h, stepped := ls.Scoring.HasStep(); stepped && ls.ChunkSize > 0 {
 			chunks := (h + ls.ChunkSize - 1) / ls.ChunkSize
@@ -548,20 +626,4 @@ func chooseStrategy(q *query.Query, stats map[string]service.Stats, left, right 
 		rx, ry = join.RatioFromCosts(ls.Latency.Seconds(), rs.Latency.Seconds(), 4)
 	}
 	return join.Strategy{Invocation: join.MergeScan, Completion: comp, RatioX: rx, RatioY: ry}
-}
-
-func singleAliasStats(stats map[string]service.Stats, aliases []string) (service.Stats, bool) {
-	if len(aliases) != 1 {
-		return service.Stats{}, false
-	}
-	s, ok := stats[aliases[0]]
-	return s, ok
-}
-
-func toSet(items []string) map[string]bool {
-	m := make(map[string]bool, len(items))
-	for _, it := range items {
-		m[it] = true
-	}
-	return m
 }

@@ -54,39 +54,78 @@ const MultiwayFactor = 0.5
 // chunked services without an entry, per Section 5.5). The plan must be
 // valid.
 func Annotate(p *Plan, fetches map[string]int) (*Annotated, error) {
-	order, err := p.TopoSort()
+	l, err := p.Layout()
 	if err != nil {
 		return nil, err
 	}
-	a := &Annotated{Plan: p, Ann: make(map[string]Annotation, len(order)), Fetches: map[string]int{}}
-	for _, id := range order {
-		n := p.nodes[id]
+	a := &Annotated{Plan: p, Ann: make(map[string]Annotation, len(l.Nodes)), Fetches: map[string]int{}}
+	for _, n := range l.Nodes {
+		if n.Kind != KindService || !n.Stats.Chunked() {
+			continue
+		}
+		f := 1
+		if v, ok := fetches[n.ID]; ok {
+			if v < 1 {
+				return nil, fmt.Errorf("plan: fetching factor %d for %q below 1", v, n.ID)
+			}
+			f = v
+		}
+		a.Fetches[n.ID] = f
+	}
+	a.evaluate(l, 0)
+	return a, nil
+}
+
+// SetFetches changes the fetching factor of one chunked service node and
+// re-derives, in place, the annotations from that node's position on:
+// nothing earlier in the topological order can depend on it. The result
+// equals a fresh Annotate of the changed assignment; a rejected call
+// leaves the annotation as it was.
+func (a *Annotated) SetFetches(id string, f int) error {
+	l, err := a.Plan.Layout()
+	if err != nil {
+		return err
+	}
+	i, ok := l.pos[id]
+	if !ok || l.Nodes[i].Kind != KindService || !l.Nodes[i].Stats.Chunked() {
+		return fmt.Errorf("plan: fetching factor for %q, which is not a chunked service node", id)
+	}
+	if f < 1 {
+		return fmt.Errorf("plan: fetching factor %d for %q below 1", f, id)
+	}
+	a.Fetches[id] = f
+	a.evaluate(l, i)
+	return nil
+}
+
+// evaluate applies the flow rules of Section 3.2 to the nodes from
+// position from on, reading each chunked service's factor from Fetches
+// and every input flow from the annotations of earlier positions.
+func (a *Annotated) evaluate(l *Layout, from int) {
+	for i := from; i < len(l.Nodes); i++ {
+		n, preds := l.Nodes[i], l.Preds[i]
 		var ann Annotation
+		inFlow := 0.0
+		for _, pr := range preds {
+			inFlow += a.Ann[l.Nodes[pr].ID].TOut
+		}
 		switch n.Kind {
 		case KindInput:
 			// The user always injects one single input tuple.
 			ann.TOut = 1
 		case KindOutput:
-			ann.TIn = a.inFlow(p, id)
-			ann.TOut = ann.TIn
+			ann.TIn = inFlow
+			ann.TOut = inFlow
 		case KindSelection:
-			ann.TIn = a.inFlow(p, id)
-			ann.TOut = ann.TIn * n.Selectivity
+			ann.TIn = inFlow
+			ann.TOut = inFlow * n.Selectivity
 		case KindService:
-			ann.TIn = a.inFlow(p, id)
+			ann.TIn = inFlow
 			f := 1
-			if n.Stats.Chunked() {
-				if v, ok := fetches[n.ID]; ok {
-					if v < 1 {
-						return nil, fmt.Errorf("plan: fetching factor %d for %q below 1", v, n.ID)
-					}
-					f = v
-				}
-				ann.Fetches = f
-				a.Fetches[n.ID] = f
-			}
 			yield := n.Stats.AvgCardinality
 			if n.Stats.Chunked() {
+				f = a.Fetches[n.ID]
+				ann.Fetches = f
 				yield = float64(n.Stats.ChunkSize * f)
 				if n.Stats.AvgCardinality > 0 {
 					yield = math.Min(yield, n.Stats.AvgCardinality)
@@ -110,15 +149,13 @@ func Annotate(p *Plan, fetches map[string]int) (*Annotated, error) {
 			}
 			ann.Calls = invocations * float64(f)
 		case KindJoin:
-			preds := p.Predecessors(id)
-			l := a.Ann[preds[0]].TOut
-			r := a.Ann[preds[1]].TOut
+			left, right := a.Ann[l.Nodes[preds[0]].ID].TOut, a.Ann[l.Nodes[preds[1]].ID].TOut
 			factor := 1.0
 			if n.Strategy.Completion == join.Triangular {
 				factor = TriangularFactor
 			}
-			ann.Candidates = l * r * factor
-			ann.TIn = l + r
+			ann.Candidates = left * right * factor
+			ann.TIn = left + right
 			ann.TOut = ann.Candidates * n.JoinSelectivity
 		case KindMultiJoin:
 			// One n-ary node evaluates every cross-branch edge at once: the
@@ -129,47 +166,34 @@ func Annotate(p *Plan, fetches map[string]int) (*Annotated, error) {
 			// keeps the full product, where a binary tree surrenders a
 			// completion factor of its output at each triangular join.
 			product := 1.0
-			sum := 0.0
-			for _, pr := range p.Predecessors(id) {
-				t := a.Ann[pr].TOut
-				product *= t
-				sum += t
+			for _, pr := range preds {
+				product *= a.Ann[l.Nodes[pr].ID].TOut
 			}
 			ann.Candidates = product * MultiwayFactor
-			ann.TIn = sum
+			ann.TIn = inFlow
 			ann.TOut = product * n.JoinSelectivity
 		}
-		a.Ann[id] = ann
+		a.Ann[n.ID] = ann
 	}
-	return a, nil
-}
-
-// inFlow sums the TOut of a node's predecessors (service and selection
-// nodes have exactly one).
-func (a *Annotated) inFlow(p *Plan, id string) float64 {
-	sum := 0.0
-	for _, pr := range p.Predecessors(id) {
-		sum += a.Ann[pr].TOut
-	}
-	return sum
 }
 
 // Output returns the expected number of result combinations of the plan.
 func (a *Annotated) Output() float64 {
-	for id, n := range a.Plan.nodes {
-		if n.Kind == KindOutput {
-			return a.Ann[id].TOut
-		}
+	if l, err := a.Plan.Layout(); err == nil && l.Output >= 0 {
+		return a.Ann[l.Nodes[l.Output].ID].TOut
 	}
 	return 0
 }
 
-// TotalCalls sums the expected request-responses over all service nodes.
+// TotalCalls sums the expected request-responses over all service nodes,
+// in plan order.
 func (a *Annotated) TotalCalls() float64 {
 	sum := 0.0
-	for id, n := range a.Plan.nodes {
-		if n.Kind == KindService {
-			sum += a.Ann[id].Calls
+	if l, err := a.Plan.Layout(); err == nil {
+		for _, n := range l.Nodes {
+			if n.Kind == KindService {
+				sum += a.Ann[n.ID].Calls
+			}
 		}
 	}
 	return sum

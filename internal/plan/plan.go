@@ -9,6 +9,7 @@ package plan
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"seco/internal/join"
 	"seco/internal/mart"
@@ -131,6 +132,96 @@ type Plan struct {
 	// K is the number of requested output combinations (the optimization
 	// parameter of Section 3.2).
 	K int
+	// lay is the resolved shape, nil until the first Layout call after
+	// the last AddNode/Connect.
+	lay atomic.Pointer[Layout]
+}
+
+// Layout is the resolved shape of a plan: everything annotation, costing
+// and validation need to walk it by position instead of by name. It is
+// derived once after the last AddNode/Connect, shared by every caller
+// and never modified.
+type Layout struct {
+	// Nodes lists the nodes in the deterministic topological order of
+	// TopoSort; a node's index here is its position.
+	Nodes []*Node
+	// Preds holds, per position, the positions of the node's
+	// predecessors, ordered by predecessor ID.
+	Preds [][]int
+	// Output is the position of the output node, -1 when the plan has
+	// none (a partial plan).
+	Output int
+	pos    map[string]int // node ID → position
+}
+
+// Layout resolves the plan's shape, or fails when the graph has a cycle.
+// It is safe for concurrent use once the plan is no longer being built.
+func (p *Plan) Layout() (*Layout, error) {
+	if l := p.lay.Load(); l != nil {
+		return l, nil
+	}
+	l, err := p.resolve()
+	if err != nil {
+		return nil, err
+	}
+	p.lay.Store(l)
+	return l, nil
+}
+
+// resolve runs Kahn's algorithm, always placing the smallest ready ID
+// next, and numbers each node's predecessors by position.
+func (p *Plan) resolve() (*Layout, error) {
+	n := len(p.nodes)
+	l := &Layout{Nodes: make([]*Node, 0, n), Preds: make([][]int, n), Output: -1, pos: make(map[string]int, n)}
+	indeg := make(map[string]int, n)
+	ready := make([]string, 0, n)
+	arcs := 0
+	for id := range p.nodes {
+		d := len(p.pred[id])
+		indeg[id] = d
+		arcs += d
+		if d == 0 {
+			ready = append(ready, id)
+		}
+	}
+	sort.Strings(ready)
+	for len(ready) > 0 {
+		id := ready[0]
+		ready = ready[1:]
+		node := p.nodes[id]
+		if node.Kind == KindOutput {
+			l.Output = len(l.Nodes)
+		}
+		l.pos[id] = len(l.Nodes)
+		l.Nodes = append(l.Nodes, node)
+		for _, s := range p.succ[id] {
+			indeg[s]--
+			if indeg[s] == 0 {
+				at := sort.SearchStrings(ready, s)
+				ready = append(ready, "")
+				copy(ready[at+1:], ready[at:])
+				ready[at] = s
+			}
+		}
+	}
+	if len(l.Nodes) != n {
+		return nil, fmt.Errorf("plan: cycle detected (%d of %d nodes ordered)", len(l.Nodes), n)
+	}
+	backing := make([]int, 0, arcs)
+	for i, node := range l.Nodes {
+		from := len(backing)
+		for _, pr := range p.pred[node.ID] {
+			backing = append(backing, l.pos[pr])
+		}
+		ps := backing[from:len(backing):len(backing)]
+		for a := 1; a < len(ps); a++ { // insertion sort by ID: fan-in is tiny
+			for b := a; b > 0 && l.Nodes[ps[b]].ID < l.Nodes[ps[b-1]].ID; b-- {
+				ps[b], ps[b-1] = ps[b-1], ps[b]
+			}
+		}
+		l.Preds[i] = ps
+	}
+	return l, nil
 }
 
 // New returns an empty plan with the given K.
@@ -152,6 +243,7 @@ func (p *Plan) AddNode(n *Node) error {
 		return fmt.Errorf("plan: duplicate node %q", n.ID)
 	}
 	p.nodes[n.ID] = n
+	p.lay.Store(nil)
 	return nil
 }
 
@@ -170,6 +262,7 @@ func (p *Plan) Connect(from, to string) error {
 	}
 	p.succ[from] = append(p.succ[from], to)
 	p.pred[to] = append(p.pred[to], from)
+	p.lay.Store(nil)
 	return nil
 }
 
@@ -205,13 +298,13 @@ func (p *Plan) NodeIDs() []string {
 
 // ServiceNodes returns the service nodes in topological order.
 func (p *Plan) ServiceNodes() []*Node {
-	order, err := p.TopoSort()
+	l, err := p.Layout()
 	if err != nil {
 		return nil
 	}
 	var ns []*Node
-	for _, id := range order {
-		if n := p.nodes[id]; n.Kind == KindService {
+	for _, n := range l.Nodes {
+		if n.Kind == KindService {
 			ns = append(ns, n)
 		}
 	}
@@ -221,36 +314,13 @@ func (p *Plan) ServiceNodes() []*Node {
 // TopoSort returns a deterministic topological order (Kahn's algorithm,
 // smallest ID first) or an error if the graph has a cycle.
 func (p *Plan) TopoSort() ([]string, error) {
-	indeg := make(map[string]int, len(p.nodes))
-	for id := range p.nodes {
-		indeg[id] = len(p.pred[id])
+	l, err := p.Layout()
+	if err != nil {
+		return nil, err
 	}
-	var ready []string
-	for id, d := range indeg {
-		if d == 0 {
-			ready = append(ready, id)
-		}
-	}
-	sort.Strings(ready)
-	var order []string
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		order = append(order, id)
-		added := false
-		for _, s := range p.succ[id] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-				added = true
-			}
-		}
-		if added {
-			sort.Strings(ready)
-		}
-	}
-	if len(order) != len(p.nodes) {
-		return nil, fmt.Errorf("plan: cycle detected (%d of %d nodes ordered)", len(order), len(p.nodes))
+	order := make([]string, len(l.Nodes))
+	for i, n := range l.Nodes {
+		order[i] = n.ID
 	}
 	return order, nil
 }
@@ -324,42 +394,40 @@ func (p *Plan) Validate() error {
 	if outputs != 1 {
 		return fmt.Errorf("plan: need exactly one output node, have %d", outputs)
 	}
-	order, err := p.TopoSort()
+	l, err := p.Layout()
 	if err != nil {
 		return err
 	}
-	// Reachability from input and co-reachability from output.
-	reach := map[string]bool{}
-	for _, id := range order {
-		if p.nodes[id].Kind == KindInput || anyReached(reach, p.pred[id]) {
-			reach[id] = true
+	// Reachability from input and co-reachability from output: forwards,
+	// a node is reached through any reached predecessor; backwards, a
+	// node that reaches the output passes that on to its predecessors.
+	reach := make([]bool, len(l.Nodes))
+	for i, n := range l.Nodes {
+		reach[i] = n.Kind == KindInput
+		for _, pr := range l.Preds[i] {
+			reach[i] = reach[i] || reach[pr]
 		}
 	}
-	coreach := map[string]bool{}
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		if p.nodes[id].Kind == KindOutput || anyReached(coreach, p.succ[id]) {
-			coreach[id] = true
+	coreach := make([]bool, len(l.Nodes))
+	for i := len(l.Nodes) - 1; i >= 0; i-- {
+		if l.Nodes[i].Kind == KindOutput {
+			coreach[i] = true
+		}
+		if coreach[i] {
+			for _, pr := range l.Preds[i] {
+				coreach[pr] = true
+			}
 		}
 	}
-	for id := range p.nodes {
-		if !reach[id] {
-			return fmt.Errorf("plan: node %q not reachable from input", id)
+	for i, n := range l.Nodes {
+		if !reach[i] {
+			return fmt.Errorf("plan: node %q not reachable from input", n.ID)
 		}
-		if !coreach[id] {
-			return fmt.Errorf("plan: node %q cannot reach output", id)
+		if !coreach[i] {
+			return fmt.Errorf("plan: node %q cannot reach output", n.ID)
 		}
 	}
 	return nil
-}
-
-func anyReached(set map[string]bool, ids []string) bool {
-	for _, id := range ids {
-		if set[id] {
-			return true
-		}
-	}
-	return false
 }
 
 // Clone returns a deep copy of the plan graph (nodes are copied shallowly

@@ -94,6 +94,7 @@ func (q *Query) Analyze(reg *mart.Registry) error {
 	if len(q.Weights) == 0 {
 		q.defaultWeights()
 	}
+	q.joins = q.deriveJoins()
 	q.analyzed = true
 	return nil
 }

@@ -125,6 +125,10 @@ type Query struct {
 	Weights map[string]float64
 
 	analyzed bool
+	// joins is JoinPredicates' result, derived once when Analyze (or
+	// Augment) fixes Predicates and Patterns; read-only from then on, so
+	// a query may be planned from several goroutines.
+	joins []Predicate
 }
 
 // Service returns the service occurrence with the given alias.
@@ -176,8 +180,16 @@ func (q *Query) SelectionsFor(alias string) []Predicate {
 
 // JoinPredicates returns every join predicate of the query: the explicit
 // path-to-path predicates plus the expansion of every connection-pattern
-// use. The query must have been analyzed.
+// use. The query must have been analyzed; the slice is shared and must
+// not be modified.
 func (q *Query) JoinPredicates() []Predicate {
+	if q.analyzed {
+		return q.joins
+	}
+	return q.deriveJoins()
+}
+
+func (q *Query) deriveJoins() []Predicate {
 	var ps []Predicate
 	for _, p := range q.Predicates {
 		if p.IsJoin() {
@@ -197,7 +209,7 @@ func (q *Query) JoinPredicates() []Predicate {
 			})
 		}
 	}
-	return ps
+	return ps[:len(ps):len(ps)] // shared: an append by a caller must copy
 }
 
 // String renders the query in canonical concrete syntax (lower-case

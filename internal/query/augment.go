@@ -156,6 +156,7 @@ func (q *Query) Augment(s Suggestion) (*Query, error) {
 		}
 	}
 	c.Predicates = preds
+	c.joins = c.deriveJoins()
 	c.Weights = make(map[string]float64, len(q.Weights)+1)
 	for k, v := range q.Weights {
 		c.Weights[k] = v
