@@ -20,7 +20,6 @@ import (
 
 	"seco/internal/core"
 	"seco/internal/optimizer"
-	"seco/internal/query"
 	"seco/internal/types"
 )
 
@@ -57,7 +56,6 @@ func run(args []string, out io.Writer) error {
 		dot       = fs.Bool("dot", false, "print the plan in Graphviz DOT and exit")
 		noExec    = fs.Bool("no-exec", false, "optimize only, skip execution")
 		more      = fs.Int("more", 0, "after the first batch, fetch N further result batches")
-		cache     = fs.Bool("cache", false, "memoize service calls per input binding during execution")
 		overrides = inputFlags{}
 	)
 	fs.Var(overrides, "input", "bind an INPUT variable, e.g. -input INPUT1=Comedy (repeatable)")
@@ -65,7 +63,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	sys, inputs, src, err := buildScenario(*scenario, *seed)
+	sys, inputs, src, err := core.Scenario(*scenario, *seed)
 	if err != nil {
 		return err
 	}
@@ -129,7 +127,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	sess, err := sys.Session(res, core.RunOptions{Inputs: inputs, CacheCalls: *cache})
+	sess, err := sys.Session(res, core.RunOptions{Inputs: inputs})
 	if err != nil {
 		return err
 	}
@@ -151,22 +149,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func buildScenario(name string, seed int64) (*core.System, map[string]types.Value, string, error) {
-	switch name {
-	case "movienight":
-		sys, inputs, err := core.MovieNight(seed)
-		return sys, inputs, query.RunningExampleText, err
-	case "conftravel":
-		sys, inputs, err := core.ConfTravel(seed)
-		return sys, inputs, query.TravelExampleText, err
-	case "triangle":
-		sys, inputs, err := core.Triangle(seed)
-		return sys, inputs, query.TriangleExampleText, err
-	default:
-		return nil, nil, "", fmt.Errorf("unknown scenario %q (want movienight, conftravel or triangle)", name)
-	}
 }
 
 // renderCombination picks a human-readable summary per known alias, with a

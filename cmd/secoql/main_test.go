@@ -103,16 +103,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunWithCacheFlag(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-k", "2", "-cache"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "score=") {
-		t.Errorf("cached run output: %q", out.String())
-	}
-}
-
 func TestRunMoreBatches(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-k", "2", "-more", "1"}, &out); err != nil {

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"seco/internal/admission"
+	"seco/internal/engine"
 	"seco/internal/serve"
 )
 
@@ -67,6 +68,10 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var clock engine.Clock // nil: the server's virtual clock
+	if *live {
+		clock = engine.WallClock{}
+	}
 	srv, err := serve.New(serve.Config{
 		Scenario:        *scenario,
 		Seed:            *seed,
@@ -75,7 +80,7 @@ func run(args []string, out io.Writer) error {
 		Parallelism:     *parallelism,
 		CacheCalls:      *cache,
 		DisableMultiway: *binaryOnly,
-		Live:            *live,
+		Clock:           clock,
 		Hedge:           *hedge,
 		MaxBudget:       *maxBudget,
 		Admission:       admission.Config{Capacity: *capacity, TenantRate: *tenantRate},

@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -20,7 +21,6 @@ import (
 	"seco/internal/mart"
 	"seco/internal/obs"
 	"seco/internal/optimizer"
-	"seco/internal/plan"
 	"seco/internal/query"
 	"seco/internal/service"
 	"seco/internal/types"
@@ -126,14 +126,15 @@ type RunOptions struct {
 	Inputs map[string]types.Value
 	// Parallelism bounds concurrent pipe-join invocations (default 8).
 	Parallelism int
-	// LiveLatency makes every fetch sleep the service's published
-	// latency, so wall-clock measurements reflect the cost model.
+	// LiveLatency runs on the wall clock: every fetch sleeps the
+	// service's published latency, so wall-clock measurements reflect the
+	// cost model.
 	LiveLatency bool
-	// CacheCalls enables the engine's call-sharing layer: service chunks
-	// are memoized per input binding and concurrent fetches of the same
-	// chunk are deduplicated in flight, cutting repeated pipe-join wire
-	// calls (results are unchanged). Aliases bound to the same interface
-	// share one layer.
+	// CacheCalls enables the engine's call-sharing layer for Run: service
+	// chunks are memoized per input binding and concurrent fetches of the
+	// same chunk are deduplicated in flight, cutting repeated pipe-join
+	// wire calls (results are unchanged). Aliases bound to the same
+	// interface share one layer. A Session always shares.
 	CacheCalls bool
 	// Materialize selects the materialize-then-truncate executor instead
 	// of the default pull-based streaming pipeline (see package engine).
@@ -146,14 +147,16 @@ type RunOptions struct {
 	// of an error (streaming executor only).
 	Degrade bool
 	// Trace, when non-nil, records per-operator spans for the execution
-	// (see engine.RunOptions.Trace). Pass a fresh obs.NewTracer per Run.
+	// (see engine.RunOptions.Trace). Pass a fresh obs.NewTracer per Run;
+	// a Session refuses it.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, registers the engine's instruments (per-alias
 	// call counters, latency/chunk-depth histograms, share-layer hits,
 	// driver counters); Metrics.Text() dumps it.
 	Metrics *obs.Registry
 	// Fidelity enables the per-node estimate-vs-actual accounting and
-	// fills Run.Fidelity with the q-error report (see engine.Options).
+	// fills Run.Fidelity with the q-error report (see engine.Options); a
+	// Session refuses it.
 	Fidelity bool
 	// DriftThreshold overrides the fidelity report's one-sided drift
 	// factor (0 = fidelity.DefaultThreshold).
@@ -162,11 +165,46 @@ type RunOptions struct {
 
 // Run executes an optimized plan and returns the ranked combinations.
 func (s *System) Run(ctx context.Context, res *optimizer.Result, opts RunOptions) (*engine.Run, error) {
-	e, err := s.engineFor(res, opts)
+	e, err := s.Engine(res, opts.config(), nil)
 	if err != nil {
 		return nil, err
 	}
-	return e.Execute(ctx, res.Annotated, engine.Options{
+	return e.Execute(ctx, res.Annotated, opts.options(res))
+}
+
+// Session opens a resumable execution ("more results") over an optimized
+// plan. Its engine always shares calls, so a later batch reaches the wire
+// only for chunks no earlier batch fetched. Budget and Degrade apply to
+// each batch; Trace and Fidelity describe a single run, which a batch
+// does not return, so a Session refuses them.
+func (s *System) Session(res *optimizer.Result, opts RunOptions) (*engine.Session, error) {
+	switch {
+	case opts.Trace != nil:
+		return nil, errors.New("core: a Session does not take RunOptions.Trace (a tracer records one run)")
+	case opts.Fidelity:
+		return nil, errors.New("core: a Session does not take RunOptions.Fidelity (a report describes one run)")
+	}
+	cfg := opts.config()
+	cfg.Share = true
+	e, err := s.Engine(res, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewSession(e, res.Plan, res.Annotated.Fetches, opts.options(res)), nil
+}
+
+// config is the engine configuration a run under opts binds.
+func (opts RunOptions) config() engine.Config {
+	cfg := engine.Config{Share: opts.CacheCalls, Metrics: opts.Metrics}
+	if opts.LiveLatency {
+		cfg.Clock = engine.WallClock{}
+	}
+	return cfg
+}
+
+// options hands opts to the engine with the plan's ranking function and K.
+func (opts RunOptions) options(res *optimizer.Result) engine.Options {
+	return engine.Options{
 		Inputs:         opts.Inputs,
 		Weights:        res.Query.Weights,
 		TargetK:        res.Plan.K,
@@ -177,103 +215,15 @@ func (s *System) Run(ctx context.Context, res *optimizer.Result, opts RunOptions
 		Trace:          opts.Trace,
 		Fidelity:       opts.Fidelity,
 		DriftThreshold: opts.DriftThreshold,
-	})
+	}
 }
 
-// RunToK executes an optimized plan and, when the statistics-based fetch
-// assignment under-delivers (estimation error, Section 3.2's independence
-// assumptions), automatically continues the plan execution with doubled
-// fetching factors until K combinations are produced, the services are
-// exhausted, or maxRounds is hit. It returns the best K combinations
-// found and the last round's Run.
-func (s *System) RunToK(ctx context.Context, res *optimizer.Result, opts RunOptions, maxRounds int) ([]*types.Combination, *engine.Run, error) {
-	if maxRounds <= 0 {
-		maxRounds = 5
-	}
-	e, err := s.engineFor(res, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	fetches := map[string]int{}
-	for k, v := range res.Annotated.Fetches {
-		fetches[k] = v
-	}
-	k := res.Plan.K
-	var last *engine.Run
-	for round := 0; round < maxRounds; round++ {
-		a, err := plan.Annotate(res.Plan, fetches)
-		if err != nil {
-			return nil, nil, err
-		}
-		run, err := e.Execute(ctx, a, engine.Options{
-			Inputs:      opts.Inputs,
-			Weights:     res.Query.Weights,
-			TargetK:     k,
-			Parallelism: opts.Parallelism,
-			Materialize: opts.Materialize,
-			Budget:      opts.Budget,
-			Degrade:     opts.Degrade,
-			Trace:       opts.Trace,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if last != nil && len(run.Combinations) == len(last.Combinations) {
-			// No progress: the services are exhausted for this query.
-			return run.Combinations, run, nil
-		}
-		last = run
-		if len(run.Combinations) >= k {
-			return run.Combinations, run, nil
-		}
-		grew := false
-		for _, id := range res.Plan.NodeIDs() {
-			n, ok := res.Plan.Node(id)
-			if ok && n.Kind == plan.KindService && n.Stats.Chunked() {
-				f := fetches[id]
-				if f <= 0 {
-					f = 1
-				}
-				fetches[id] = f * 2
-				grew = true
-			}
-		}
-		if !grew {
-			return run.Combinations, run, nil
-		}
-	}
-	return last.Combinations, last, nil
-}
-
-// Session opens a resumable execution ("more results") over an optimized
-// plan.
-func (s *System) Session(res *optimizer.Result, opts RunOptions) (*engine.Session, error) {
-	e, err := s.engineFor(res, opts)
-	if err != nil {
-		return nil, err
-	}
-	return engine.NewSession(e, res.Plan, res.Annotated.Fetches, engine.Options{
-		Inputs:      opts.Inputs,
-		Weights:     res.Query.Weights,
-		TargetK:     res.Plan.K,
-		Parallelism: opts.Parallelism,
-		Materialize: opts.Materialize,
-	}), nil
-}
-
-// Engine builds the execution engine a Run for this plan would use —
-// per-alias service bindings, clock/delay policy, sharing layer and
-// metrics registry. Long-lived callers (the secoserve debug server, the
-// Session API) hold one Engine and execute many runs against it, so the
-// sharing layer and the cumulative metrics span all of them.
-func (s *System) Engine(res *optimizer.Result, opts RunOptions) (*engine.Engine, error) {
-	return s.engineFor(res, opts)
-}
-
-// engineFor maps the plan's aliases to bound services. With CacheCalls,
-// the engine's Invoker shares one dedup/memo layer per underlying service
-// value, so aliases over the same interface reuse each other's fetches.
-func (s *System) engineFor(res *optimizer.Result, opts RunOptions) (*engine.Engine, error) {
+// Engine is the one alias binder: it maps the plan's aliases to the
+// services bound to their interfaces and builds an engine over them with
+// cfg. wrap, when non-nil, decorates each alias's service first (serve
+// mounts chaos faults and resilience middleware there); without it,
+// aliases over one interface share one service value, so one Share layer.
+func (s *System) Engine(res *optimizer.Result, cfg engine.Config, wrap func(alias string, svc service.Service) service.Service) (*engine.Engine, error) {
 	byAlias := map[string]service.Service{}
 	for _, ref := range res.Query.Services {
 		svc, ok := s.services[ref.Interface.Name]
@@ -281,15 +231,12 @@ func (s *System) engineFor(res *optimizer.Result, opts RunOptions) (*engine.Engi
 			return nil, fmt.Errorf("core: no service bound for interface %q (alias %s)",
 				ref.Interface.Name, ref.Alias)
 		}
+		if wrap != nil {
+			svc = wrap(ref.Alias, svc)
+		}
 		byAlias[ref.Alias] = svc
 	}
-	var delay func(time.Duration)
-	if opts.LiveLatency {
-		delay = time.Sleep
-	}
-	return engine.NewWithConfig(byAlias, engine.Config{
-		Delay: delay, Share: opts.CacheCalls, Metrics: opts.Metrics,
-	}), nil
+	return engine.NewWithConfig(byAlias, cfg), nil
 }
 
 // Explain renders a human-readable description of an optimization result:

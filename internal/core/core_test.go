@@ -100,70 +100,6 @@ func TestSystemSession(t *testing.T) {
 	}
 }
 
-// RunToK keeps doubling fetch factors until K results materialize (or no
-// progress is possible), absorbing annotation estimation error.
-func TestRunToKReachesTarget(t *testing.T) {
-	sys, inputs, err := MovieNight(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sys.Parse(query.RunningExampleText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Plan(q, PlanOptions{K: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shrink the starting fetch factors to force under-delivery.
-	for id := range res.Annotated.Fetches {
-		res.Annotated.Fetches[id] = 1
-	}
-	combos, run, err := sys.RunToK(context.Background(), res, RunOptions{Inputs: inputs}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run == nil || len(combos) == 0 {
-		t.Fatal("RunToK produced nothing")
-	}
-	if len(combos) < 8 {
-		t.Logf("RunToK stopped at %d results (world exhausted); acceptable", len(combos))
-	}
-	// Ranked output invariant holds.
-	for i := 1; i < len(combos); i++ {
-		if combos[i].Score > combos[i-1].Score+1e-12 {
-			t.Fatalf("RunToK output unranked at %d", i)
-		}
-	}
-}
-
-// An impossible K terminates by the no-progress rule, not the round cap.
-func TestRunToKStopsOnExhaustion(t *testing.T) {
-	sys, inputs, err := MovieNight(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := sys.Parse(query.RunningExampleText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Plan(q, PlanOptions{K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Plan.K = 100000
-	combos, _, err := sys.RunToK(context.Background(), res, RunOptions{Inputs: inputs}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(combos) == 0 {
-		t.Error("exhaustion run produced nothing")
-	}
-	if len(combos) >= 100000 {
-		t.Error("impossible K satisfied?")
-	}
-}
-
 // CacheCalls changes call counts, never results.
 func TestRunWithCacheCalls(t *testing.T) {
 	sys, inputs, err := MovieNight(7)

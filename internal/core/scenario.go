@@ -1,10 +1,32 @@
 package core
 
 import (
+	"fmt"
+
 	"seco/internal/mart"
+	"seco/internal/query"
 	"seco/internal/synth"
 	"seco/internal/types"
 )
+
+// Scenario builds a built-in world by name — movienight, conftravel or
+// triangle — returning its system, canonical INPUT bindings and canonical
+// query text.
+func Scenario(name string, seed int64) (*System, map[string]types.Value, string, error) {
+	switch name {
+	case "movienight":
+		sys, inputs, err := MovieNight(seed)
+		return sys, inputs, query.RunningExampleText, err
+	case "conftravel":
+		sys, inputs, err := ConfTravel(seed)
+		return sys, inputs, query.TravelExampleText, err
+	case "triangle":
+		sys, inputs, err := Triangle(seed)
+		return sys, inputs, query.TriangleExampleText, err
+	default:
+		return nil, nil, "", fmt.Errorf("unknown scenario %q (want movienight, conftravel or triangle)", name)
+	}
+}
 
 // MovieNight builds a ready-to-query system for the running example: the
 // Movie/Theatre/Restaurant scenario registry with a synthetic world bound

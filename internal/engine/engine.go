@@ -221,14 +221,10 @@ type Engine struct {
 
 // Config configures an Engine beyond its bound services.
 type Config struct {
-	// Clock drives latency charging and elapsed-time reporting. Nil
-	// selects a VirtualClock when Delay is nil (simulated time) and
-	// WallClock otherwise.
+	// Clock drives latency charging and elapsed-time reporting: every
+	// fetch Sleeps the service's published latency on it. Nil selects a
+	// VirtualClock (simulated time); WallClock paces fetches live.
 	Clock Clock
-	// Delay, when non-nil, is invoked with the service's published
-	// latency on every fetch (pass time.Sleep for live pacing). Nil means
-	// the clock's own Sleep charges the latency.
-	Delay func(time.Duration)
 	// Share enables the Invoker's cross-query call-sharing layer:
 	// in-flight calls for the same service, input binding and chunk are
 	// deduplicated across concurrent runs, and fetched chunks are
@@ -249,39 +245,22 @@ type Config struct {
 	Hedge *service.HedgePolicy
 }
 
-// New builds an engine over the given services. The delay hook, when
-// non-nil, is invoked with the service's published latency on every fetch
-// (pass time.Sleep for live pacing). A nil hook selects a VirtualClock:
-// fetches complete instantly while their published latency is charged to
-// simulated time, so Run.Elapsed reports the simulated duration of the
-// run. Callers that need a specific clock or the cross-query sharing
-// layer use NewWithConfig.
-func New(services map[string]service.Service, delay func(time.Duration)) *Engine {
-	return NewWithConfig(services, Config{Delay: delay})
-}
-
-// NewWithClock builds an engine whose latency charging and elapsed-time
-// reporting both go through the given clock: WallClock paces fetches in
-// real time, VirtualClock simulates them instantly while keeping the
-// elapsed-time accounting.
-func NewWithClock(services map[string]service.Service, clk Clock) *Engine {
+// New builds an engine over the given services on clk. A nil clock
+// selects a VirtualClock: fetches complete instantly while their
+// published latency is charged to simulated time, so Run.Elapsed reports
+// the simulated duration of the run; WallClock{} paces fetches live.
+// Callers that need the cross-query sharing layer, metrics or hedging use
+// NewWithConfig.
+func New(services map[string]service.Service, clk Clock) *Engine {
 	return NewWithConfig(services, Config{Clock: clk})
 }
 
-// NewWithConfig builds an engine with explicit clock, delay-hook and
-// call-sharing configuration.
+// NewWithConfig builds an engine with explicit clock, call-sharing,
+// metrics and hedging configuration.
 func NewWithConfig(services map[string]service.Service, cfg Config) *Engine {
 	clk := cfg.Clock
 	if clk == nil {
-		if cfg.Delay == nil {
-			clk = NewVirtualClock()
-		} else {
-			clk = WallClock{}
-		}
-	}
-	delay := cfg.Delay
-	if delay == nil {
-		delay = clk.Sleep
+		clk = NewVirtualClock()
 	}
 	for _, svc := range services {
 		// Route all resilience timing (retry backoff, breaker cooldowns,
@@ -291,7 +270,7 @@ func NewWithConfig(services map[string]service.Service, cfg Config) *Engine {
 	}
 	intern := types.NewInterner()
 	inv := service.NewInvoker(services, service.InvokerOptions{
-		Delay: delay, Share: cfg.Share, Metrics: cfg.Metrics, Interner: intern,
+		Delay: clk.Sleep, Share: cfg.Share, Metrics: cfg.Metrics, Interner: intern,
 		Hedge: cfg.Hedge,
 	})
 	// The Invoker's own layers (Hedge above Share) also need the clock:

@@ -216,24 +216,20 @@ func TestExecuteWithLatencyDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var charged time.Duration
-	var mu chan struct{} = make(chan struct{}, 1)
-	e := New(world.Services(), func(d time.Duration) {
-		mu <- struct{}{}
-		charged += d
-		<-mu
-	})
+	clk := NewVirtualClock()
+	e := New(world.Services(), clk)
 	a, err := plan.Annotate(p, map[string]int{"M": 1, "T": 1, "R": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(context.Background(), a, Options{
+	run, err := e.Execute(context.Background(), a, Options{
 		Inputs: world.Inputs, Weights: q.Weights,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if charged == 0 {
-		t.Error("delay hook never invoked")
+	if charged := clk.Now().Sub(time.Time{}); charged == 0 || charged != run.Elapsed {
+		t.Errorf("clock charged %v, run elapsed %v: latency not charged to the engine clock", charged, run.Elapsed)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestParallelBranchesOverlapInTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(world.Services(), time.Sleep)
+	e := New(world.Services(), WallClock{})
 	a, err := plan.Annotate(p, map[string]int{"M": 1, "T": 1, "R": 1})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestPipeInvocationsRunConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(world.Services(), time.Sleep)
+	e := New(world.Services(), WallClock{})
 	a, err := plan.Annotate(p, map[string]int{"F": 1, "H": 1})
 	if err != nil {
 		t.Fatal(err)

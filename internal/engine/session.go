@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sort"
 	"strings"
 
 	"seco/internal/plan"
@@ -14,18 +13,23 @@ import (
 // results of the same query", which continues the plan execution by
 // increasing the fetching factors of the chunked services and returning
 // only combinations not seen before.
+//
+// Each round re-executes the plan from the start under the larger
+// factors; on an engine built with Config.Share, the chunks earlier
+// rounds fetched replay from the share layer's memo, so a round reaches
+// the wire only for chunks no earlier round fetched.
 type Session struct {
 	engine  *Engine
 	base    *plan.Plan
 	opts    Options
 	fetches map[string]int
 	seen    map[string]bool
-	calls   int
 }
 
 // NewSession prepares a resumable execution of the plan with the given
 // initial fetching factors (nil = the factors of the plan's first
-// annotation, i.e. 1 per chunked service).
+// annotation, i.e. 1 per chunked service). Every option applies to each
+// round: a Budget bounds every round separately.
 func NewSession(e *Engine, p *plan.Plan, fetches map[string]int, opts Options) *Session {
 	f := map[string]int{}
 	for k, v := range fetches {
@@ -38,24 +42,21 @@ func NewSession(e *Engine, p *plan.Plan, fetches map[string]int, opts Options) *
 // most Options.TargetK new combinations in ranking order. Each call after
 // the first doubles the fetching factors of every chunked service before
 // re-executing, so deeper regions of the search space are explored. An
-// empty batch means the services are exhausted.
+// empty batch means the services are exhausted — or, under
+// Options.Degrade, that the round certified nothing new: a degraded round
+// contributes only its certified prefix, since the rest is not provably
+// in rank position, and leaves that rest unseen for a later round.
 func (s *Session) Next(ctx context.Context) ([]*types.Combination, error) {
-	if s.calls > 0 {
-		for _, id := range s.base.NodeIDs() {
-			n, _ := s.base.Node(id)
-			if n.Kind == plan.KindService && n.Stats.Chunked() {
-				f := s.fetches[id]
-				if f <= 0 {
-					f = 1
-				}
-				s.fetches[id] = f * 2
-			}
-		}
-	}
-	s.calls++
 	ann, err := plan.Annotate(s.base, s.fetches)
 	if err != nil {
 		return nil, err
+	}
+	// ann holds its own copy of the factors: deepen them for the next call.
+	for _, id := range s.base.NodeIDs() {
+		n, _ := s.base.Node(id)
+		if n.Kind == plan.KindService && n.Stats.Chunked() {
+			s.fetches[id] = max(s.fetches[id], 1) * 2
+		}
 	}
 	runOpts := s.opts
 	// Rank and truncate here, after dedup — but let the streaming engine
@@ -71,8 +72,12 @@ func (s *Session) Next(ctx context.Context) ([]*types.Combination, error) {
 	if err != nil {
 		return nil, err
 	}
+	ranked := run.Combinations
+	if d := run.Degraded; d != nil {
+		ranked = ranked[:d.CertifiedK]
+	}
 	var fresh []*types.Combination
-	for _, c := range run.Combinations {
+	for _, c := range ranked {
 		key := comboKey(c)
 		if s.seen[key] {
 			continue
@@ -80,7 +85,6 @@ func (s *Session) Next(ctx context.Context) ([]*types.Combination, error) {
 		s.seen[key] = true
 		fresh = append(fresh, c)
 	}
-	sort.SliceStable(fresh, func(i, j int) bool { return fresh[i].Score > fresh[j].Score })
 	if s.opts.TargetK > 0 && len(fresh) > s.opts.TargetK {
 		fresh = fresh[:s.opts.TargetK]
 	}

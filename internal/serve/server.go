@@ -34,7 +34,6 @@ import (
 	"seco/internal/fidelity"
 	"seco/internal/obs"
 	"seco/internal/optimizer"
-	"seco/internal/query"
 	"seco/internal/service"
 	"seco/internal/types"
 )
@@ -63,11 +62,6 @@ type Config struct {
 	DisableMultiway bool
 	// CacheCalls enables the engines' cross-query call-sharing layer.
 	CacheCalls bool
-	// Live selects the wall clock with live latency pacing; off (the
-	// default) runs on a virtual clock — fetches complete instantly
-	// while charging their published latency to simulated time, which is
-	// what makes served load deterministic.
-	Live bool
 	// Hedge mounts the hedged-call layer on every service lane.
 	Hedge bool
 	// HedgePolicy tunes hedging when Hedge is set (zero value =
@@ -83,8 +77,10 @@ type Config struct {
 	// before the engine is built — the hook the loadgen harness uses to
 	// inject chaos faults and resilience middleware.
 	Wrap func(alias string, svc service.Service) service.Service
-	// Clock overrides the engine clock (default: VirtualClock, or
-	// WallClock when Live).
+	// Clock is the engine clock. Nil selects a fresh VirtualClock:
+	// fetches complete instantly while charging their published latency
+	// to simulated time, which is what makes served load deterministic;
+	// engine.WallClock{} paces them live.
 	Clock engine.Clock
 	// Metrics overrides the registry (default: a fresh one).
 	Metrics *obs.Registry
@@ -169,25 +165,7 @@ func newInstruments(reg *obs.Registry) instruments {
 
 // New builds a server over a built-in scenario.
 func New(cfg Config) (*Server, error) {
-	var (
-		sys    *core.System
-		inputs map[string]types.Value
-		text   string
-		err    error
-	)
-	switch cfg.Scenario {
-	case "movienight":
-		sys, inputs, err = core.MovieNight(cfg.Seed)
-		text = query.RunningExampleText
-	case "conftravel":
-		sys, inputs, err = core.ConfTravel(cfg.Seed)
-		text = query.TravelExampleText
-	case "triangle":
-		sys, inputs, err = core.Triangle(cfg.Seed)
-		text = query.TriangleExampleText
-	default:
-		return nil, fmt.Errorf("unknown scenario %q", cfg.Scenario)
-	}
+	sys, inputs, text, err := core.Scenario(cfg.Scenario, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -202,11 +180,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	clock := cfg.Clock
 	if clock == nil {
-		if cfg.Live {
-			clock = engine.WallClock{}
-		} else {
-			clock = engine.NewVirtualClock()
-		}
+		clock = engine.NewVirtualClock()
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -291,8 +265,10 @@ func (s *Server) install(key planKey, e *planEntry) {
 	e.elem = s.lru.PushFront(key)
 }
 
-// build plans the query, binds an engine to the plan and prepares the
-// plan on it under the options every served run shares.
+// build plans the query, binds an engine to the plan (on the server's
+// clock, registry and hedging policy, over the services as Wrap decorates
+// them) and prepares the plan on it under the options every served run
+// shares.
 func (s *Server) build(e *planEntry, text string, k int) error {
 	q, err := s.sys.Parse(text)
 	if err != nil {
@@ -304,7 +280,12 @@ func (s *Server) build(e *planEntry, text string, k int) error {
 	if err != nil {
 		return err
 	}
-	if e.eng, err = s.engineFor(e.res); err != nil {
+	ecfg := engine.Config{Clock: s.clock, Share: s.cfg.CacheCalls, Metrics: s.reg}
+	if s.cfg.Hedge {
+		policy := s.cfg.HedgePolicy
+		ecfg.Hedge = &policy
+	}
+	if e.eng, err = s.sys.Engine(e.res, ecfg, s.cfg.Wrap); err != nil {
 		return err
 	}
 	e.prep, err = e.eng.Prepare(e.res.Annotated, engine.PrepareOptions{
@@ -314,30 +295,6 @@ func (s *Server) build(e *planEntry, text string, k int) error {
 		Degrade:     true,
 	})
 	return err
-}
-
-// engineFor binds the plan's aliases to the scenario services — through
-// the Wrap hook when configured — on the server's shared clock, registry
-// and hedging policy.
-func (s *Server) engineFor(res *optimizer.Result) (*engine.Engine, error) {
-	byAlias := map[string]service.Service{}
-	for _, ref := range res.Query.Services {
-		svc, ok := s.sys.Service(ref.Interface.Name)
-		if !ok {
-			return nil, fmt.Errorf("no service bound for interface %q (alias %s)",
-				ref.Interface.Name, ref.Alias)
-		}
-		if s.cfg.Wrap != nil {
-			svc = s.cfg.Wrap(ref.Alias, svc)
-		}
-		byAlias[ref.Alias] = svc
-	}
-	ecfg := engine.Config{Clock: s.clock, Share: s.cfg.CacheCalls, Metrics: s.reg}
-	if s.cfg.Hedge {
-		policy := s.cfg.HedgePolicy
-		ecfg.Hedge = &policy
-	}
-	return engine.NewWithConfig(byAlias, ecfg), nil
 }
 
 // RunOnce executes the canonical query with a fresh tracer and replaces
