@@ -124,7 +124,9 @@ func (s *System) Plan(q *query.Query, opts PlanOptions) (*optimizer.Result, erro
 type RunOptions struct {
 	// Inputs binds the query's INPUT variables.
 	Inputs map[string]types.Value
-	// Parallelism bounds concurrent pipe-join invocations (default 8).
+	// Parallelism is the number of piped invocations a pipe join keeps
+	// open at once, the current one included (default 8). Each one not
+	// yet reached prepays a single chunk.
 	Parallelism int
 	// LiveLatency runs on the wall clock: every fetch sleeps the
 	// service's published latency, so wall-clock measurements reflect the

@@ -127,10 +127,10 @@ var ptrBlockPool = sync.Pool{New: func() any {
 
 // combArena bump-allocates combs (header + fixed-width component vector)
 // from pooled blocks. An arena is single-owner — each allocating operator
-// (or pipe-window slot goroutine) holds its own — and release returns the
-// blocks to the pools. combs handed out stay valid until release, which
-// the graph defers to operator Close: teardown runs only after the driver
-// has materialized its results.
+// holds its own and allocates on its consumer goroutine — and release
+// returns the blocks to the pools. combs handed out stay valid until
+// release, which the graph defers to operator Close: teardown runs only
+// after the driver has materialized its results.
 type combArena struct {
 	width     int
 	blocks    []*[]comb

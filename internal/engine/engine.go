@@ -51,8 +51,9 @@ type PrepareOptions struct {
 	// additionally uses it to stop early once the top-K set is guaranteed
 	// by the score bounds.
 	TargetK int
-	// Parallelism bounds the concurrent service invocations of a pipe
-	// join (default 8).
+	// Parallelism is the number of piped invocations a pipe join keeps
+	// open at once, the current one included (default 8). Each one not
+	// yet reached prepays a single chunk; 1 reads purely on demand.
 	Parallelism int
 	// Materialize selects the eager-drain driver policy (materialize,
 	// rank, then truncate) instead of the default K-bounded pull —

@@ -7,6 +7,7 @@ import (
 
 	"seco/internal/mart"
 	"seco/internal/plan"
+	"seco/internal/query"
 	"seco/internal/service"
 	"seco/internal/synth"
 )
@@ -157,5 +158,52 @@ func TestExecuteFailsWithoutRetries(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("execution over flaky services without retries succeeded")
+	}
+}
+
+// TestPipeWithoutUpstreamValueOneError pins the error a pipe raises when
+// its upstream combination lacks the value it binds from: one text, naming
+// the piped service, whether the pipe feeds the output side (movienight's
+// R) or a multi-way join branch (the triangle's A), under both driver
+// policies.
+func TestPipeWithoutUpstreamValueOneError(t *testing.T) {
+	_, mp, mq, movie := fixture(t)
+	tri, triangle := triangleFixture(t)
+	for _, tc := range []struct {
+		name string
+		p    *plan.Plan
+		opts Options
+		svcs map[string]service.Service
+		pipe string
+		want string
+	}{
+		{"pipe under the output", mp, Options{Inputs: movie.Inputs, Weights: mq.Weights, TargetK: 5},
+			movie.Services(), "R", `service "R": engine: pipe into R: upstream T.Nowhere has no value`},
+		{"pipe under a multijoin", tri.Plan, Options{Inputs: triangle.Inputs, Weights: tri.Query.Weights, TargetK: 5},
+			triangle.Services(), "A", `service "A": engine: pipe into A: upstream S.Nowhere has no value`},
+	} {
+		// Rebind the pipe to a path its upstream never carries.
+		p := tc.p.Clone()
+		n, ok := p.Node(tc.pipe)
+		if !ok {
+			t.Fatalf("%s: no node %s", tc.name, tc.pipe)
+		}
+		for i := range n.Bindings {
+			if n.Bindings[i].Source.Kind == query.BindJoin {
+				n.Bindings[i].Source.From.Path = "Nowhere"
+			}
+		}
+		a, err := plan.Annotate(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, materialize := range []bool{false, true} {
+			opts := tc.opts
+			opts.Materialize = materialize
+			_, err := New(tc.svcs, nil).Execute(context.Background(), a, opts)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s materialize=%v: error %v, want %s", tc.name, materialize, err, tc.want)
+			}
+		}
 	}
 }

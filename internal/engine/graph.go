@@ -22,7 +22,7 @@ import (
 type graph struct {
 	ex *executor
 	// wg tracks every goroutine the pipeline spawns (join-branch
-	// prefetchers and pipe-window invocations); the drivers wait for it
+	// prefetchers and pipe look-ahead fetches); the drivers wait for it
 	// after cancelling, so counters are quiescent before the Run is
 	// assembled and before the operators are closed.
 	wg sync.WaitGroup
@@ -110,23 +110,15 @@ func (g *graph) newServiceOp(i int, pn *progNode) (Operator, error) {
 		return nil, err
 	}
 	up := g.reader(pn.inputs[0])
-	depth := &g.depth[i]
-	// The service operators carry their trace scope and attach it to the
+	// The service operator carries its trace scope and attaches it to the
 	// context of every Invoke/Fetch, so the per-call spans the Counter
 	// emits — and any middleware events beneath it — land in this node's
 	// lane. Scope is nil (and WithScope a no-op) when the run is untraced.
 	sc := g.ex.run.Trace.Scope(pn.id)
-	cand := g.fid.Counter(pn.id)
-	if pn.kind == plancheck.OpPipe && !sp.paged {
-		return &pipeOp{
-			svcProg: sp, g: g, ex: g.ex, counter: counter, fixed: fixed,
-			par: g.ex.opts.Parallelism, up: up, depth: depth, sc: sc, cand: cand,
-		}, nil
-	}
 	return &serviceOp{
-		svcProg: sp, ex: g.ex, counter: counter, fixed: fixed,
-		up: up, depth: depth, sc: sc, cand: cand,
-		arena: newCombArena(g.ex.layout.width()),
+		svcProg: sp, ex: g.ex, wg: &g.wg, counter: counter, fixed: fixed,
+		par: g.ex.opts.Parallelism, up: up, depth: &g.depth[i], sc: sc,
+		cand: g.fid.Counter(pn.id), arena: newCombArena(g.ex.layout.width()),
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -371,13 +372,15 @@ func (s *sliceOp) Next(context.Context) (*comb, error) {
 func (s *sliceOp) Bound() float64 { return 0 }
 func (s *sliceOp) Close() error   { return nil }
 
-// TestServiceReaderModes drives the one demand-paged reader in its two
-// modes over a keyed service (6 tuples per key, chunks of 2, budget 3)
-// and three upstream combinations. A scan invokes once with its fixed
-// input, shares the fetched prefix across the combinations and gives up
-// the moment the service turns out empty; a piped reader invokes per
-// combination with the key the combination supplies, and in both modes a
-// chunk is fetched only when the enumeration runs past the prefix.
+// TestServiceReaderModes drives the one demand-paged reader over a keyed
+// service (6 tuples per key, chunks of 2, budget 3). A scan invokes once
+// with its fixed input, shares the fetched prefix across the upstream
+// combinations and gives up the moment the service turns out empty; a
+// pipe invokes per combination with the key the combination supplies. In
+// both modes a chunk is fetched only when the enumeration runs past the
+// prefix, except that a pipe at Parallelism p holds p combinations at once
+// and prepays the first chunk of each one ahead of the current one.
+// Counts are read once the look-ahead fetches have landed.
 func TestServiceReaderModes(t *testing.T) {
 	type step struct {
 		pull                 int // combinations to pull in this step (-1: to exhaustion)
@@ -385,35 +388,43 @@ func TestServiceReaderModes(t *testing.T) {
 		invocations, fetches int64
 		upstreamPulls        int
 	}
+	keyPipe := []pipeBind{{path: "Key", slot: 0, from: query.PathRef{Alias: "U", Path: "Id"}}}
 	for _, tc := range []struct {
 		name   string
-		paged  bool
-		key    int64   // scan: the fixed Key binding
+		fixed  service.Input
+		pipes  []pipeBind // non-empty: the reader is a pipe
+		par    int
 		upKeys []int64 // the upstream combinations' Ids (piped: their keys)
 		steps  []step
 	}{
-		{"scan pages one shared prefix", false, 1, []int64{0, 1, 2}, []step{
+		{"scan pages one shared prefix", service.Input{"Key": types.Int(1)}, nil, 1, []int64{0, 1, 2}, []step{
 			{1, 1, 1, 1, 1},   // first combination: one chunk, not the budget
 			{2, 2, 1, 2, 1},   // third tuple needs the second chunk
 			{4, 4, 1, 3, 2},   // 2nd upstream combination re-reads the prefix: no call
 			{-1, 11, 1, 3, 4}, // 18 in all, still one invocation and three fetches
 		}},
-		{"scan stops on an empty service", false, 99, []int64{0, 1, 2}, []step{
+		{"scan stops on an empty service", service.Input{"Key": types.Int(99)}, nil, 1, []int64{0, 1, 2}, []step{
 			{-1, 0, 1, 0, 1}, // nothing can compose: the other two upstream pulls are skipped
 		}},
-		{"piped starts over per combination", true, 0, []int64{0, 1, 2}, []step{
-			{1, 1, 1, 1, 1},   // no prepayment: pipeOp would have fetched 3 here
+		{"piped starts over per combination", service.Input{}, keyPipe, 1, []int64{0, 1, 2}, []step{
+			{1, 1, 1, 1, 1},   // no prepayment: one chunk of a budget of three
 			{5, 5, 1, 3, 1},   // the rest of combination 0
 			{1, 1, 2, 4, 2},   // combination 1 invokes afresh and pays one chunk
 			{-1, 11, 3, 9, 4}, // 18 in all: three invocations of three chunks
 		}},
-		{"piped survives an empty invocation", true, 0, []int64{99, 1}, []step{
+		{"piped survives an empty invocation", service.Input{}, keyPipe, 1, []int64{99, 1}, []step{
 			{1, 1, 2, 1, 2}, // key 99 yields nothing; the next combination may still
 			{-1, 5, 2, 3, 3},
 		}},
+		{"piped window of three", service.Input{}, keyPipe, 3, []int64{0, 1, 2, 3, 4}, []step{
+			{1, 1, 3, 3, 3},    // the current combination's chunk plus two first chunks ahead
+			{5, 5, 3, 5, 3},    // the rest of combination 0, on demand
+			{1, 1, 4, 6, 4},    // combination 1 has its chunk; combination 3 joins the window
+			{-1, 23, 5, 15, 6}, // a drain still fetches every invocation to its budget
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tab, err := synth.NewKeyed("X", 4, 6, service.Stats{
+			tab, err := synth.NewKeyed("X", 5, 6, service.Stats{
 				AvgCardinality: 6, ChunkSize: 2, CostPerCall: 1, Scoring: service.Linear(6),
 			})
 			if err != nil {
@@ -422,28 +433,27 @@ func TestServiceReaderModes(t *testing.T) {
 			e := New(map[string]service.Service{"X": tab}, nil)
 			layout := &aliasLayout{slots: map[string]int{"U": 0, "X": 1}, aliases: []string{"U", "X"}, weights: []float64{1, 1}}
 			up := &sliceOp{}
-			for _, k := range tc.upKeys {
+			upIndex := map[*types.Tuple]int{}
+			for i, k := range tc.upKeys {
 				tu := types.NewTuple(0.5)
 				tu.Set("Id", types.Int(k))
+				upIndex[tu] = i
 				up.combs = append(up.combs, &comb{score: 0.5, comps: []*types.Tuple{tu, nil}})
 			}
 			sp := &svcProg{
 				n: &plan.Node{ID: "X", Alias: "X", Stats: tab.Stats()}, slot: 1, budget: 3, w: 1, hint: 6,
-				paged: tc.paged,
-			}
-			fixed := service.Input{"Key": types.Int(tc.key)}
-			if tc.paged {
-				fixed = service.Input{}
-				sp.pipes = []pipeBind{{path: "Key", slot: 0, from: query.PathRef{Alias: "U", Path: "Id"}}}
+				pipes: tc.pipes,
 			}
 			counter := e.Invoker().NewRun().Counter("X")
+			var wg sync.WaitGroup
 			op := &serviceOp{
-				svcProg: sp, ex: &executor{Prepared: &Prepared{engine: e, layout: layout}},
-				counter: counter, fixed: fixed, up: up, depth: &atomic.Int64{},
+				svcProg: sp, ex: &executor{Prepared: &Prepared{engine: e, layout: layout}}, wg: &wg,
+				counter: counter, fixed: tc.fixed, par: tc.par, up: up, depth: &atomic.Int64{},
 				arena: newCombArena(layout.width()),
 			}
 			defer op.Close()
 			ctx := context.Background()
+			last := 0
 			for i, st := range tc.steps {
 				got := 0
 				for st.pull < 0 || got < st.pull {
@@ -455,6 +465,18 @@ func TestServiceReaderModes(t *testing.T) {
 						break
 					}
 					got++
+					// Results come out in upstream order.
+					if at := upIndex[c.comps[0]]; at < last {
+						t.Fatalf("step %d: combination %d emitted after combination %d", i, at, last)
+					} else {
+						last = at
+					}
+				}
+				wg.Wait()
+				for _, r := range op.ahead {
+					if r.fetches > 1 {
+						t.Fatalf("step %d: a combination ahead of the current one holds %d chunks", i, r.fetches)
+					}
 				}
 				if got != st.got || counter.Invocations() != st.invocations ||
 					counter.Fetches() != st.fetches || up.pulls != st.upstreamPulls {

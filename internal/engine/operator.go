@@ -32,8 +32,9 @@ import (
 //     leave any goroutines the operator spawned quiescent.
 //
 // Operators are not safe for concurrent use; the join-branch prefetcher
-// and the pipe window own their inputs exclusively, and fan-out nodes are
-// compiled to a mutex-guarded sharedOp with per-consumer tee cursors.
+// owns its input exclusively, a pipe's look-ahead goroutines touch only
+// the service, never the input, and fan-out nodes are compiled to a
+// mutex-guarded sharedOp with per-consumer tee cursors.
 type Operator interface {
 	Open(ctx context.Context) error
 	Next(ctx context.Context) (*comb, error)

@@ -47,7 +47,7 @@ func TestOperatorCloseBeforeExhaustion(t *testing.T) {
 		t.Fatalf("first pull: %v %v", c, err)
 	}
 	// Tear down mid-stream: every operator must come to rest, including
-	// the pipe window and join prefetch goroutines still in flight.
+	// the pipe look-ahead and join prefetch goroutines still in flight.
 	cancel()
 	g.wg.Wait()
 	g.shutdown()

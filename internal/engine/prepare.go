@@ -148,7 +148,7 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Run, error) {
 		return nil, err
 	}
 	// Label the run's goroutines for profiling: children (join-branch
-	// prefetchers, pipe-window invocations) inherit the label, so a pprof
+	// prefetchers, pipe look-ahead fetches) inherit the label, so a pprof
 	// profile partitions CPU/heap by query root.
 	var run *Run
 	var runErr error

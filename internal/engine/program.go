@@ -51,14 +51,9 @@ type svcProg struct {
 	w      float64
 	// hint pre-sizes the fetched-tuple prefix buffer.
 	hint int
-	// paged marks a piped node read on demand by serviceOp instead of
-	// through pipeOp's prepaid window: its sole consumer is a KindMultiJoin,
-	// which stops pulling a branch the moment its bound certifies. Piped
-	// nodes under any other consumer keep the window (and its call counts).
-	paged bool
 	// consts holds the constant input bindings; inputs lists the paths
 	// still to bind from RunOptions.Inputs, pipes those bound from each
-	// upstream combination.
+	// upstream combination (non-empty exactly for a pipe join).
 	consts service.Input
 	inputs []inputBind
 	pipes  []pipeBind
@@ -235,7 +230,6 @@ func (c *compiler) service(id string, n *plan.Node) (*svcProg, error) {
 	sp := &svcProg{
 		n: n, budget: budget, w: c.opts.Weights[n.Alias],
 		hint:   prefixHint(n, budget),
-		paged:  n.PipedFrom() && c.feedsOnlyMultiJoin(id),
 		consts: service.Input{},
 	}
 	for _, b := range n.Bindings {
@@ -260,17 +254,6 @@ func (c *compiler) service(id string, n *plan.Node) (*svcProg, error) {
 		return nil, err
 	}
 	return sp, nil
-}
-
-// feedsOnlyMultiJoin reports whether the node's only consumer is a
-// KindMultiJoin node.
-func (c *compiler) feedsOnlyMultiJoin(id string) bool {
-	succ := c.ann.Plan.Successors(id)
-	if len(succ) != 1 {
-		return false
-	}
-	n, ok := c.ann.Plan.Node(succ[0])
-	return ok && n.Kind == plan.KindMultiJoin
 }
 
 // join compiles a parallel join to exactly one of its two programs. When

@@ -24,7 +24,7 @@ const (
 	OpSelection = "selection"
 	// OpScan: the service scan of a non-piped service node.
 	OpScan = "scan"
-	// OpPipe: the windowed pipe join of a piped service node.
+	// OpPipe: the demand-paged pipe join of a piped service node.
 	OpPipe = "pipe"
 	// OpJoin: the parallel (tile-explored) join of a join node.
 	OpJoin = "join"

@@ -54,7 +54,9 @@ type Config struct {
 	K int
 	// Metric names the planning cost metric.
 	Metric string
-	// Parallelism bounds pipe-join parallelism per run.
+	// Parallelism is the number of piped invocations a pipe join keeps
+	// open at once per run, the current one included (default 4). Each
+	// one not yet reached prepays a single chunk.
 	Parallelism int
 	// DisableMultiway restricts planning to binary join trees, never
 	// proposing the n-ary multijoin. Plans are cached per toggle state,
