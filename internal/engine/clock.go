@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -33,28 +33,21 @@ func (WallClock) Sleep(d time.Duration) { time.Sleep(d) }
 // VirtualClock is discrete simulated time: Sleep returns immediately and
 // advances the clock by the full duration, so after a run Now has moved by
 // the serial sum of all charged call latencies. It is safe for concurrent
-// use (pipeline goroutines charge latency concurrently).
+// use (pipeline goroutines charge latency concurrently) and lock-free: the
+// clock is one atomic offset past the zero time.
 type VirtualClock struct {
-	mu  sync.Mutex
-	now time.Time
+	offset atomic.Int64 // nanoseconds
 }
 
 // NewVirtualClock returns a virtual clock starting at the zero time.
 func NewVirtualClock() *VirtualClock { return &VirtualClock{} }
 
 // Now implements Clock.
-func (c *VirtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *VirtualClock) Now() time.Time { return time.Time{}.Add(time.Duration(c.offset.Load())) }
 
 // Sleep implements Clock: it advances the clock without blocking.
 func (c *VirtualClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.offset.Add(int64(d))
 	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,5 +95,38 @@ func TestSimulatedElapsedIsChargedLatencySum(t *testing.T) {
 	}
 	if run.Elapsed != want {
 		t.Errorf("Elapsed = %v, want the serial latency sum %v (calls %v)", run.Elapsed, want, run.Calls)
+	}
+}
+
+// Eight goroutines charging latency while reading the clock: no reader
+// may see time go backwards, and the final reading is the sum of every
+// charged duration.
+func TestVirtualClockHammer(t *testing.T) {
+	c := NewVirtualClock()
+	epoch := c.Now()
+	const workers, rounds = 8, 2000
+	var wg sync.WaitGroup
+	var want atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			last := c.Now()
+			for i := 0; i < rounds; i++ {
+				d := time.Duration(w*rounds+i+1) * time.Microsecond
+				c.Sleep(d)
+				want.Add(int64(d))
+				now := c.Now()
+				if now.Before(last) {
+					t.Errorf("worker %d: clock went back from %v to %v", w, last, now)
+					return
+				}
+				last = now
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := c.Now().Sub(epoch); got != time.Duration(want.Load()) {
+		t.Errorf("clock advanced %v, want the sum of sleeps %v", got, time.Duration(want.Load()))
 	}
 }

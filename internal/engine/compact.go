@@ -77,14 +77,20 @@ type comb struct {
 // rank recomputes the comb's weighted score in slot order — a fixed,
 // deterministic summation order, unlike the map iteration the map-backed
 // Rank uses.
-func (l *aliasLayout) rank(c *comb) float64 {
+func (l *aliasLayout) rank(c *comb) { c.score = l.rankWith(c, -1, nil) }
+
+// rankWith is the score rank would give c with tu at slot, summed in the
+// same order, without building the comb; slot -1 scores c as it is.
+func (l *aliasLayout) rankWith(c *comb, slot int, tu *types.Tuple) float64 {
 	s := 0.0
 	for i, t := range c.comps {
+		if i == slot {
+			t = tu
+		}
 		if t != nil {
 			s += l.weights[i] * t.Score
 		}
 	}
-	c.score = s
 	return s
 }
 
@@ -207,9 +213,9 @@ func (a *combArena) release() {
 }
 
 // Pools for the runtime's reusable chunk buffers: comb slices (branch
-// chunks, tile output, pipe-slot results) and tuple slices (service fetch
-// prefixes). Buffers are cleared on put so they never retain combinations
-// or tuples past their owner's Close.
+// chunks, tile output) and tuple slices (service fetch prefixes). Buffers
+// are cleared on put so they never retain combinations or tuples past
+// their owner's Close.
 
 var combSlicePool = sync.Pool{New: func() any {
 	s := make([]*comb, 0, 32)
@@ -221,48 +227,30 @@ var tupleSlicePool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// getCombSlice returns an empty pooled comb buffer, grown to the hint.
-// An undersized pooled buffer goes back to the pool before the fresh
+func getCombSlice(hint int) []*comb         { return getSlice[*comb](&combSlicePool, hint) }
+func putCombSlice(s []*comb)                { putSlice(&combSlicePool, s) }
+func getTupleSlice(hint int) []*types.Tuple { return getSlice[*types.Tuple](&tupleSlicePool, hint) }
+func putTupleSlice(s []*types.Tuple)        { putSlice(&tupleSlicePool, s) }
+
+// getSlice returns an empty pooled buffer, grown to the hint. An
+// undersized pooled buffer goes back to the pool before the fresh
 // allocation replaces it, so large hints don't drain the pool.
-func getCombSlice(hint int) []*comb {
-	b := combSlicePool.Get().(*[]*comb)
+func getSlice[T any](p *sync.Pool, hint int) []T {
+	b := p.Get().(*[]T)
 	if hint > cap(*b) {
-		combSlicePool.Put(b)
-		return make([]*comb, 0, hint)
+		p.Put(b)
+		return make([]T, 0, hint)
 	}
 	return (*b)[:0]
 }
 
-// putCombSlice clears and returns a comb buffer to the pool.
-func putCombSlice(s []*comb) {
+// putSlice clears and returns a buffer to the pool.
+func putSlice[T any](p *sync.Pool, s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	s = s[:cap(s)]
 	clear(s)
 	s = s[:0]
-	combSlicePool.Put(&s)
-}
-
-// getTupleSlice returns an empty pooled tuple buffer, grown to the hint.
-// An undersized pooled buffer goes back to the pool before the fresh
-// allocation replaces it, so large hints don't drain the pool.
-func getTupleSlice(hint int) []*types.Tuple {
-	b := tupleSlicePool.Get().(*[]*types.Tuple)
-	if hint > cap(*b) {
-		tupleSlicePool.Put(b)
-		return make([]*types.Tuple, 0, hint)
-	}
-	return (*b)[:0]
-}
-
-// putTupleSlice clears and returns a tuple buffer to the pool.
-func putTupleSlice(s []*types.Tuple) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	clear(s)
-	s = s[:0]
-	tupleSlicePool.Put(&s)
+	p.Put(&s)
 }

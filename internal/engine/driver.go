@@ -24,7 +24,9 @@ import (
 //     best score pulled so far and halts as soon as that score reaches
 //     the root's bound — no unseen combination can then enter the top-K —
 //     and, under Options.Degrade, turns mid-run failures into partial
-//     results with a certified prefix.
+//     results with a certified prefix. It shares that score with the root
+//     reader as the run's floor: a root service reader skips candidates
+//     below it and runs the stopping test itself (serviceOp.skip).
 //
 // The drivers are the materialization boundary of the compact runtime:
 // combs are sorted and truncated in compact form, and only the surviving
@@ -94,11 +96,9 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 	}
 
 	budget := ex.budgetCheck(start)
-	var (
-		best   = newTopK(ex.opts.TargetK, ex.outHint)
-		halted bool
-		deg    *Degradation
-	)
+	best := newTopK(ex.opts.TargetK, ex.outHint)
+	ex.best, ex.budget = &best, budget
+	var deg *Degradation
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -126,15 +126,15 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 			break
 		}
 		best.push(c)
-		if ex.earlyStop && best.full() && best.kth() >= g.root.Bound() {
-			halted = true
-			runSc.Event("halted",
-				obs.KI("pulled", int64(best.pulled)),
-				obs.KV("kth", trim(best.kth())),
-				obs.KV("bound", trim(g.root.Bound())))
-			break
+		if ex.earlyStop && best.full() {
+			ex.floor = best.kth()
+			if b := g.root.Bound(); ex.floor >= b {
+				ex.halt(b)
+				break
+			}
 		}
 	}
+	halted := ex.halted
 	// The degradation report needs the stop bound before the pipeline is
 	// torn down (a cancelled operator's bound collapses).
 	var stopBound float64
@@ -171,10 +171,22 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 		run.Elapsed,
 		obs.KI("combinations", int64(len(res))),
 		obs.KI("pulled", int64(best.pulled)),
-		obs.KV("halted", boolAttr(halted)),
-		obs.KV("degraded", boolAttr(deg != nil)),
+		obs.KV("halted", strconv.FormatBool(halted)),
+		obs.KV("degraded", strconv.FormatBool(deg != nil)),
 	)
 	return run, nil
+}
+
+// halt records that the floor reached the root's bound, certifying the
+// top-K: in the driver after a push, in the root reader after a skip.
+func (ex *executor) halt(bound float64) {
+	ex.halted = true
+	if ex.run.Trace != nil {
+		ex.run.Trace.Scope("run").Event("halted",
+			obs.KI("pulled", int64(ex.best.pulled)),
+			obs.KV("kth", trim(ex.floor)),
+			obs.KV("bound", trim(bound)))
+	}
 }
 
 // materialize converts the surviving combs to the public map-backed
@@ -190,13 +202,6 @@ func (ex *executor) materialize(ranked []rankedComb) []*types.Combination {
 
 // trim renders a score for a trace attribute.
 func trim(f float64) string { return strconv.FormatFloat(f, 'g', 6, 64) }
-
-func boolAttr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
 
 // nonNegative reports whether every ranking weight is ≥ 0 — the
 // monotonicity requirement of the early-stopping bound.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"strconv"
+
 	"seco/internal/fidelity"
 	"seco/internal/obs"
 )
@@ -39,7 +41,7 @@ func (ex *executor) assessFidelity(g *graph) *fidelity.Report {
 				obs.KV("est_out", fidelity.Fnum(nf.EstOut)),
 				obs.KV("act_out", fidelity.Fnum(nf.ActOut)),
 				obs.KV("q", fidelity.Fnum(nf.Q)),
-				obs.KV("drift", boolAttr(nf.Drift)))
+				obs.KV("drift", strconv.FormatBool(nf.Drift)))
 		}
 	}
 	return rep

@@ -68,6 +68,12 @@ func (p *Prepared) instantiate(ex *executor) (*graph, error) {
 		}
 	}
 	g.root = g.reader(p.root)
+	// Only the root's output goes straight into the driver's top-K.
+	if c, ok := g.root.(*countedOp); ok {
+		if s, ok := c.inner.(*serviceOp); ok {
+			s.emitted = c.n
+		}
+	}
 	return g, nil
 }
 

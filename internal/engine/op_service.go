@@ -49,16 +49,26 @@ type serviceOp struct {
 	cand  *fidelity.Counter // compose attempts; nil when fidelity is off
 
 	arena *combArena
+	// emitted is the root reader's emission counter (nil on every other
+	// reader): only the root skips what cannot rank, see skip.
+	emitted *atomic.Int64
+	// labeled is the run context with this node's seco.operator label; one
+	// serves all launches, as every Next of a run has the same context.
+	labeled context.Context
 	// rd is the invocation the current combination reads: a scan's one
 	// invocation for the whole run, a pipe's own per combination.
 	rd *reading
 	// ahead holds a pipe's launched readings not yet reached, in upstream
 	// order.
 	ahead  []*reading
-	upDone bool
 	cur    *comb
 	j      int
+	upDone bool
 	done   bool
+	// rest snapshots boundRest while skipping: from a skip to the next
+	// fetch, advance or real emission.
+	skipping bool
+	rest     float64
 }
 
 // reading is one invocation of the service and the ranked prefix it has
@@ -171,12 +181,18 @@ func (s *serviceOp) Next(ctx context.Context) (*comb, error) {
 			return nil, err
 		}
 		if s.cur == nil {
+			if s.recheck() {
+				return nil, nil
+			}
 			if err := s.advance(ctx); err != nil || s.done {
 				return nil, err
 			}
 		}
 		r := s.rd
 		for s.j >= len(r.tuples) && s.canFetch(r) {
+			if s.recheck() {
+				return nil, nil
+			}
 			if err := s.fetch(ctx, r); err != nil {
 				return nil, err
 			}
@@ -190,14 +206,61 @@ func (s *serviceOp) Next(ctx context.Context) (*comb, error) {
 		tu := r.tuples[s.j]
 		s.j++
 		s.cand.Add(1)
-		merged, ok, err := compose(s.arena, s.ex.layout, s.cur, s.slot, tu, s.preds)
-		if err != nil {
-			return nil, err
+		if ok, err := matchSvc(s.cur, tu, s.preds); err != nil || !ok {
+			if err != nil {
+				return nil, err
+			}
+			continue
 		}
-		if ok {
-			return merged, nil
+		score := s.ex.layout.rankWith(s.cur, s.slot, tu)
+		if s.emitted != nil && score < s.ex.floor {
+			if err := s.skip(ctx); err != nil || s.done {
+				return nil, err
+			}
+			continue
 		}
+		s.skipping = false
+		return compose(s.arena, s.cur, s.slot, tu, score), nil
 	}
+}
+
+// skip drops a root candidate below the pull driver's floor, which could
+// never displace a top-K entry, doing what the driver would have done with
+// it: count it, test floor ≥ Bound, probe cancellation and budget. Only
+// the current combination's term of Bound moves between skips.
+func (s *serviceOp) skip(ctx context.Context) error {
+	s.emitted.Add(1)
+	s.ex.best.pulled++
+	if !s.skipping {
+		s.rest, s.skipping = s.boundRest(), true
+	}
+	if s.certified(math.Max(s.curBound(), s.rest)) {
+		return nil
+	}
+	if err := ctx.Err(); err != nil || s.ex.budget == nil {
+		return err
+	}
+	return s.ex.budget()
+}
+
+// recheck drops the snapshot before a fetch or advance and, after skips,
+// re-tests with a fresh Bound. Its current term is below the floor after
+// a skip, so only boundRest, tightened by landed look-aheads, decides.
+func (s *serviceOp) recheck() bool {
+	skipped := s.skipping
+	s.skipping = false
+	return skipped && s.certified(s.Bound())
+}
+
+// certified runs the pull driver's stopping test against bound; when it
+// fires, the top-K is certified and the enumeration ends here.
+func (s *serviceOp) certified(bound float64) bool {
+	if s.ex.floor < bound {
+		return false
+	}
+	s.done = true
+	s.ex.halt(bound)
+	return true
 }
 
 // advance moves to the next upstream combination. A scan keeps reading
@@ -253,16 +316,21 @@ func (s *serviceOp) advance(ctx context.Context) error {
 // observed, so profiles attribute the overlapped invocations to this node.
 func (s *serviceOp) launch(ctx context.Context, r *reading) {
 	r.ready = make(chan struct{})
+	labeled := s.sc != nil || s.ex.engine.metrics != nil
+	if labeled {
+		if s.labeled == nil {
+			s.labeled = pprof.WithLabels(ctx, pprof.Labels("seco.operator", s.n.ID))
+		}
+		ctx = s.labeled
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer close(r.ready)
-		work := func(ctx context.Context) { r.err = s.fetch(ctx, r) }
-		if s.sc != nil || s.ex.engine.metrics != nil {
-			pprof.Do(ctx, pprof.Labels("seco.operator", s.n.ID), work)
-		} else {
-			work(ctx)
+		if labeled {
+			pprof.SetGoroutineLabels(ctx)
 		}
+		r.err = s.fetch(ctx, r)
 	}()
 }
 
@@ -286,15 +354,25 @@ func (s *serviceOp) Bound() float64 {
 	if s.done {
 		return math.Inf(-1)
 	}
-	b := math.Inf(-1)
+	return math.Max(s.curBound(), s.boundRest())
+}
+
+// curBound bounds the rest of the current upstream combination's inner
+// loop, in O(1).
+func (s *serviceOp) curBound() float64 {
 	if s.cur != nil {
-		// Remaining inner loop of the current upstream combination.
 		if v, ok := s.nextCap(s.rd, s.j); ok {
-			b = s.cur.score + s.w*v
+			return s.cur.score + s.w*v
 		}
 	}
-	// Combinations pulled ahead: the first fetched tuple once it has
-	// landed, the curve's top while the fetch is in flight.
+	return math.Inf(-1)
+}
+
+// boundRest bounds everything after the current combination: the
+// combinations pulled ahead — the first fetched tuple once it has landed,
+// the curve's top while the fetch is in flight — and the upstream.
+func (s *serviceOp) boundRest() float64 {
+	b := math.Inf(-1)
 	top := scoringCap(s.n.Stats.Scoring, 0)
 	for _, r := range s.ahead {
 		v, ok := top, true

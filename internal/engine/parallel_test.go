@@ -2,11 +2,15 @@ package engine
 
 import (
 	"context"
+	"runtime/pprof"
+	"sync"
 	"testing"
 	"time"
 
 	"seco/internal/mart"
+	"seco/internal/obs"
 	"seco/internal/plan"
+	"seco/internal/service"
 	"seco/internal/synth"
 )
 
@@ -88,5 +92,74 @@ func TestPipeInvocationsRunConcurrently(t *testing.T) {
 	// whole run should finish far below that.
 	if elapsed >= 1200*time.Millisecond {
 		t.Errorf("elapsed %v suggests sequential pipe invocations (calls: %v)", elapsed, run.Calls)
+	}
+}
+
+// labelRecorder records the pprof labels on the context of every Invoke.
+type labelRecorder struct {
+	service.Service
+	mu     sync.Mutex
+	labels [][2]string // seco.query, seco.operator
+}
+
+func (l *labelRecorder) Invoke(ctx context.Context, in service.Input) (service.Invocation, error) {
+	q, _ := pprof.Label(ctx, "seco.query")
+	op, _ := pprof.Label(ctx, "seco.operator")
+	l.mu.Lock()
+	l.labels = append(l.labels, [2]string{q, op})
+	l.mu.Unlock()
+	return l.Service.Invoke(ctx, in)
+}
+
+// Under metrics, every piped invocation carries the run's seco.query
+// label, and the look-ahead ones — issued on their own goroutines — also
+// carry the piped node's seco.operator label.
+func TestLookAheadInvokeCarriesLabels(t *testing.T) {
+	reg, err := mart.TravelScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, q, err := plan.TravelPlan(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := synth.NewTravelWorld(reg, synth.TravelConfig{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wID, rootID string
+	for _, id := range p.NodeIDs() {
+		n, _ := p.Node(id)
+		switch {
+		case n.Kind == plan.KindService && n.Alias == "W":
+			wID = id
+		case n.Kind == plan.KindOutput:
+			rootID = p.Predecessors(id)[0]
+		}
+	}
+	svcs := world.Services()
+	rec := &labelRecorder{Service: svcs["W"]}
+	svcs["W"] = rec
+	e := NewWithConfig(svcs, Config{Metrics: obs.NewRegistry()})
+	a, err := plan.Annotate(p, map[string]int{"F": 1, "H": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(context.Background(), a, Options{
+		Inputs: world.Inputs, Weights: q.Weights, Parallelism: 4,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lookAhead := 0
+	for _, l := range rec.labels {
+		if l[0] != rootID {
+			t.Errorf("Invoke saw seco.query %q, want %q", l[0], rootID)
+		}
+		if l[1] == wID {
+			lookAhead++
+		}
+	}
+	if lookAhead == 0 {
+		t.Errorf("no Invoke of W carried seco.operator %q (labels %v)", wID, rec.labels)
 	}
 }

@@ -179,31 +179,30 @@ func mergeBranches(a *combArena, layout *aliasLayout, cl, cr *comb) (*comb, bool
 	return m, true
 }
 
-// compose merges a new component into a comb, checks the node's compiled
-// pair predicates against the already-present peer components, and
-// re-scores the result.
-func compose(a *combArena, layout *aliasLayout, c *comb, slot int, tu *types.Tuple, preds []svcPred) (*comb, bool, error) {
+// matchSvc checks a service node's compiled pair predicates between a new
+// component and the peer components already in c.
+func matchSvc(c *comb, tu *types.Tuple, preds []svcPred) (bool, error) {
 	for i := range preds {
 		sp := &preds[i]
 		other := c.comps[sp.otherSlot]
 		if other == nil {
 			continue // the peer component joins later in the plan
 		}
-		ok, err := sp.match(tu, other)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
+		if ok, err := sp.match(tu, other); err != nil || !ok {
+			return false, err
 		}
 	}
+	return true, nil
+}
+
+// compose merges a matched new component into c, scored by rankWith.
+func compose(a *combArena, c *comb, slot int, tu *types.Tuple, score float64) *comb {
 	if c.comps[slot] != nil {
 		panic(fmt.Sprintf("engine: duplicate slot %d in composition", slot))
 	}
 	m := a.clone(c)
-	m.comps[slot] = tu
-	layout.rank(m)
-	return m, true, nil
+	m.comps[slot], m.score = tu, score
+	return m
 }
 
 // compiledSel is one selection predicate with its left path pre-cut and

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"time"
 
@@ -123,7 +124,7 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Run, error) {
 		opts.Trace.Bind(e.clock, virtual)
 	}
 	start := e.clock.Now()
-	ex := &executor{Prepared: p, run: opts, scope: e.invoker.NewRun()}
+	ex := &executor{Prepared: p, run: opts, scope: e.invoker.NewRun(), floor: math.Inf(-1)}
 	// Thread the execution budget through the context: every Invoke and
 	// Fetch passes the run's Counter, which refuses calls once the budget
 	// probe reports expiry — on this engine's clock, so virtual runs
@@ -169,6 +170,14 @@ type executor struct {
 	*Prepared
 	run   RunOptions
 	scope *service.RunScope
+	// The pull driver's stopping rule, shared with the root reader in plain
+	// fields (its Next runs on the driver goroutine): floor is the K-th best
+	// score once the top-K is full and the run may stop early, -Inf
+	// otherwise and under drain; halted is set by either stop path.
+	floor  float64
+	best   *topK
+	budget func() error
+	halted bool
 }
 
 // newRun assembles the common Run fields from the run's counting scope.
