@@ -105,9 +105,9 @@ func runE17(w io.Writer) error {
 	fmt.Fprintln(w, "  the multi-way operator applies every cycle edge during enumeration, so")
 	fmt.Fprintln(w, "  the corner bound certifies the top-5 before the binary tree, which must")
 	fmt.Fprintln(w, "  defer one edge past its first join and read the inflated intermediate.")
-	fmt.Fprintln(w, "  every pipe is demand-paged: at Parallelism 1 a call is issued only when")
-	fmt.Fprintln(w, "  the enumeration needs it; above that, each combination pulled ahead")
-	fmt.Fprintln(w, "  prepays one chunk. both topologies return the identical result set")
+	fmt.Fprintln(w, "  every reader is demand-paged: on the virtual clock a call is issued only")
+	fmt.Fprintln(w, "  when the enumeration needs it, at any Parallelism (the window only reads")
+	fmt.Fprintln(w, "  upstream ahead for the bound). both topologies return the identical result set")
 	fmt.Fprintln(w, "  (equivalence tests of internal/core assert fingerprint identity across")
 	fmt.Fprintln(w, "  seeds and policies).")
 	return writeArtifact(w, "multiway_cells.json", cells)

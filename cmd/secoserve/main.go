@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		seed        = fs.Int64("seed", 7, "world seed")
 		k           = fs.Int("k", 10, "requested combinations per run")
 		metric      = fs.String("metric", "request-response", "cost metric for planning")
-		parallelism = fs.Int("parallelism", 4, "piped invocations a pipe join keeps open per run, the current one included; each one ahead prepays one chunk")
+		parallelism = fs.Int("parallelism", 4, "upstream combinations a pipe join holds per run, the current one included: the overlap window under -live, where each one ahead prepays one chunk; on the virtual clock it only tightens the bound")
 		cache       = fs.Bool("cache", true, "enable the call-sharing layer")
 		binaryOnly  = fs.Bool("binary-joins", false, "restrict planning to binary join trees (no n-ary multijoin)")
 		interval    = fs.Duration("interval", 2*time.Second, "delay between background query runs (0 = run once)")

@@ -72,18 +72,6 @@ type Result struct {
 	Retries   int64
 	Spikes    int64
 
-	// Volatile marks cells whose fine-grained fields (Returned, fault
-	// counters, certified prefix length) are schedule-dependent and must
-	// not be compared bit-for-bit between replays. Streaming budget cells
-	// are volatile: the driver's expiry probe races the prefetch
-	// goroutines charging latency on the shared virtual clock, so expiry
-	// can land one pull earlier or later between otherwise identical
-	// runs. Consumers asserting determinism (the replay test, the CI
-	// chaos job) must downgrade volatile cells to invariant-only
-	// comparisons — degraded flag, reason, violation count — instead of
-	// special-casing schedule names.
-	Volatile bool `json:",omitempty"`
-
 	// Resilience is the per-alias middleware breakdown behind the
 	// aggregate counters above (retries, breaker trips and rejections,
 	// injected faults), straight from Run.Resilience.
@@ -214,13 +202,11 @@ func DefaultSchedules(aliases []string, seeds []int64) []Schedule {
 				Rules: map[string][]Rule{
 					victim: {FailAfter{N: 3 + int(seed%17)}},
 				}},
-			// Budget cells are the one family whose returned count is
-			// schedule-dependent: the driver's expiry probe races the
-			// pipeline goroutines charging latency on the virtual clock,
-			// so expiry can land one pull earlier or later between runs.
-			// The invariants below therefore bound budget runs (certified
-			// prefix, elapsed ≤ budget, no violation) rather than pin an
-			// exact combination count.
+			// Budget cells expire mid-run. The invariants bound them
+			// (certified prefix, elapsed ≤ budget, no violation) rather
+			// than pin a combination count; the replay test pins the
+			// count, since on the virtual clock every call is charged on
+			// the goroutine that needs it.
 			Schedule{Name: "budget", Seed: seed, BudgetShare: 0.5,
 				Rules: map[string][]Rule{
 					victim: {TransientRate{P: 0.05}},
@@ -308,8 +294,7 @@ func resilient(svc service.Service, seed int64) service.Service {
 // runCell executes one scenario under one schedule and driver policy and
 // checks its invariants against the fault-free reference.
 func runCell(ctx context.Context, sc *Scenario, sched Schedule, streaming bool, ref *engine.Run) Result {
-	res := Result{Scenario: sc.Name, Schedule: sched.Name, Seed: sched.Seed, Streaming: streaming,
-		Volatile: streaming && sched.BudgetShare > 0}
+	res := Result{Scenario: sc.Name, Schedule: sched.Name, Seed: sched.Seed, Streaming: streaming}
 	fail := func(format string, args ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
@@ -368,24 +353,20 @@ func runCell(ctx context.Context, sc *Scenario, sched Schedule, streaming bool, 
 				break
 			}
 		}
-		// Request-response counts replay exactly only under the drain
-		// driver: the pull driver's prefetch pipelines race with the
-		// top-k stop, so its trailing call counts legitimately vary by
-		// the pipeline window.
-		if !streaming {
-			for _, alias := range sortedAliases(ref.Calls) {
-				if run.Calls[alias] != ref.Calls[alias] {
-					fail("alias %s: %d request-responses vs reference %d (retries must be transparent)",
-						alias, run.Calls[alias], ref.Calls[alias])
-				}
+		// Request-response counts replay exactly under both drivers: on
+		// the virtual clock every call is made on demand, so nothing races
+		// the pull driver's top-k stop.
+		for _, alias := range sortedAliases(ref.Calls) {
+			if run.Calls[alias] != ref.Calls[alias] {
+				fail("alias %s: %d request-responses vs reference %d (retries must be transparent)",
+					alias, run.Calls[alias], ref.Calls[alias])
 			}
 		}
 		return res
 	}
 
-	// Lossy schedule: either the fault never bit (it may have been
-	// injected only into trailing prefetched calls whose results the
-	// top-k never needed — the run still matches the reference exactly)
+	// Lossy schedule: either the fault never bit (the run certified its
+	// top-k before reaching it and still matches the reference exactly)
 	// or the run must have degraded gracefully.
 	if run.Degraded == nil {
 		if sched.BudgetShare > 0 && run.Elapsed >= opts.Budget {

@@ -124,9 +124,12 @@ func (s *System) Plan(q *query.Query, opts PlanOptions) (*optimizer.Result, erro
 type RunOptions struct {
 	// Inputs binds the query's INPUT variables.
 	Inputs map[string]types.Value
-	// Parallelism is the number of piped invocations a pipe join keeps
-	// open at once, the current one included (default 8). Each one not
-	// yet reached prepays a single chunk.
+	// Parallelism is the number of upstream combinations a pipe join
+	// holds at once, the current one included (default 8). Under
+	// LiveLatency it is the overlap window: each one not yet reached
+	// prepays a single chunk. On the default virtual clock every call is
+	// made on demand, and it only sets how far a pipe reads upstream for
+	// its bound.
 	Parallelism int
 	// LiveLatency runs on the wall clock: every fetch sleeps the
 	// service's published latency, so wall-clock measurements reflect the

@@ -140,9 +140,9 @@ func TestTriangleEquivalence(t *testing.T) {
 // pull driver must certify the top-5 over the n-ary plan with strictly
 // fewer service request-responses than over the best binary plan, both
 // with the pipes read purely on demand (Parallelism 1) and behind the
-// default look-ahead window. Measured on seed 7: n-ary 17–18 calls,
-// binary 23–24 at either setting (the join branches' prefetch races the
-// halt by a call). The gap is the topology's alone; a former bar of "30 %
+// default look-ahead window. Measured on seed 7: n-ary 16 calls, binary
+// 21 at either setting (exact: on the virtual clock every call is made on
+// demand). The gap is the topology's alone; a former bar of "30 %
 // fewer" measured the prepaid budgets the binary plan's pipes used to
 // spend, not the join.
 func TestTriangleFewerCalls(t *testing.T) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,20 @@ import (
 	"seco/internal/plan"
 	"seco/internal/synth"
 )
+
+// yieldClock is a clock that waits, as far as the engine can tell: it is
+// not a VirtualClock, so pipe look-ahead and join-branch prefetch run on
+// their own goroutines under it. It never blocks: Now reads an atomic
+// counter, and Sleep advances it and yields, so the overlapped path is
+// exercised (and raced) at virtual-clock speed.
+type yieldClock struct{ ns atomic.Int64 }
+
+func (c *yieldClock) Now() time.Time { return time.Time{}.Add(time.Duration(c.ns.Load())) }
+
+func (c *yieldClock) Sleep(d time.Duration) {
+	c.ns.Add(int64(d))
+	runtime.Gosched()
+}
 
 func TestVirtualClockAdvancesWithoutBlocking(t *testing.T) {
 	c := NewVirtualClock()

@@ -51,9 +51,12 @@ type PrepareOptions struct {
 	// additionally uses it to stop early once the top-K set is guaranteed
 	// by the score bounds.
 	TargetK int
-	// Parallelism is the number of piped invocations a pipe join keeps
-	// open at once, the current one included (default 8). Each one not
-	// yet reached prepays a single chunk; 1 reads purely on demand.
+	// Parallelism is the number of upstream combinations a pipe join
+	// holds at once, the current one included (default 8). Under a clock
+	// that waits it is the overlap window: each one not yet reached
+	// prepays a single chunk on a goroutine of its own, and 1 reads purely
+	// on demand. Under the default VirtualClock every call is made on
+	// demand, and it only sets how far a pipe reads upstream for its bound.
 	Parallelism int
 	// Materialize selects the eager-drain driver policy (materialize,
 	// rank, then truncate) instead of the default K-bounded pull —
@@ -211,6 +214,11 @@ func (r *Run) TotalCalls() int64 {
 type Engine struct {
 	invoker *service.Invoker
 	clock   Clock
+	// virtual records that clock is a VirtualClock. Virtual time is the
+	// serial sum of charged latencies, so overlapping calls buys nothing:
+	// under it every reader fetches on demand, on its consumer's goroutine,
+	// instead of prefetching on goroutines of its own.
+	virtual bool
 	metrics *obs.Registry
 	inst    instruments
 	// intern is the engine's interning scope: one front cache over the
@@ -282,9 +290,11 @@ func NewWithConfig(services map[string]service.Service, cfg Config) *Engine {
 			service.InstallTimeSource(lane, clk)
 		}
 	}
+	_, virtual := clk.(*VirtualClock)
 	return &Engine{
 		invoker: inv,
 		clock:   clk,
+		virtual: virtual,
 		metrics: cfg.Metrics,
 		inst:    newInstruments(cfg.Metrics),
 		intern:  intern,

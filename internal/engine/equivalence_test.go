@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -18,7 +19,9 @@ import (
 // same declarative query: executed with exhaustive fetch budgets and
 // rectangular joins, each must produce exactly the same combination set.
 // This exercises the engine's sequential-composition path (chains with
-// service-node join predicates) against the parallel-join path.
+// service-node join predicates) against the parallel-join path, on a
+// VirtualClock and on a clock that waits, whose look-ahead and prefetch
+// goroutines overlap the calls.
 func TestFig9TopologiesProduceSameResults(t *testing.T) {
 	reg, err := mart.MovieScenario()
 	if err != nil {
@@ -66,18 +69,20 @@ func TestFig9TopologiesProduceSameResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := New(world.Services(), nil).Execute(context.Background(), a, Options{
-			Inputs: world.Inputs, Weights: q.Weights,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", top, err)
+		for _, clk := range []Clock{nil, &yieldClock{}} {
+			run, err := New(world.Services(), clk).Execute(context.Background(), a, Options{
+				Inputs: world.Inputs, Weights: q.Weights,
+			})
+			if err != nil {
+				t.Fatalf("%v: %v", top, err)
+			}
+			var sigs []string
+			for _, c := range run.Combinations {
+				sigs = append(sigs, comboIdentity(c))
+			}
+			sort.Strings(sigs)
+			results[fmt.Sprintf("%s on %T", top, clk)] = sigs
 		}
-		var sigs []string
-		for _, c := range run.Combinations {
-			sigs = append(sigs, comboIdentity(c))
-		}
-		sort.Strings(sigs)
-		results[top.String()] = sigs
 	}
 	var ref []string
 	var refName string

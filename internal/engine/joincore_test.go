@@ -378,9 +378,11 @@ func (s *sliceOp) Close() error   { return nil }
 // combinations and gives up the moment the service turns out empty; a
 // pipe invokes per combination with the key the combination supplies. In
 // both modes a chunk is fetched only when the enumeration runs past the
-// prefix, except that a pipe at Parallelism p holds p combinations at once
-// and prepays the first chunk of each one ahead of the current one.
-// Counts are read once the look-ahead fetches have landed.
+// prefix. A pipe at Parallelism p holds p combinations at once; under a
+// clock that waits it prepays the first chunk of each one ahead of the
+// current one, under a VirtualClock it invokes none of them before the
+// enumeration reaches it. Counts are read once the look-ahead fetches
+// have landed.
 func TestServiceReaderModes(t *testing.T) {
 	type step struct {
 		pull                 int // combinations to pull in this step (-1: to exhaustion)
@@ -394,32 +396,39 @@ func TestServiceReaderModes(t *testing.T) {
 		fixed  service.Input
 		pipes  []pipeBind // non-empty: the reader is a pipe
 		par    int
+		clk    Clock   // nil: a VirtualClock
 		upKeys []int64 // the upstream combinations' Ids (piped: their keys)
 		steps  []step
 	}{
-		{"scan pages one shared prefix", service.Input{"Key": types.Int(1)}, nil, 1, []int64{0, 1, 2}, []step{
+		{"scan pages one shared prefix", service.Input{"Key": types.Int(1)}, nil, 1, nil, []int64{0, 1, 2}, []step{
 			{1, 1, 1, 1, 1},   // first combination: one chunk, not the budget
 			{2, 2, 1, 2, 1},   // third tuple needs the second chunk
 			{4, 4, 1, 3, 2},   // 2nd upstream combination re-reads the prefix: no call
 			{-1, 11, 1, 3, 4}, // 18 in all, still one invocation and three fetches
 		}},
-		{"scan stops on an empty service", service.Input{"Key": types.Int(99)}, nil, 1, []int64{0, 1, 2}, []step{
+		{"scan stops on an empty service", service.Input{"Key": types.Int(99)}, nil, 1, nil, []int64{0, 1, 2}, []step{
 			{-1, 0, 1, 0, 1}, // nothing can compose: the other two upstream pulls are skipped
 		}},
-		{"piped starts over per combination", service.Input{}, keyPipe, 1, []int64{0, 1, 2}, []step{
+		{"piped starts over per combination", service.Input{}, keyPipe, 1, nil, []int64{0, 1, 2}, []step{
 			{1, 1, 1, 1, 1},   // no prepayment: one chunk of a budget of three
 			{5, 5, 1, 3, 1},   // the rest of combination 0
 			{1, 1, 2, 4, 2},   // combination 1 invokes afresh and pays one chunk
 			{-1, 11, 3, 9, 4}, // 18 in all: three invocations of three chunks
 		}},
-		{"piped survives an empty invocation", service.Input{}, keyPipe, 1, []int64{99, 1}, []step{
+		{"piped survives an empty invocation", service.Input{}, keyPipe, 1, nil, []int64{99, 1}, []step{
 			{1, 1, 2, 1, 2}, // key 99 yields nothing; the next combination may still
 			{-1, 5, 2, 3, 3},
 		}},
-		{"piped window of three", service.Input{}, keyPipe, 3, []int64{0, 1, 2, 3, 4}, []step{
+		{"piped window of three", service.Input{}, keyPipe, 3, &yieldClock{}, []int64{0, 1, 2, 3, 4}, []step{
 			{1, 1, 3, 3, 3},    // the current combination's chunk plus two first chunks ahead
 			{5, 5, 3, 5, 3},    // the rest of combination 0, on demand
 			{1, 1, 4, 6, 4},    // combination 1 has its chunk; combination 3 joins the window
+			{-1, 23, 5, 15, 6}, // a drain still fetches every invocation to its budget
+		}},
+		{"piped window of three on a virtual clock", service.Input{}, keyPipe, 3, nil, []int64{0, 1, 2, 3, 4}, []step{
+			{1, 1, 1, 1, 3},    // the window is pulled, but only the current combination is invoked
+			{5, 5, 1, 3, 3},    // the rest of combination 0, on demand
+			{1, 1, 2, 4, 4},    // combination 1 is invoked once reached; combination 3 joins the window
 			{-1, 23, 5, 15, 6}, // a drain still fetches every invocation to its budget
 		}},
 	} {
@@ -430,7 +439,7 @@ func TestServiceReaderModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := New(map[string]service.Service{"X": tab}, nil)
+			e := New(map[string]service.Service{"X": tab}, tc.clk)
 			layout := &aliasLayout{slots: map[string]int{"U": 0, "X": 1}, aliases: []string{"U", "X"}, weights: []float64{1, 1}}
 			up := &sliceOp{}
 			upIndex := map[*types.Tuple]int{}
@@ -477,6 +486,9 @@ func TestServiceReaderModes(t *testing.T) {
 					if r.fetches > 1 {
 						t.Fatalf("step %d: a combination ahead of the current one holds %d chunks", i, r.fetches)
 					}
+					if e.virtual && r.inv != nil {
+						t.Fatalf("step %d: a combination ahead of the current one was invoked on a virtual clock", i)
+					}
 				}
 				if got != st.got || counter.Invocations() != st.invocations ||
 					counter.Fetches() != st.fetches || up.pulls != st.upstreamPulls {
@@ -484,6 +496,47 @@ func TestServiceReaderModes(t *testing.T) {
 						i, got, counter.Invocations(), counter.Fetches(), up.pulls,
 						st.got, st.invocations, st.fetches, st.upstreamPulls)
 				}
+			}
+		})
+	}
+}
+
+// A join branch on a VirtualClock pulls its reader only inside take:
+// start launches nothing and release has nothing to drain. On a clock
+// that waits, start prefetches the chunk on a goroutine of its own.
+func TestJoinBranchPullsOnlyInTake(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		clk  Clock
+		// pulls after start, after the first take, after the second take
+		// (each read once any prefetch has landed)
+		pulls [3]int
+	}{
+		{"virtual clock", nil, [3]int{0, 2, 4}},
+		{"clock that waits", &yieldClock{}, [3]int{2, 4, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			up := &sliceOp{}
+			for i := 0; i < 4; i++ {
+				up.combs = append(up.combs, &comb{score: 0.5})
+			}
+			g := &graph{ex: &executor{Prepared: &Prepared{engine: New(nil, tc.clk)}}}
+			b := &joinBranch{g: g, reader: up, size: 2, ch: make(chan branchPull, 1), bestSeen: math.Inf(-1)}
+			defer b.release()
+			ctx := context.Background()
+			b.start(ctx)
+			g.wg.Wait()
+			got := [3]int{up.pulls}
+			for i := 1; i < 3; i++ {
+				chunk, err := b.take(ctx)
+				if err != nil || len(chunk) != 2 {
+					t.Fatalf("take %d: %d combinations, %v; want 2", i, len(chunk), err)
+				}
+				g.wg.Wait()
+				got[i] = up.pulls
+			}
+			if got != tc.pulls {
+				t.Errorf("reader pulls after start and two takes = %v, want %v", got, tc.pulls)
 			}
 		})
 	}

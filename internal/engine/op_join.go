@@ -18,14 +18,17 @@ import (
 // pair predicate is a pure atomic equality does not come here — it
 // compiles to the multi-way operator at fan-in 2 (op_multijoin.go), which
 // owns the one equality index. Both operators read their inputs through
-// joinBranch, defined here: a single outstanding prefetch goroutine per
-// input assembles the next chunk concurrently with the other branches —
-// the parallel service invocation the plan topology promises.
+// joinBranch, defined here: under a clock that waits, a single
+// outstanding prefetch goroutine per input assembles the next chunk
+// concurrently with the other branches — the parallel service invocation
+// the plan topology promises. Under a VirtualClock there is no wait to
+// overlap, so a branch assembles its chunk when the join takes it.
 
-// joinBranch is one input of a join operator. A single outstanding
-// prefetch goroutine owns the reader and assembles the next chunk;
-// results are handed over through a capacity-1 channel, so all branches
-// fetch concurrently while the join is driven from one goroutine.
+// joinBranch is one input of a join operator. Under a clock that waits, a
+// single outstanding prefetch goroutine owns the reader and assembles the
+// next chunk; results are handed over through a capacity-1 channel, so
+// all branches fetch concurrently while the join is driven from one
+// goroutine. Under a VirtualClock, take pulls the reader itself.
 type joinBranch struct {
 	g      *graph
 	reader Operator
@@ -66,52 +69,68 @@ func (g *graph) newBranch(in, size int) *joinBranch {
 	}
 }
 
-// start launches the branch's next prefetch.
+// start launches the branch's next prefetch. Under a VirtualClock the
+// next pull is only due: take runs it on the consumer's goroutine.
 func (b *joinBranch) start(ctx context.Context) {
 	g := b.g
+	if g.ex.engine.virtual {
+		return
+	}
 	b.outstanding = true
 	g.wg.Add(1)
-	observed := g.ex.run.Trace != nil || g.ex.engine.metrics != nil
 	go func() {
 		defer g.wg.Done()
-		pull := func(ctx context.Context) {
-			var res branchPull
-			buf := getCombSlice(b.size)
-			for len(buf) < b.size {
-				c, err := b.reader.Next(ctx)
-				if err != nil {
-					res.err = err
-					break
-				}
-				if c == nil {
-					res.short = true
-					break
-				}
-				buf = append(buf, c)
-			}
-			res.combos = buf
-			res.bound = b.reader.Bound()
-			b.ch <- res
-		}
-		if observed {
-			// Label the prefetcher with its input node, so profiles split
-			// the concurrently-fetching join branches.
-			pprof.Do(ctx, pprof.Labels("seco.operator", b.id), pull)
-		} else {
-			pull(ctx)
-		}
+		b.ch <- b.labeledPull(ctx)
 	}()
 }
 
-// take consumes the outstanding prefetch: it records the arrived chunk
-// (with its score maximum), the reader's bound and whether the reader ran
-// dry, and keeps one pull in flight while more can come. A nil chunk
-// means the branch has nothing more to deliver.
+// labeledPull runs pull, labelled with the branch's input node when the
+// run is observed, so profiles split the join branches.
+func (b *joinBranch) labeledPull(ctx context.Context) (res branchPull) {
+	if b.g.ex.run.Trace == nil && b.g.ex.engine.metrics == nil {
+		return b.pull(ctx)
+	}
+	pprof.Do(ctx, pprof.Labels("seco.operator", b.id), func(ctx context.Context) {
+		res = b.pull(ctx)
+	})
+	return res
+}
+
+// pull assembles the branch's next chunk from its reader.
+func (b *joinBranch) pull(ctx context.Context) branchPull {
+	var res branchPull
+	buf := getCombSlice(b.size)
+	for len(buf) < b.size {
+		c, err := b.reader.Next(ctx)
+		if err != nil {
+			res.err = err
+			break
+		}
+		if c == nil {
+			res.short = true
+			break
+		}
+		buf = append(buf, c)
+	}
+	res.combos = buf
+	res.bound = b.reader.Bound()
+	return res
+}
+
+// take consumes the due pull: it records the arrived chunk (with its
+// score maximum), the reader's bound and whether the reader ran dry, and
+// keeps one pull due while more can come. A nil chunk means the branch
+// has nothing more to deliver.
 func (b *joinBranch) take(ctx context.Context) ([]*comb, error) {
 	if b.noMore {
 		return nil, nil
 	}
-	res := <-b.ch
+	var res branchPull
+	if b.g.ex.engine.virtual {
+		res = b.labeledPull(ctx)
+	} else {
+		res = <-b.ch
+	}
 	b.outstanding = false
 	if res.err != nil {
 		putCombSlice(res.combos)

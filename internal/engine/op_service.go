@@ -22,15 +22,17 @@ import (
 // fetched prefix, so a fetch budget is a ceiling, not a prepayment. A scan
 // (non-piped node) invokes once with the fixed input and shares the prefix
 // across every upstream combination. A pipe (§4.2.1's pipe join) binds the
-// input from each upstream combination and starts over with each one; to
-// overlap the piped invocations it holds a look-ahead window of
-// Parallelism combinations, the current one included, and each one not
-// yet reached prepays only its Invoke and first chunk, on a goroutine the
-// graph's WaitGroup tracks. Composition happens on the consumer goroutine
-// into the operator's one arena, in upstream (ranking) order. Every call
-// goes through the run's Counter, the one choke point for budget probing,
-// latency charging and call counting. Prefixes live in pooled buffers
-// pre-sized from the fetch budget and chunk size.
+// input from each upstream combination and starts over with each one. It
+// holds a look-ahead window of Parallelism combinations, the current one
+// included, whose source scores tighten the bound. Under a clock that
+// waits, each one not yet reached prepays only its Invoke and first chunk,
+// on a goroutine the graph's WaitGroup tracks, to overlap the piped
+// invocations; under a VirtualClock nothing is launched and a reading is
+// invoked when the consumer reaches it. Composition happens on the
+// consumer goroutine into the operator's one arena, in upstream (ranking)
+// order. Every call goes through the run's Counter, the one choke point
+// for budget probing, latency charging and call counting. Prefixes live
+// in pooled buffers pre-sized from the fetch budget and chunk size.
 
 // serviceOp is the demand-paged reader of a service node. Enumeration
 // order is upstream-outer, tuple-inner.
@@ -58,8 +60,8 @@ type serviceOp struct {
 	// rd is the invocation the current combination reads: a scan's one
 	// invocation for the whole run, a pipe's own per combination.
 	rd *reading
-	// ahead holds a pipe's launched readings not yet reached, in upstream
-	// order.
+	// ahead holds a pipe's readings pulled ahead and not yet reached, in
+	// upstream order.
 	ahead  []*reading
 	cur    *comb
 	j      int
@@ -81,7 +83,8 @@ type reading struct {
 	exhausted bool
 	// ready is closed once a look-ahead reading's Invoke and first Fetch
 	// have returned, err holding their failure; the launching goroutine
-	// owns the reading until then. nil for a reading fetched on demand.
+	// owns the reading until then. nil for a reading fetched on demand,
+	// which includes every reading under a VirtualClock.
 	ready chan struct{}
 	err   error
 }
@@ -265,8 +268,9 @@ func (s *serviceOp) certified(bound float64) bool {
 
 // advance moves to the next upstream combination. A scan keeps reading
 // its one invocation. A pipe tops its window back up to par combinations
-// — launching a look-ahead reading for each one behind the next — then
-// takes the oldest and, when it was launched, waits for its first chunk.
+// — launching a look-ahead reading for each one behind the next, unless
+// the clock is virtual — then takes the oldest and, when it was launched,
+// waits for its first chunk.
 func (s *serviceOp) advance(ctx context.Context) error {
 	if len(s.pipes) == 0 {
 		c, err := s.up.Next(ctx)
@@ -293,7 +297,7 @@ func (s *serviceOp) advance(ctx context.Context) error {
 			break
 		}
 		r := &reading{src: c}
-		if len(s.ahead) > 0 {
+		if len(s.ahead) > 0 && !s.ex.engine.virtual {
 			s.launch(ctx, r)
 		}
 		s.ahead = append(s.ahead, r)
@@ -370,7 +374,8 @@ func (s *serviceOp) curBound() float64 {
 
 // boundRest bounds everything after the current combination: the
 // combinations pulled ahead — the first fetched tuple once it has landed,
-// the curve's top while the fetch is in flight — and the upstream.
+// the curve's top while the fetch is in flight or not yet issued — and the
+// upstream.
 func (s *serviceOp) boundRest() float64 {
 	b := math.Inf(-1)
 	top := scoringCap(s.n.Stats.Scoring, 0)

@@ -112,8 +112,9 @@ func (l *labelRecorder) Invoke(ctx context.Context, in service.Input) (service.I
 }
 
 // Under metrics, every piped invocation carries the run's seco.query
-// label, and the look-ahead ones — issued on their own goroutines — also
-// carry the piped node's seco.operator label.
+// label, and the look-ahead ones — issued on their own goroutines under a
+// clock that waits, the only kind with look-ahead — also carry the piped
+// node's seco.operator label.
 func TestLookAheadInvokeCarriesLabels(t *testing.T) {
 	reg, err := mart.TravelScenario()
 	if err != nil {
@@ -140,7 +141,7 @@ func TestLookAheadInvokeCarriesLabels(t *testing.T) {
 	svcs := world.Services()
 	rec := &labelRecorder{Service: svcs["W"]}
 	svcs["W"] = rec
-	e := NewWithConfig(svcs, Config{Metrics: obs.NewRegistry()})
+	e := NewWithConfig(svcs, Config{Clock: &yieldClock{}, Metrics: obs.NewRegistry()})
 	a, err := plan.Annotate(p, map[string]int{"F": 1, "H": 1})
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,7 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Run, error) {
 	// spans carry lane-local charged-time cursors instead of raw clock
 	// readings, so goroutine scheduling cannot perturb the trace.
 	if opts.Trace != nil {
-		_, virtual := e.clock.(*VirtualClock)
-		opts.Trace.Bind(e.clock, virtual)
+		opts.Trace.Bind(e.clock, e.virtual)
 	}
 	start := e.clock.Now()
 	ex := &executor{Prepared: p, run: opts, scope: e.invoker.NewRun(), floor: math.Inf(-1)}

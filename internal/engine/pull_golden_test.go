@@ -120,10 +120,11 @@ func TestPullAccountingGolden(t *testing.T) {
 }
 
 // writeRandomChainCells adds the random workloads of seeds 0–99 whose
-// optimized plan is a chain of scans and pipes (a join's prefetchers make
-// the pull schedule-dependent), every chunked service at 50 fetches, at
-// K 1 and 5. Their predicates reject tuples in the middle of a piped
-// invocation, which the committed scenarios rarely do.
+// optimized plan is a chain of scans and pipes (the cells date from when
+// a join's prefetchers made the pull schedule-dependent), every chunked
+// service at 50 fetches, at K 1 and 5. Their predicates reject tuples in
+// the middle of a piped invocation, which the committed scenarios rarely
+// do.
 func writeRandomChainCells(t *testing.T, b *bytes.Buffer) {
 	for seed := int64(0); seed < 100; seed++ {
 		w, err := synth.RandomWorkload(seed, 2+int(seed%4))

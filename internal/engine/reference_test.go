@@ -263,7 +263,9 @@ func comboSig(aliases []string, combo []*types.Tuple) string {
 // combination. With a target K, the pull driver's certified top-K, the
 // drain's top-K and the brute-force top-K (the reference combinations
 // scored with the query weights) must agree, at every look-ahead depth;
-// combinations tied at the cut may differ.
+// combinations tied at the cut may differ. The first 20 seeds also run
+// the windowed depths on a clock that waits, whose look-ahead and
+// prefetch goroutines a VirtualClock never starts.
 func TestEngineSoundAgainstReferenceSemantics(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		n := 2 + int(seed%4)
@@ -302,7 +304,7 @@ func TestEngineSoundAgainstReferenceSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(w.Services(), nil)
+		e, overlapped := New(w.Services(), nil), New(w.Services(), &yieldClock{})
 		run, err := e.Execute(context.Background(), a, Options{
 			Inputs: w.Inputs, Weights: q.Weights,
 		})
@@ -324,22 +326,28 @@ func TestEngineSoundAgainstReferenceSemantics(t *testing.T) {
 		for _, k := range []int{1, 5} {
 			want := referenceTopK(ref, k)
 			for _, par := range []int{1, 2, 8} {
-				var got [2][]scoredSig
-				for i, materialize := range []bool{false, true} {
-					run, err := e.Execute(context.Background(), a, Options{
-						Inputs: w.Inputs, Weights: q.Weights, TargetK: k, Parallelism: par, Materialize: materialize,
-					})
-					if err != nil {
-						t.Fatalf("seed %d K=%d P=%d materialize=%v: %v", seed, k, par, materialize, err)
-					}
-					for _, c := range run.Combinations {
-						got[i] = append(got[i], scoredSig{engineComboSig(c), c.Score})
-					}
+				engines := []*Engine{e}
+				if seed < 20 && par > 1 {
+					engines = append(engines, overlapped)
 				}
-				cell := fmt.Sprintf("seed %d K=%d P=%d", seed, k, par)
-				sameTopK(t, cell+": pull vs drain", got[0], got[1])
-				sameTopK(t, cell+": pull vs reference", got[0], want)
-				sameTopK(t, cell+": drain vs reference", got[1], want)
+				for _, e := range engines {
+					var got [2][]scoredSig
+					for i, materialize := range []bool{false, true} {
+						run, err := e.Execute(context.Background(), a, Options{
+							Inputs: w.Inputs, Weights: q.Weights, TargetK: k, Parallelism: par, Materialize: materialize,
+						})
+						if err != nil {
+							t.Fatalf("seed %d K=%d P=%d materialize=%v: %v", seed, k, par, materialize, err)
+						}
+						for _, c := range run.Combinations {
+							got[i] = append(got[i], scoredSig{engineComboSig(c), c.Score})
+						}
+					}
+					cell := fmt.Sprintf("seed %d K=%d P=%d clock %T", seed, k, par, e.Clock())
+					sameTopK(t, cell+": pull vs drain", got[0], got[1])
+					sameTopK(t, cell+": pull vs reference", got[0], want)
+					sameTopK(t, cell+": drain vs reference", got[1], want)
+				}
 			}
 		}
 	}

@@ -20,15 +20,21 @@ import (
 // materializing executor (fresh engines, so counters don't interfere).
 func runBoth(t testing.TB, services map[string]service.Service, a *plan.Annotated, opts Options) (stream, mat *Run) {
 	t.Helper()
+	return runBothOn(t, nil, services, a, opts)
+}
+
+// runBothOn is runBoth on engines driven by clk (nil: a VirtualClock).
+func runBothOn(t testing.TB, clk Clock, services map[string]service.Service, a *plan.Annotated, opts Options) (stream, mat *Run) {
+	t.Helper()
 	sOpts, mOpts := opts, opts
 	sOpts.Materialize = false
 	mOpts.Materialize = true
 	var err error
-	stream, err = New(services, nil).Execute(context.Background(), a, sOpts)
+	stream, err = New(services, clk).Execute(context.Background(), a, sOpts)
 	if err != nil {
 		t.Fatalf("streaming execute: %v", err)
 	}
-	mat, err = New(services, nil).Execute(context.Background(), a, mOpts)
+	mat, err = New(services, clk).Execute(context.Background(), a, mOpts)
 	if err != nil {
 		t.Fatalf("materializing execute: %v", err)
 	}
@@ -194,7 +200,9 @@ func TestStreamingTopKSavesCalls(t *testing.T) {
 
 // The streaming engine must agree with the materializing engine on
 // optimizer-produced plans over randomized workloads, both full-drain and
-// top-K (this also exercises the pipeline's concurrency under -race).
+// top-K, on a VirtualClock and on a clock that waits (the latter
+// exercises the pipeline's look-ahead and prefetch goroutines under
+// -race).
 func TestStreamingMatchesMaterializingOnRandomWorkloads(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -217,11 +225,13 @@ func TestStreamingMatchesMaterializingOnRandomWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range []int{0, 3} {
-				opts := Options{Inputs: w.Inputs, Weights: q.Weights, TargetK: k}
-				stream, mat := runBoth(t, w.Services(), res.Annotated, opts)
-				label := fmt.Sprintf("K=%d", k)
-				sameScores(t, label, stream.Combinations, mat.Combinations)
-				callsNoWorse(t, label, stream, mat)
+				for _, clk := range []Clock{nil, &yieldClock{}} {
+					opts := Options{Inputs: w.Inputs, Weights: q.Weights, TargetK: k}
+					stream, mat := runBothOn(t, clk, w.Services(), res.Annotated, opts)
+					label := fmt.Sprintf("K=%d on %T", k, clk)
+					sameScores(t, label, stream.Combinations, mat.Combinations)
+					callsNoWorse(t, label, stream, mat)
+				}
 			}
 		})
 	}

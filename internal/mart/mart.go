@@ -155,6 +155,9 @@ type Interface struct {
 	Mart *Mart
 	// Adornments maps each atomic attribute path to its role.
 	Adornments map[string]Adornment
+	// inputs are the Input-adorned paths in sorted order, resolved once by
+	// NewInterface.
+	inputs []string
 }
 
 // NewInterface builds an interface over m, defaulting every path to Output
@@ -171,13 +174,15 @@ func NewInterface(name string, m *Mart, overrides map[string]Adornment) (*Interf
 		}
 		ad[p] = a
 	}
-	return &Interface{Name: name, Mart: m, Adornments: ad}, nil
+	si := &Interface{Name: name, Mart: m, Adornments: ad}
+	si.inputs = si.pathsWith(Input)
+	return si, nil
 }
 
-// InputPaths returns the interface's input attribute paths in sorted order.
-func (si *Interface) InputPaths() []string {
-	return si.pathsWith(Input)
-}
+// InputPaths returns the interface's input attribute paths in sorted
+// order. The slice is resolved once, when the interface is built, and
+// shared by every caller: it is read-only.
+func (si *Interface) InputPaths() []string { return si.inputs }
 
 // OutputPaths returns the output and ranked paths in sorted order.
 func (si *Interface) OutputPaths() []string {

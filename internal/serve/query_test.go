@@ -278,9 +278,7 @@ func TestQueryDecisionsDeterministic(t *testing.T) {
 	// Two fresh servers receiving the identical request sequence must
 	// produce byte-identical response bodies: admission runs on the
 	// virtual engine clock, and execution charges only simulated time.
-	// Deadlines are generous so every admitted run completes — a
-	// budget-expired run's fetch depths are schedule-dependent (the same
-	// caveat the chaos sweep documents for its budget cells), while full
+	// Deadlines are generous so every admitted run completes, and full
 	// runs and rejections are exactly reproducible.
 	run := func() []string {
 		s, err := New(Config{

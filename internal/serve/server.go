@@ -54,9 +54,12 @@ type Config struct {
 	K int
 	// Metric names the planning cost metric.
 	Metric string
-	// Parallelism is the number of piped invocations a pipe join keeps
-	// open at once per run, the current one included (default 4). Each
-	// one not yet reached prepays a single chunk.
+	// Parallelism is the number of upstream combinations a pipe join
+	// holds at once per run, the current one included (default 4). Under
+	// a clock that waits it is the overlap window: each one not yet
+	// reached prepays a single chunk. On the default virtual clock every
+	// call is made on demand, and it only sets how far a pipe reads
+	// upstream for its bound.
 	Parallelism int
 	// DisableMultiway restricts planning to binary join trees, never
 	// proposing the n-ary multijoin. Plans are cached per toggle state,

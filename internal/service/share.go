@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -116,32 +115,38 @@ func (s *Share) Interface() *mart.Interface { return s.inner.Interface() }
 // Stats implements Service.
 func (s *Share) Stats() Stats { return s.inner.Stats() }
 
-// inputKey canonicalizes a binding for use as a map key. Built with
-// direct writes rather than Fprintf: this runs on every Invoke through
-// the Share layer, and the formatter's reflection would allocate per
-// path.
-func inputKey(in Input) string {
-	paths := make([]string, 0, len(in))
-	for p := range in {
-		paths = append(paths, p)
+// inputKey canonicalizes a binding for use as a map key: "path=value;"
+// per bound path in sorted order, appended into one buffer. This runs on
+// every Invoke through the Share layer. When in binds exactly as many
+// paths as the interface's sorted input paths — which CheckInput has
+// just proved present — it walks those; any other binding is sorted.
+func inputKey(inputs []string, in Input) string {
+	paths := inputs
+	if len(in) != len(inputs) {
+		paths = make([]string, 0, len(in))
+		for p := range in {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
 	}
-	sort.Strings(paths)
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, p := range paths {
-		b.WriteString(p)
-		b.WriteByte('=')
-		b.WriteString(in[p].String())
-		b.WriteByte(';')
+		b = append(b, p...)
+		b = append(b, '=')
+		b = in[p].AppendTo(b)
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Invoke implements Service.
 func (s *Share) Invoke(ctx context.Context, in Input) (Invocation, error) {
-	if err := CheckInput(s.inner.Interface(), in); err != nil {
+	si := s.inner.Interface()
+	if err := CheckInput(si, in); err != nil {
 		return nil, err
 	}
-	key := inputKey(in)
+	key := inputKey(si.InputPaths(), in)
 	s.mu.Lock()
 	entry, ok := s.entries[key]
 	if !ok {

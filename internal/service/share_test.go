@@ -112,6 +112,43 @@ func TestShareDistinguishesBindings(t *testing.T) {
 	}
 }
 
+// Equal bindings key equally whichever order their paths went in, on the
+// walk over the interface's sorted input paths and on the sorting
+// fallback alike; a binding carrying an extra path keys apart.
+func TestShareInputKey(t *testing.T) {
+	tab := newMovieTable(t, 0)
+	inputs := tab.Interface().InputPaths()
+	want := movieInput()
+	if len(inputs) != len(want) {
+		t.Fatalf("interface inputs %v, fixture binds %d paths", inputs, len(want))
+	}
+	forward, backward := Input{}, Input{}
+	for i := range inputs {
+		forward[inputs[i]] = want[inputs[i]]
+		backward[inputs[len(inputs)-1-i]] = want[inputs[len(inputs)-1-i]]
+	}
+	key := inputKey(inputs, forward)
+	if got := inputKey(inputs, backward); got != key {
+		t.Errorf("insertion order changed the key: %q vs %q", got, key)
+	}
+	if got := inputKey(nil, backward); got != key {
+		t.Errorf("sorting fallback keys %q, input-path walk %q", got, key)
+	}
+	extra := movieInput()
+	extra["Title"] = types.String("Up")
+	if got := inputKey(inputs, extra); got == key || got != inputKey(nil, extra) {
+		t.Errorf("extra path: key %q (without it %q, sorted %q)", got, key, inputKey(nil, extra))
+	}
+
+	wire := NewCounter(tab, nil)
+	sh := NewShare(wire)
+	drainShared(t, sh, forward)
+	drainShared(t, sh, backward)
+	if wire.Invocations() != 1 {
+		t.Errorf("equal bindings took %d wire invocations, want 1", wire.Invocations())
+	}
+}
+
 func TestShareUnchunkedService(t *testing.T) {
 	tab := newMovieTable(t, 0) // unchunked: one response carries all
 	sh := NewShare(tab)

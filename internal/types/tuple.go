@@ -139,7 +139,7 @@ func (t *Tuple) write(b *strings.Builder) {
 		}
 		b.WriteString(k)
 		b.WriteByte(':')
-		b.Write(t.Attrs[k].appendTo(buf[:0]))
+		b.Write(t.Attrs[k].AppendTo(buf[:0]))
 	}
 	groups := make([]string, 0, len(t.Groups))
 	for g := range t.Groups {
@@ -176,7 +176,7 @@ func (st SubTuple) write(b *strings.Builder, buf []byte) {
 		}
 		b.WriteString(k)
 		b.WriteByte('=')
-		b.Write(st[k].appendTo(buf))
+		b.Write(st[k].AppendTo(buf))
 	}
 	b.WriteByte('>')
 }

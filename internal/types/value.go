@@ -119,11 +119,12 @@ func (v Value) Time() time.Time { return v.t }
 // use RFC 3339 date form, null renders as NULL.
 func (v Value) String() string {
 	var buf [32]byte
-	return string(v.appendTo(buf[:0]))
+	return string(v.AppendTo(buf[:0]))
 }
 
-// appendTo appends the String rendering to dst.
-func (v Value) appendTo(dst []byte) []byte {
+// AppendTo appends the String rendering to dst and returns the extended
+// buffer.
+func (v Value) AppendTo(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 		return append(dst, "NULL"...)
