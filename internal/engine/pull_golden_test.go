@@ -16,6 +16,8 @@ import (
 
 	"seco/internal/core"
 	"seco/internal/engine"
+	"seco/internal/join"
+	"seco/internal/mart"
 	"seco/internal/optimizer"
 	"seco/internal/plan"
 	"seco/internal/query"
@@ -45,9 +47,10 @@ var pullGoldenCells = []struct {
 // the committed scenarios: per-alias calls and invocations, per-node
 // Produced (output node included), Halted, and every ranked combination's
 // components and score bits; on conftravel also the same pulls cut short
-// by a virtual-clock budget, with their degradation reports, and random
-// workloads planned as chains. Each cell runs at Parallelism 1 under the pull policy with call sharing off, so
-// the accounting is deterministic.
+// by a virtual-clock budget, with their degradation reports, random
+// workloads planned as chains, and the running example under every join
+// strategy, drained and pulled. Each cell runs at Parallelism 1 with call
+// sharing off, so the accounting is deterministic.
 // Regenerate with: go test ./internal/engine -run TestPullAccountingGolden -update-pull-golden
 func TestPullAccountingGolden(t *testing.T) {
 	var b bytes.Buffer
@@ -97,6 +100,7 @@ func TestPullAccountingGolden(t *testing.T) {
 		}
 	}
 	writeRandomChainCells(t, &b)
+	writeStrategyCells(t, &b)
 	path := filepath.Join("testdata", "pull_accounting.golden")
 	if *updatePullGolden {
 		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
@@ -170,6 +174,74 @@ func writeRandomChainCells(t *testing.T, b *bytes.Buffer) {
 				t.Fatalf("seed %d k=%d: %v", seed, k, err)
 			}
 			writePullCell(b, fmt.Sprintf("random seed=%d k=%d", seed, k), r)
+		}
+	}
+}
+
+// strategyCellMethods are the tile schedules the strategy cells run the
+// running example's M‖T join under: nested-loop at two step lengths and
+// merge-scan at three ratios, each with every completion.
+func strategyCellMethods() []join.Strategy {
+	invocations := []join.Strategy{
+		{Invocation: join.NestedLoop, H: 1},
+		{Invocation: join.NestedLoop, H: 2},
+		{Invocation: join.MergeScan, RatioX: 1, RatioY: 1},
+		{Invocation: join.MergeScan, RatioX: 1, RatioY: 2},
+		{Invocation: join.MergeScan, RatioX: 3, RatioY: 2},
+	}
+	var out []join.Strategy
+	for _, s := range invocations {
+		rect, tri, flush := s, s, s
+		rect.Completion = join.Rectangular
+		tri.Completion = join.Triangular
+		flush.Completion, flush.FlushOnExhaust = join.Triangular, true
+		out = append(out, rect, tri, flush)
+	}
+	return out
+}
+
+// writeStrategyCells adds the running example of Fig. 10 at its Section
+// 5.6 fetches (5 chunks of M, 5 of T, so every tile pairs one of several
+// chunks per side) with the M‖T join under each strategy of
+// strategyCellMethods, drained and pulled at K 1, 5 and 10. They pin the
+// explorer's fetch order, its ranked tile order, triangular deferral
+// and flush, and the deferred-tile term of the join's bound.
+func writeStrategyCells(t *testing.T, b *bytes.Buffer) {
+	reg, err := mart.MovieScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, q, err := plan.RunningExamplePlan(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := synth.NewMovieWorld(reg, synth.MovieConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range strategyCellMethods() {
+		p := base.Clone()
+		ms, _ := p.Node("MS")
+		ms.Strategy = s
+		a, err := plan.Annotate(p, plan.Fig10Fetches())
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := s.String()
+		if s.FlushOnExhaust {
+			name += "+flush"
+		}
+		for _, policy := range []string{"drain", "pull"} {
+			for _, k := range []int{1, 5, 10} {
+				r, err := engine.New(world.Services(), nil).Execute(context.Background(), a, engine.Options{
+					Inputs: world.Inputs, Weights: q.Weights, TargetK: k, Parallelism: 1,
+					Materialize: policy == "drain",
+				})
+				if err != nil {
+					t.Fatalf("%s %s k=%d: %v", name, policy, k, err)
+				}
+				writePullCell(b, fmt.Sprintf("running-example %s %s k=%d", name, policy, k), r)
+			}
 		}
 	}
 }
