@@ -24,7 +24,6 @@ import (
 	"seco/internal/service"
 	"seco/internal/synth"
 	"seco/internal/topk"
-	"seco/internal/types"
 	"seco/internal/wsms"
 )
 
@@ -645,31 +644,6 @@ func BenchmarkParallelJoin(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkPipeJoin measures the per-tuple piped invocation path.
-func BenchmarkPipeJoin(b *testing.B) {
-	right, err := synth.NewKeyed("R", 16, 8, service.Stats{
-		AvgCardinality: 8, ChunkSize: 4, Scoring: service.Linear(8),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	left := make([]*types.Tuple, 32)
-	for i := range left {
-		t := types.NewTuple(1 - float64(i)/32)
-		t.Set("FKey", types.Int(int64(i%16)))
-		left[i] = t
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := join.Pipe(context.Background(), left, right, nil,
-			[]join.Binding{{FromPath: "FKey", ToInput: "Key"}}, 0,
-			func(join.Pair) error { return nil })
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

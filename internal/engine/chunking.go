@@ -2,9 +2,9 @@ package engine
 
 import "math"
 
-// This file is the one home of the re-chunking helpers the parallel-join
-// operator uses to slice its two ranked input streams into the chunk grid
-// the tile explorer walks.
+// This file is the one home of the chunk helpers of the join operator's
+// inputs: the re-chunking granularity and the per-chunk scores the tile
+// explorer ranks and bounds by.
 
 // DefaultRechunkSize is the re-chunking granularity used for join inputs
 // that do not originate from a chunked service node (selections, exact

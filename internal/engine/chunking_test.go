@@ -115,18 +115,28 @@ func TestGroupJoinPredsPairsAndSkips(t *testing.T) {
 	}
 }
 
+// The join operator merges branch rows that share upstream components:
+// shared slots must hold the identical tuple.
 func TestMergeBranchesSharedComponents(t *testing.T) {
 	layout := &aliasLayout{
 		slots:   map[string]int{"C": 0, "F": 1, "H": 2},
 		aliases: []string{"C", "F", "H"},
 		weights: []float64{1, 1, 1},
 	}
-	arena := newCombArena(layout.width())
-	defer arena.release()
+	s := &multiJoinOp{
+		ex:       &executor{Prepared: &Prepared{layout: layout}},
+		arena:    newCombArena(layout.width()),
+		branches: make([]joinBranch, 2),
+	}
+	defer s.arena.release()
+	merge := func(l, r *comb) (*comb, bool) {
+		s.branches[0].assign, s.branches[1].assign = l, r
+		return s.mergeMulti()
+	}
 	shared := types.NewTuple(0.5)
 	left := &comb{comps: []*types.Tuple{shared, types.NewTuple(0.6), nil}}
 	right := &comb{comps: []*types.Tuple{shared, nil, types.NewTuple(0.7)}}
-	merged, ok := mergeBranches(arena, layout, left, right)
+	merged, ok := merge(left, right)
 	if !ok {
 		t.Fatal("shared-ancestor merge failed")
 	}
@@ -148,7 +158,7 @@ func TestMergeBranchesSharedComponents(t *testing.T) {
 	// The same alias bound to a different tuple stems from a different
 	// upstream row: the pair must not join.
 	other := &comb{comps: []*types.Tuple{types.NewTuple(0.5), nil, types.NewTuple(0.7)}}
-	if _, ok := mergeBranches(arena, layout, left, other); ok {
+	if _, ok := merge(left, other); ok {
 		t.Error("divergent shared components merged")
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
+	"seco/internal/join"
 	"seco/internal/mart"
 	"seco/internal/optimizer"
 	"seco/internal/plan"
@@ -127,47 +129,87 @@ func comboIdentity(c *types.Combination) string {
 	return out
 }
 
-// matchAcross must evaluate a pair predicate regardless of which side of
-// the join carries the predicate's left alias.
+// A join evaluates a pair predicate whichever of its inputs carries the
+// predicate's left alias, and refuses one whose aliases its inputs do not
+// split. Each case compiles a binary join over two replayed inputs, once
+// with an equality (the round-robin delta join) and once with a
+// comparison (the explorer), and drains it.
 func TestMatchAcrossOrientation(t *testing.T) {
 	layout := &aliasLayout{
 		slots:   map[string]int{"A": 0, "B": 1, "C": 2},
 		aliases: []string{"A", "B", "C"},
 		weights: []float64{1, 1, 1},
 	}
+	p := plan.New(5)
+	for _, a := range layout.aliases {
+		if err := p.AddNode(&plan.Node{ID: a, Kind: plan.KindService, Alias: a}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mk := func(alias, attr string, v int64) *comb {
-		tu := types.NewTuple(1)
+		tu := types.NewTuple(0.5)
 		tu.Set(attr, types.Int(v))
 		comps := make([]*types.Tuple, layout.width())
 		comps[layout.slots[alias]] = tu
-		return &comb{comps: comps}
+		return &comb{score: 0.5, comps: comps}
 	}
-	preds, err := compileJoinPreds(&plan.Node{JoinPreds: []query.Predicate{{
-		Left: query.PathRef{Alias: "A", Path: "X"},
-		Right: query.Term{Kind: query.TermPath,
-			Path: query.PathRef{Alias: "B", Path: "Y"}},
-	}}}, layout)
-	if err != nil {
-		t.Fatal(err)
+	// joined compiles A.X op B.Y over the two inputs and drains it: the
+	// number of combinations, or the compile error.
+	joined := func(op types.Op, inputs [2]string, rows [2]*comb) (int, error) {
+		n := &plan.Node{ID: "J", Kind: plan.KindJoin, Strategy: join.Strategy{Invocation: join.MergeScan},
+			JoinPreds: []query.Predicate{{
+				Left: query.PathRef{Alias: "A", Path: "X"}, Op: op,
+				Right: query.Term{Kind: query.TermPath, Path: query.PathRef{Alias: "B", Path: "Y"}},
+			}}}
+		c := &compiler{ann: &plan.Annotated{Plan: p}, layout: layout}
+		mp, err := c.join(n, inputs[:])
+		if err != nil {
+			return 0, err
+		}
+		if mp.explore != (op != types.OpEq) {
+			t.Errorf("%v join: explore = %v", op, mp.explore)
+		}
+		g := &graph{
+			ex: &executor{Prepared: &Prepared{engine: New(nil, nil), layout: layout,
+				nodes: []progNode{{id: inputs[0]}, {id: inputs[1]}}}},
+			ops:    []Operator{&sliceOp{combs: rows[:1]}, &sliceOp{combs: rows[1:]}},
+			shared: make([]*sharedOp, 2),
+		}
+		op2, err := g.newMultiJoinOp(&progNode{id: "J", n: n, inputs: []int{0, 1}, multi: mp})
+		if err != nil {
+			return 0, err
+		}
+		defer op2.Close()
+		ctx := context.Background()
+		if err := op2.Open(ctx); err != nil {
+			return 0, err
+		}
+		got := 0
+		for {
+			c, err := op2.Next(ctx)
+			if err != nil || c == nil {
+				return got, err
+			}
+			got++
+		}
 	}
-	// Natural orientation: A on the left side.
-	ok, err := matchAcross(mk("A", "X", 5), mk("B", "Y", 5), preds)
-	if err != nil || !ok {
-		t.Errorf("natural orientation: %v %v", ok, err)
-	}
-	// Swapped: A arrives on the right side of the join.
-	ok, err = matchAcross(mk("B", "Y", 5), mk("A", "X", 5), preds)
-	if err != nil || !ok {
-		t.Errorf("swapped orientation: %v %v", ok, err)
-	}
-	ok, err = matchAcross(mk("B", "Y", 6), mk("A", "X", 5), preds)
-	if err != nil || ok {
-		t.Errorf("swapped non-match: %v %v", ok, err)
-	}
-	// Predicate whose aliases are not split across the sides is skipped.
-	ok, err = matchAcross(mk("A", "X", 1), mk("C", "Z", 2), preds)
-	if err != nil || !ok {
-		t.Errorf("unrelated pair: %v %v", ok, err)
+	for _, op := range []types.Op{types.OpEq, types.OpGe} {
+		// Natural orientation: A on the left input.
+		if got, err := joined(op, [2]string{"A", "B"}, [2]*comb{mk("A", "X", 5), mk("B", "Y", 5)}); err != nil || got != 1 {
+			t.Errorf("%v natural orientation: %d combinations, %v", op, got, err)
+		}
+		// Swapped: A arrives on the right input of the join.
+		if got, err := joined(op, [2]string{"B", "A"}, [2]*comb{mk("B", "Y", 5), mk("A", "X", 5)}); err != nil || got != 1 {
+			t.Errorf("%v swapped orientation: %d combinations, %v", op, got, err)
+		}
+		if got, err := joined(op, [2]string{"B", "A"}, [2]*comb{mk("B", "Y", 6), mk("A", "X", 5)}); err != nil || got != 0 {
+			t.Errorf("%v swapped non-match: %d combinations, %v", op, got, err)
+		}
+		// A predicate whose aliases the inputs do not split is refused.
+		if _, err := joined(op, [2]string{"A", "C"}, [2]*comb{mk("A", "X", 1), mk("C", "Z", 2)}); err == nil ||
+			!strings.Contains(err.Error(), "does not span two branches") {
+			t.Errorf("%v unrelated pair: %v, want a refusal", op, err)
+		}
 	}
 }
 

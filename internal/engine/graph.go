@@ -97,13 +97,8 @@ func (g *graph) newOp(i int, pn *progNode) (Operator, error) {
 		return &selectionOp{ex: g.ex, sels: pn.sels, up: g.reader(pn.inputs[0])}, nil
 	case plancheck.OpScan, plancheck.OpPipe:
 		return g.newServiceOp(i, pn)
-	case plancheck.OpJoin:
-		if pn.multi == nil {
-			return g.newJoinOp(pn)
-		}
-		return g.newMultiJoinOp(pn), nil // all-equality: fan-in 2
-	case plancheck.OpMultiJoin:
-		return g.newMultiJoinOp(pn), nil
+	case plancheck.OpJoin, plancheck.OpMultiJoin:
+		return g.newMultiJoinOp(pn)
 	}
 	return nil, fmt.Errorf("engine: node %s has no operator kind %q", pn.id, pn.kind)
 }

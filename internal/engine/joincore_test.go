@@ -123,9 +123,10 @@ func triangleReferenceTopK(t *testing.T, q *query.Query, w *synth.TriangleWorld,
 
 // TestEqualityJoinRunsAtFanInTwo pins the routing of binary joins on the
 // binary-only triangle plan S → (A‖P) ⋈ V: join1 (P.Label = A.Label) is
-// all-equality and runs on the multi-way operator at fan-in 2, join2
-// carries the proximity condition A.Draw <= V.Capacity and stays on the
-// explorer-driven joinOp. Both are still OpJoin to plancheck.
+// all-equality and runs as a round-robin delta join, join2 carries the
+// proximity condition A.Draw <= V.Capacity and runs under the explorer
+// with its strategy. Both are the one join operator at fan-in 2, and
+// both are still OpJoin to plancheck.
 func TestEqualityJoinRunsAtFanInTwo(t *testing.T) {
 	res, world := triangleFixtureWith(t, 7, true)
 	e := New(world.Services(), nil)
@@ -158,12 +159,12 @@ func TestEqualityJoinRunsAtFanInTwo(t *testing.T) {
 			allEq = allEq && jp.Op == types.OpEq
 		}
 		inner := g.ops[i].(*countedOp).inner
-		if allEq {
-			if m, ok := inner.(*multiJoinOp); !ok || len(m.branches) != 2 {
-				t.Errorf("%s %v: operator %T, want the multi-way operator at fan-in 2", pn.id, pn.n.JoinPreds, inner)
-			}
-		} else if j, ok := inner.(*joinOp); !ok || j.explorer == nil {
-			t.Errorf("%s %v: operator %T, want joinOp with its explorer", pn.id, pn.n.JoinPreds, inner)
+		m, ok := inner.(*multiJoinOp)
+		if !ok || len(m.branches) != 2 {
+			t.Errorf("%s %v: operator %T, want the join operator at fan-in 2", pn.id, pn.n.JoinPreds, inner)
+		} else if (m.explorer != nil) == allEq {
+			t.Errorf("%s %v: explorer %v, want one exactly when a predicate is not an atomic equality",
+				pn.id, pn.n.JoinPreds, m.explorer != nil)
 		}
 	}
 	if joins != 2 {
@@ -214,8 +215,8 @@ func TestFanInTwoTopKMatchesReference(t *testing.T) {
 }
 
 // TestNonEqualityJoinKeepsExplorer: the running example's M ⋈ T join is a
-// repeating-group predicate, so it needs the explorer's tile order and
-// its node strategy.
+// repeating-group predicate, so the join operator runs it under the
+// explorer's tile order and its node strategy.
 func TestNonEqualityJoinKeepsExplorer(t *testing.T) {
 	g := compileFixture(t)
 	defer g.shutdown()
@@ -226,12 +227,13 @@ func TestNonEqualityJoinKeepsExplorer(t *testing.T) {
 			continue
 		}
 		found = true
-		j, ok := g.ops[i].(*countedOp).inner.(*joinOp)
-		if !ok || pn.join == nil || pn.multi != nil {
-			t.Fatalf("%s: operator %T (join=%v multi=%v), want joinOp", pn.id, g.ops[i].(*countedOp).inner, pn.join != nil, pn.multi != nil)
+		j, ok := g.ops[i].(*countedOp).inner.(*multiJoinOp)
+		if !ok || pn.multi == nil || !pn.multi.explore {
+			t.Fatalf("%s: operator %T (program %+v), want the join operator marked for the explorer",
+				pn.id, g.ops[i].(*countedOp).inner, pn.multi)
 		}
 		if j.explorer == nil {
-			t.Errorf("%s: joinOp without an explorer", pn.id)
+			t.Errorf("%s: join operator without an explorer", pn.id)
 		}
 	}
 	if !found {

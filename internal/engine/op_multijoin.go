@@ -3,21 +3,30 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
 
 	"seco/internal/fidelity"
+	"seco/internal/join"
 	"seco/internal/topk"
 	"seco/internal/types"
 )
 
-// This file implements the multi-way ranked join operator: the join core
-// of every all-equality join, binary (fan-in 2) or n-ary. All N branches
-// prefetch concurrently through joinBranch (op_join.go); arrivals are
-// consumed round-robin, and each newly arrived chunk is delta-joined
-// against the accumulated rows of every other branch, so by the time Next
-// hands a combination out, every stored row combination has been
-// enumerated exactly once — there is no deferred-tile backlog, and the
-// operator's score bound reduces to the n-ary corner bound of
-// topk.WeightedThreshold over the branch frontiers.
+// This file implements the one join operator: every parallel join,
+// binary or n-ary, runs here. Its branches read their inputs through
+// joinBranch (op_join.go), and each join step joins a box of per-branch
+// row windows: the rows of one branch's window bind first, the other
+// branches bind most-constrained-first from theirs. What differs between
+// joins is only which box comes next:
+//
+//   - An all-equality join, and every multi-way join, pulls its branches
+//     round-robin and delta-joins each arrived chunk against the
+//     accumulated rows of every other branch. By the time Next hands a
+//     combination out, every stored row combination has been enumerated
+//     exactly once, so the score bound is the n-ary corner bound of
+//     topk.WeightedThreshold over the branch frontiers.
+//   - Any other binary join runs under the explorer with the node's
+//     strategy (op_join.go): each tile is one chunk pair, and the bound
+//     adds the best stored chunk pair the explorer has not processed.
 //
 // Candidate enumeration is a leapfrog-style sorted intersection: every
 // hashable equality edge maintains, per endpoint branch, posting lists
@@ -25,29 +34,30 @@ import (
 // fold the columns' types.EqKey bits: interned handles for string values
 // (the engine's interner canonicalizes on the fly, so handle equality is
 // exact string equality process-wide), canonical float bits for numerics.
-// A new row binds its branch; the remaining branches are bound
-// most-constrained-first by intersecting the posting lists their bound
-// edges select, and every surviving candidate is verified with the
-// compiled pair predicates — which also evaluate the bounded-proximity
-// edges the legality rules admit. The index records the value class each
-// key column has carried: two classes in one column would make some row
-// pair a cross-kind comparison, so indexing fails with that comparison's
-// error rather than filing the rows under keys that can never meet. A null
-// key part matches nothing and is no error.
+// The remaining branches are bound most-constrained-first by intersecting
+// the posting lists their bound edges select, clipped to the branch's
+// window; a branch with no hashable bound edge scans its window. Every
+// surviving candidate is verified with the compiled pair predicates —
+// which also evaluate the conditions posting lists cannot key. The index
+// records the value class each key column has carried: two classes in one
+// column would make some row pair a cross-kind comparison, so indexing
+// fails with that comparison's error rather than filing the rows under
+// keys that can never meet. A null key part matches nothing and is no
+// error.
 
-// multiEdge is one compiled cross-branch predicate of the multi-way
-// join, with both endpoint branches resolved and — when the predicate is
-// a pure atomic equality — a posting list per endpoint. The program's
-// edge table leaves the posting lists nil; each run fills its own copy.
+// multiEdge is one compiled cross-branch predicate of the join, with both
+// endpoint branches resolved and — when the predicate is a pure atomic
+// equality — a posting list per endpoint. The program's edge table leaves
+// the posting lists nil; a run with a hashable edge fills its own copy.
 type multiEdge struct {
 	jp joinPred
 	// bl and br are the branch indexes holding the predicate's left and
 	// right alias.
 	bl, br int
 	// hashable marks a pure atomic-equality edge that can key posting
-	// lists; proximity edges are verified per candidate instead, and so
-	// is a run's copy of an equality edge once a row brings a key part
-	// without an equality key (edgeKey clears the flag).
+	// lists; other edges are verified per candidate instead, and so is a
+	// run's copy of an equality edge once a row brings a key part without
+	// an equality key (edgeKey clears the flag).
 	hashable bool
 	// postL/postR map an edge key to the ascending row ids carrying it,
 	// per endpoint branch (hashable edges only).
@@ -57,23 +67,24 @@ type multiEdge struct {
 	classOf []types.Value
 }
 
-// multiJoinOp is the n-ary ranked join operator.
+// multiJoinOp is the ranked join operator of fan-in two or more.
 type multiJoinOp struct {
 	ex       *executor
-	branches []*joinBranch
-	// rows accumulates every arrived row per branch, flat across chunks
-	// (the chunk buffers stay on the branches for pooled release).
-	rows [][]*comb
-	// edges is this run's copy of the program's edge table, with the
-	// posting lists the run fills; incident (edge indexes touching each
-	// branch) and ones are the program's, read-only.
+	branches []joinBranch
+	// edges is the program's edge table, or this run's copy of it with
+	// the posting lists the run fills when some edge is hashable;
+	// incident (edge indexes touching each branch) and ones are the
+	// program's, read-only.
 	edges    []multiEdge
 	incident [][]int
 	ones     []float64
+	// explorer schedules a binary join by the node's strategy; nil for a
+	// round-robin delta join.
+	explorer *join.Explorer
 	arena    *combArena
 	// cand tallies the candidate prefixes the expansion examined
-	// (intersection survivors plus scan-fallback rows); nil when fidelity
-	// is off.
+	// (intersection survivors plus scanned window rows); nil when
+	// fidelity is off.
 	cand *fidelity.Counter
 
 	pending    []*comb
@@ -82,54 +93,54 @@ type multiJoinOp struct {
 	started    bool
 	done       bool
 
-	// Scratch buffers reused across Next calls.
-	assign  []*comb
-	boundB  []bool
-	scratch []*types.Tuple
-	bestBuf []float64
-	curBuf  []float64
-	lists   [][]int32
-	// candBufs holds one candidate buffer per recursion depth: expand at
-	// depth d iterates its candidates while deeper levels intersect into
-	// their own buffers.
-	candBufs [][]int32
+	// Scratch reused across Next calls: the posting lists one expansion
+	// intersects, and the corner bound's per-branch best and current
+	// scores (one buffer, best first).
+	lists    [][]int32
+	frontier []float64
 }
 
-func (g *graph) newMultiJoinOp(pn *progNode) Operator {
+func (g *graph) newMultiJoinOp(pn *progNode) (Operator, error) {
 	mp := pn.multi
 	nb := len(pn.inputs)
-	branches := make([]*joinBranch, nb)
-	for i, in := range pn.inputs {
-		branches[i] = g.newBranch(in, mp.sizes[i])
-	}
-	edges := append([]multiEdge(nil), mp.edges...)
-	for i := range edges {
-		if e := &edges[i]; e.hashable {
-			e.postL = make(map[uint64][]int32, 64)
-			e.postR = make(map[uint64][]int32, 64)
-			e.classOf = make([]types.Value, len(e.jp.eqLeft))
-		}
-	}
-	width := g.ex.layout.width()
-	return &multiJoinOp{
+	s := &multiJoinOp{
 		ex:       g.ex,
 		cand:     g.fid.Counter(pn.id),
-		branches: branches,
-		rows:     make([][]*comb, nb),
-		edges:    edges, incident: mp.incident, ones: mp.ones,
-		arena:    newCombArena(width),
-		assign:   make([]*comb, nb),
-		boundB:   make([]bool, nb),
-		scratch:  make([]*types.Tuple, width),
-		bestBuf:  make([]float64, nb),
-		curBuf:   make([]float64, nb),
-		candBufs: make([][]int32, nb),
+		branches: make([]joinBranch, nb),
+		edges:    mp.edges, incident: mp.incident, ones: mp.ones,
+		arena:    newCombArena(g.ex.layout.width()),
+		frontier: make([]float64, 2*nb),
 	}
+	for i, in := range pn.inputs {
+		s.branches[i] = g.newBranch(in, mp.sizes[i])
+	}
+	if mp.indexed {
+		s.edges = append([]multiEdge(nil), mp.edges...)
+		for i := range s.edges {
+			if e := &s.edges[i]; e.hashable {
+				e.postL = make(map[uint64][]int32, 64)
+				e.postR = make(map[uint64][]int32, 64)
+				e.classOf = make([]types.Value, len(e.jp.eqLeft))
+			}
+		}
+	}
+	if mp.explore {
+		// No static fetch limits: branch lengths are unknown up front, so
+		// exhaustion is reported live (the explorer rolls the probing fetch
+		// back, leaving its state exactly as with a known limit).
+		explorer, err := join.NewExplorer(pn.n.Strategy, 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		explorer.SetRanker(s.tileRank)
+		s.explorer = explorer
+	}
+	return s, nil
 }
 
 func (s *multiJoinOp) Open(ctx context.Context) error {
-	for _, b := range s.branches {
-		if err := b.reader.Open(ctx); err != nil {
+	for i := range s.branches {
+		if err := s.branches[i].reader.Open(ctx); err != nil {
 			return err
 		}
 	}
@@ -148,22 +159,44 @@ func (s *multiJoinOp) Next(ctx context.Context) (*comb, error) {
 		}
 		if !s.started {
 			s.started = true
-			for _, b := range s.branches {
-				b.start(ctx)
+			for i := range s.branches {
+				s.branches[i].start(ctx)
 			}
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		bi := s.nextBranch()
-		if bi < 0 {
-			s.done = true
-			continue
+		var err error
+		if s.explorer != nil {
+			err = s.explore(ctx)
+		} else {
+			err = s.roundRobin(ctx)
 		}
-		if err := s.resolve(ctx, bi); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
+}
+
+// roundRobin takes the next chunk of the next live branch in turn and
+// delta-joins it against everything the other branches hold.
+func (s *multiJoinOp) roundRobin(ctx context.Context) error {
+	bi := s.nextBranch()
+	if bi < 0 {
+		s.done = true
+		return nil
+	}
+	chunk, err := s.arrive(ctx, bi)
+	if err != nil || chunk == nil {
+		return err
+	}
+	for i := range s.branches {
+		b := &s.branches[i]
+		b.lo, b.hi = 0, len(b.rows)
+	}
+	b := &s.branches[bi]
+	b.lo = b.hi - len(chunk)
+	return s.joinBox(bi)
 }
 
 // nextBranch picks the next live branch round-robin, or -1 when every
@@ -180,20 +213,15 @@ func (s *multiJoinOp) nextBranch() int {
 	return -1
 }
 
-// resolve consumes the outstanding prefetch of branch bi, appends the
-// arrived rows to the branch's accumulated state (rows, posting lists)
-// and delta-joins them against every other branch.
-func (s *multiJoinOp) resolve(ctx context.Context, bi int) error {
-	chunk, err := s.branches[bi].take(ctx)
+// arrive takes branch bi's next chunk and files its rows in the posting
+// lists. A nil chunk means the branch has run dry.
+func (s *multiJoinOp) arrive(ctx context.Context, bi int) ([]*comb, error) {
+	b := &s.branches[bi]
+	chunk, err := b.take(ctx)
 	if err != nil || chunk == nil {
-		return err
+		return nil, err
 	}
-	from := len(s.rows[bi])
-	s.rows[bi] = append(s.rows[bi], chunk...)
-	if err := s.index(bi, from); err != nil {
-		return err
-	}
-	return s.joinDelta(bi, from)
+	return chunk, s.index(bi, len(b.rows)-len(chunk))
 }
 
 // index extends the posting lists of branch bi's hashable edges with the
@@ -202,6 +230,7 @@ func (s *multiJoinOp) resolve(ctx context.Context, bi int) error {
 // rely on. Every row passes through here once per incident edge, so this
 // is also where a key column mixing value classes is caught.
 func (s *multiJoinOp) index(bi, from int) error {
+	rows := s.branches[bi].rows
 	for _, ei := range s.incident[bi] {
 		e := &s.edges[ei]
 		if !e.hashable {
@@ -212,8 +241,8 @@ func (s *multiJoinOp) index(bi, from int) error {
 		if left {
 			post = e.postL
 		}
-		for ri := from; ri < len(s.rows[bi]) && e.hashable; ri++ {
-			key, ok, err := s.edgeKey(e, left, s.rows[bi][ri])
+		for ri := from; ri < len(rows) && e.hashable; ri++ {
+			key, ok, err := s.edgeKey(e, left, rows[ri])
 			if err != nil {
 				return err
 			}
@@ -267,41 +296,36 @@ func (s *multiJoinOp) edgeKey(e *multiEdge, left bool, c *comb) (key uint64, ok 
 	return h, true, nil
 }
 
-// joinDelta enumerates every combination using at least one of branch
-// bi's rows from index `from` on. The delta rows bind branch bi; the
-// remaining branches bind most-constrained-first through posting-list
-// intersection. Results land in s.pending.
-func (s *multiJoinOp) joinDelta(bi, from int) error {
+// joinBox enumerates every combination of rows inside the branches'
+// windows: branch bi's window rows bind first, in order, and expand binds
+// the rest. Results land in s.pending.
+func (s *multiJoinOp) joinBox(bi int) error {
 	if s.pending == nil {
 		hint := 0
-		for _, b := range s.branches {
-			hint += b.size
+		for i := range s.branches {
+			hint += s.branches[i].size
 		}
 		s.pending = getCombSlice(hint)
 	}
 	s.pending = s.pending[:0]
 	s.pendingIdx = 0
-	for i := range s.boundB {
-		s.boundB[i] = false
-		s.assign[i] = nil
-	}
-	s.boundB[bi] = true
-	for ri := from; ri < len(s.rows[bi]); ri++ {
-		s.assign[bi] = s.rows[bi][ri]
+	b := &s.branches[bi]
+	defer func() { b.assign = nil }()
+	for _, r := range b.rows[b.lo:b.hi] {
+		b.assign = r
 		if err := s.expand(1); err != nil {
 			return err
 		}
 	}
-	s.boundB[bi] = false
 	return nil
 }
 
 // expand binds one more branch: the unbound branch with the most
 // hashable edges into the bound set (smallest index on ties) is bound
 // through the sorted intersection of the posting lists its bound edges
-// select; a branch with no hashable bound edge falls back to scanning
-// its rows. Every candidate is verified against all its bound edges
-// (equality exactly, proximity included) before recursing.
+// select, clipped to its window; a branch with no hashable bound edge
+// falls back to scanning its window. Every candidate is verified against
+// all its bound edges before recursing.
 func (s *multiJoinOp) expand(nBound int) error {
 	if nBound == len(s.branches) {
 		if m, ok := s.mergeMulti(); ok {
@@ -310,6 +334,7 @@ func (s *multiJoinOp) expand(nBound int) error {
 		return nil
 	}
 	j := s.chooseNext()
+	bj := &s.branches[j]
 	s.lists = s.lists[:0]
 	for _, ei := range s.incident[j] {
 		e := &s.edges[ei]
@@ -317,7 +342,8 @@ func (s *multiJoinOp) expand(nBound int) error {
 		if other == j {
 			other = e.br
 		}
-		if !s.boundB[other] || !e.hashable {
+		bound := s.branches[other].assign
+		if bound == nil || !e.hashable {
 			continue
 		}
 		// Key the bound row on its side, look branch j up on the other.
@@ -326,53 +352,50 @@ func (s *multiJoinOp) expand(nBound int) error {
 		if e.bl == j {
 			post = e.postL
 		}
-		key, ok, _ := s.edgeKey(e, e.bl != j, s.assign[other])
+		key, ok, _ := s.edgeKey(e, e.bl != j, bound)
 		if !ok {
 			return nil // this bound row's key matches nothing on branch j
 		}
 		list := post[key]
-		if len(list) == 0 {
+		lo, _ := slices.BinarySearch(list, int32(bj.lo))
+		hi, _ := slices.BinarySearch(list, int32(bj.hi))
+		if lo == hi {
 			return nil
 		}
-		s.lists = append(s.lists, list)
+		s.lists = append(s.lists, list[lo:hi])
 	}
-	s.boundB[j] = true
-	defer func() { s.boundB[j] = false; s.assign[j] = nil }()
+	defer func() { bj.assign = nil }()
 	if len(s.lists) == 0 {
-		// No equality edge into the bound set yet: scan the branch.
-		s.cand.Add(int64(len(s.rows[j])))
-		for _, r := range s.rows[j] {
-			s.assign[j] = r
-			ok, err := s.verify(j)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := s.expand(nBound + 1); err != nil {
+		// No equality edge into the bound set yet: scan the window.
+		window := bj.rows[bj.lo:bj.hi]
+		s.cand.Add(int64(len(window)))
+		for _, r := range window {
+			if err := s.bind(bj, j, r, nBound); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	cand := intersectSorted(s.lists, s.candBufs[nBound][:0])
-	s.candBufs[nBound] = cand // keep the (possibly grown) buffer for this depth
+	cand := intersectSorted(s.lists, bj.cands[:0])
+	bj.cands = cand // keep the (possibly grown) buffer for this branch
 	s.cand.Add(int64(len(cand)))
 	for _, ri := range cand {
-		s.assign[j] = s.rows[j][ri]
-		ok, err := s.verify(j)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := s.expand(nBound + 1); err != nil {
+		if err := s.bind(bj, j, bj.rows[ri], nBound); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// bind binds row r on branch j and, when it passes the bound edges,
+// expands the next branch.
+func (s *multiJoinOp) bind(bj *joinBranch, j int, r *comb, nBound int) error {
+	bj.assign = r
+	ok, err := s.verify(j)
+	if err != nil || !ok {
+		return err
+	}
+	return s.expand(nBound + 1)
 }
 
 // chooseNext picks the unbound branch with the most hashable edges into
@@ -381,7 +404,7 @@ func (s *multiJoinOp) expand(nBound int) error {
 func (s *multiJoinOp) chooseNext() int {
 	bestJ, bestN := -1, -1
 	for j := range s.branches {
-		if s.boundB[j] {
+		if s.branches[j].assign != nil {
 			continue
 		}
 		n := 0
@@ -391,7 +414,7 @@ func (s *multiJoinOp) chooseNext() int {
 			if other == j {
 				other = e.br
 			}
-			if s.boundB[other] && e.hashable {
+			if s.branches[other].assign != nil && e.hashable {
 				n++
 			}
 		}
@@ -404,22 +427,18 @@ func (s *multiJoinOp) chooseNext() int {
 
 // verify checks every edge between the just-bound branch j and the rest
 // of the bound set with the compiled pair predicates — exact equality
-// (discharging hash collisions) plus the proximity conditions posting
-// lists cannot key.
+// (discharging hash collisions) plus the conditions posting lists cannot
+// key.
 func (s *multiJoinOp) verify(j int) (bool, error) {
 	for _, ei := range s.incident[j] {
 		e := &s.edges[ei]
-		other := e.bl
-		if other == j {
-			other = e.br
-		}
-		if !s.boundB[other] {
+		l, r := s.branches[e.bl].assign, s.branches[e.br].assign
+		if l == nil || r == nil {
 			continue
 		}
-		lt := s.assign[e.bl].comps[e.jp.leftSlot]
-		rt := s.assign[e.br].comps[e.jp.rightSlot]
+		lt, rt := l.comps[e.jp.leftSlot], r.comps[e.jp.rightSlot]
 		if lt == nil || rt == nil {
-			continue // component absent: nothing to check, as in matchAcross
+			continue // component absent: nothing to check
 		}
 		ok, err := e.jp.cp.Match(lt, rt)
 		if err != nil || !ok {
@@ -429,27 +448,34 @@ func (s *multiJoinOp) verify(j int) (bool, error) {
 	return true, nil
 }
 
-// mergeMulti merges the N bound rows into one comb. Branches may share
-// upstream components; shared slots must hold the identical component
-// tuple or the candidate stems from different upstream rows and does not
-// join. The conflict check fills a scratch vector before any arena
-// allocation, so rejected candidates never touch the allocator.
+// mergeMulti merges the bound rows into one comb. Branches may share
+// upstream components (both sides of the travel plan's join carry the
+// Conference and Weather tuples that fed them); shared slots must hold the
+// identical component tuple or the candidate stems from different
+// upstream rows and does not join. The conflict check runs before any
+// arena allocation, so rejected candidates never touch the allocator.
 func (s *multiJoinOp) mergeMulti() (*comb, bool) {
-	sc := s.scratch
-	clear(sc)
-	for _, p := range s.assign {
-		for i, t := range p.comps {
-			if t == nil {
+	for i := 0; i < s.arena.width; i++ {
+		var t *types.Tuple
+		for b := range s.branches {
+			u := s.branches[b].assign.comps[i]
+			if u == nil {
 				continue
 			}
-			if sc[i] != nil && sc[i] != t {
+			if t != nil && t != u {
 				return nil, false
 			}
-			sc[i] = t
+			t = u
 		}
 	}
 	m := s.arena.new()
-	copy(m.comps, sc)
+	for b := range s.branches {
+		for i, t := range s.branches[b].assign.comps {
+			if t != nil {
+				m.comps[i] = t
+			}
+		}
+	}
 	s.ex.layout.rank(m)
 	return m, true
 }
@@ -492,10 +518,12 @@ probe:
 	return out
 }
 
-// Bound is the n-ary corner bound: the best score any combination using
-// at least one unseen row can still achieve, plus the pending remainder.
+// Bound is the corner bound: the best score any combination using at
+// least one unseen row can still achieve, plus the pending remainder and,
+// under the explorer, the stored chunk pairs it has not processed yet.
 // Branch combs carry weighted partial sums already, so the bound composes
-// with unit weights.
+// with unit weights (shared-alias components are double-counted, which
+// only loosens it).
 func (s *multiJoinOp) Bound() float64 {
 	b := math.Inf(-1)
 	for i := s.pendingIdx; i < len(s.pending); i++ {
@@ -506,28 +534,28 @@ func (s *multiJoinOp) Bound() float64 {
 	if s.done {
 		return b
 	}
-	for i, br := range s.branches {
-		s.bestBuf[i], s.curBuf[i] = br.best(), br.bound
+	n := len(s.branches)
+	best, cur := s.frontier[:n], s.frontier[n:]
+	for i := range s.branches {
+		best[i], cur[i] = s.branches[i].best(), s.branches[i].bound
 	}
-	if v := topk.WeightedThreshold(s.ones, s.bestBuf, s.curBuf); v > b {
+	if v := topk.WeightedThreshold(s.ones, best, cur); v > b {
 		b = v
+	}
+	if s.explorer != nil {
+		if v := s.deferred(); v > b {
+			b = v
+		}
 	}
 	return b
 }
 
-// Close ends the branch prefetchers' ownership of the input readers,
-// drops the posting lists and releases the tile buffer and the arena.
+// Close ends the branch prefetchers' ownership of the input readers and
+// returns the row buffers, the output buffer and the arena's blocks.
 func (s *multiJoinOp) Close() error {
 	s.done = true
-	for _, b := range s.branches {
-		b.release()
-	}
-	for i := range s.rows {
-		s.rows[i] = nil
-	}
-	for i := range s.edges {
-		s.edges[i].postL = nil
-		s.edges[i].postR = nil
+	for i := range s.branches {
+		s.branches[i].release()
 	}
 	if s.pending != nil {
 		putCombSlice(s.pending)

@@ -12,14 +12,12 @@ import (
 )
 
 // This file is the one home of the join-predicate plumbing shared by the
-// service operators (sequential composition), the pipe operator and the
-// parallel-join operator — all in compiled form: a node's predicates are
-// grouped by alias pair once at compile time, their dotted paths are cut
-// by join.Compile, and alias routing is resolved to layout slots, so the
+// service operators (sequential and piped composition) and the join
+// operator — all in compiled form: a node's predicates are grouped by
+// alias pair once at compile time, their dotted paths are cut by
+// join.Compile, and alias routing is resolved to layout slots, so the
 // per-tuple hot loop performs no string cutting, map building or alias
-// hashing. Branch merging (mergeBranches) checks shared-component
-// identity before allocating, which is what keeps the parallel join's
-// candidate explosion off the allocator.
+// hashing.
 
 // pairPred bundles the join conditions between one pair of aliases into a
 // single join.Predicate so repeating-group mappings stay consistent across
@@ -99,7 +97,7 @@ func (sp *svcPred) match(selfT, otherT *types.Tuple) (bool, error) {
 }
 
 // joinPred is one compiled pair predicate as seen from a join: both alias
-// slots resolved, plus the equality-column split the multi-way operator's
+// slots resolved, plus the equality-column split the join operator's
 // posting lists key on (empty when the predicate is not a pure atomic
 // equality).
 type joinPred struct {
@@ -130,53 +128,6 @@ func compileJoinPreds(n *plan.Node, layout *aliasLayout) ([]joinPred, error) {
 		out = append(out, jp)
 	}
 	return out, nil
-}
-
-// matchAcross evaluates the node's pair predicates between two combs
-// about to be joined; predicates whose aliases are not split across the
-// two sides are skipped (they were checked earlier).
-func matchAcross(cl, cr *comb, preds []joinPred) (bool, error) {
-	for i := range preds {
-		jp := &preds[i]
-		lt, rt := cl.comps[jp.leftSlot], cr.comps[jp.rightSlot]
-		if lt != nil && rt != nil {
-			ok, err := jp.cp.Match(lt, rt)
-			if err != nil || !ok {
-				return false, err
-			}
-			continue
-		}
-		lt2, rt2 := cr.comps[jp.leftSlot], cl.comps[jp.rightSlot]
-		if lt2 != nil && rt2 != nil {
-			ok, err := jp.cp.Match(lt2, rt2)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-	}
-	return true, nil
-}
-
-// mergeBranches merges two combs whose branches may share upstream
-// components (both sides of the travel plan's join carry the Conference
-// and Weather tuples that fed them). Shared slots must hold the same
-// component tuple — otherwise the pair stems from different upstream rows
-// and does not join; the identity check runs before any allocation, so
-// the (dominant) rejected candidates never touch the arena.
-func mergeBranches(a *combArena, layout *aliasLayout, cl, cr *comb) (*comb, bool) {
-	for i, t := range cr.comps {
-		if t != nil && cl.comps[i] != nil && cl.comps[i] != t {
-			return nil, false
-		}
-	}
-	m := a.clone(cl)
-	for i, t := range cr.comps {
-		if t != nil {
-			m.comps[i] = t
-		}
-	}
-	layout.rank(m)
-	return m, true
 }
 
 // matchSvc checks a service node's compiled pair predicates between a new

@@ -276,6 +276,14 @@ func brokenPlans(t *testing.T) []brokenPlan {
 			n.JoinPreds = f(append([]query.Predicate(nil), n.JoinPreds...))
 		})
 	}
+	// msRight points the right side of the running example's MS predicate
+	// at another alias.
+	msRight := func(alias string) *plan.Annotated {
+		return mutate(base, "MS", func(n *plan.Node) {
+			n.JoinPreds = append([]query.Predicate(nil), n.JoinPreds...)
+			n.JoinPreds[0].Right.Path.Alias = alias
+		})
+	}
 	touches := func(p query.Predicate, alias string) bool {
 		return p.Left.Alias == alias || (p.Right.Kind == query.TermPath && p.Right.Path.Alias == alias)
 	}
@@ -297,6 +305,8 @@ func brokenPlans(t *testing.T) []brokenPlan {
 		{"strategy-on-service-node", plancheck.CodeStrategy, true, mutate(base, "M", func(n *plan.Node) {
 			n.Strategy = join.Strategy{Invocation: join.MergeScan, RatioX: 3, RatioY: 5}
 		}), pull},
+		{"join-predicate-within-one-input", plancheck.CodeJoin, false, msRight("M"), pull},
+		{"join-predicate-downstream-alias", plancheck.CodeJoin, false, msRight("R"), pull},
 		{"join-selectivity-out-of-range", plancheck.CodeStats, false,
 			mutate(base, "MS", func(n *plan.Node) { n.JoinSelectivity = 1.5 }), pull},
 		{"invalid-service-stats", plancheck.CodeStats, false,
@@ -432,6 +442,28 @@ func TestPrepareRefusesBrokenPlans(t *testing.T) {
 	}
 	if _, err := p.Run(context.Background(), RunOptions{Inputs: world.Inputs}); err != nil {
 		t.Fatalf("run of an unvalidated plan: %v", err)
+	}
+}
+
+// TestCompilerRefusesUnspannedJoinPredicate: with plancheck skipped, the
+// compiler itself refuses a join predicate its two inputs do not split,
+// instead of dropping it and joining the inputs unfiltered.
+func TestCompilerRefusesUnspannedJoinPredicate(t *testing.T) {
+	e, base, q, _ := fixture(t)
+	for _, alias := range []string{"M", "R"} {
+		p := base.Clone()
+		n, _ := p.Node("MS")
+		n.JoinPreds = append([]query.Predicate(nil), n.JoinPreds...)
+		n.JoinPreds[0].Right.Path.Alias = alias
+		a, err := plan.Annotate(p, plan.Fig10Fetches())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.Prepare(a, PrepareOptions{Weights: q.Weights, TargetK: 5, SkipValidate: true})
+		want := "engine: join MS predicate on M and " + alias + " does not span two branches"
+		if err == nil || err.Error() != want {
+			t.Errorf("MS predicate on M and %s: Prepare error %v, want %q", alias, err, want)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // This file compiles a plan.Plan into the program a Prepared holds: one
 // progNode per plan node (input, selection, service scan, pipe join,
-// parallel join, multi-way join) carrying everything about the node that
+// parallel or multi-way join) carrying everything about the node that
 // is the same in every run — compiled predicates, layout slots, ranking
 // weight, fetch budget, chunk sizes, the constant part of a service's
 // input. Nothing here is mutable after Prepare returns; graph.go builds
@@ -31,13 +31,9 @@ type progNode struct {
 	// tee per consumer.
 	shared bool
 
-	sels []compiledSel // OpSelection
-	svc  *svcProg      // OpScan, OpPipe
-	// An OpJoin carries multi when every pair predicate is an equality
-	// (the multi-way operator at fan-in 2), join otherwise; an OpMultiJoin
-	// always carries multi.
-	join  *joinProg
-	multi *multiProg
+	sels  []compiledSel // OpSelection
+	svc   *svcProg      // OpScan, OpPipe
+	multi *multiProg    // OpJoin, OpMultiJoin: the one join operator
 }
 
 // svcProg is the run-invariant part of a service scan or pipe join.
@@ -118,23 +114,22 @@ func (sp *svcProg) pipeInput(fixed service.Input, src *comb) (service.Input, err
 	return in, nil
 }
 
-// joinProg is the run-invariant part of a parallel join explored tile by
-// tile.
-type joinProg struct {
-	preds []joinPred
-	// sizes are the re-chunking granularities of the two inputs.
-	sizes [2]int
-}
-
-// multiProg is the run-invariant part of a multi-way join: the edge table
-// with both endpoint branches resolved, and the edges touching each
-// branch.
+// multiProg is the run-invariant part of a join of any fan-in: the
+// re-chunking granularity of each input, the edge table with both
+// endpoint branches resolved, and the edges touching each branch.
 type multiProg struct {
 	sizes    []int
 	edges    []multiEdge
 	incident [][]int
 	// ones are the unit weights the corner bound composes with.
 	ones []float64
+	// indexed marks an edge table with a hashable edge: each run copies
+	// it to fill its own posting lists.
+	indexed bool
+	// explore marks a binary join with a predicate that is not an atomic
+	// equality (or with none): the explorer schedules it by the node's
+	// strategy instead of the round-robin delta join.
+	explore bool
 }
 
 // compiler builds a Prepared's node list: inputs before consumers, every
@@ -183,7 +178,7 @@ func (c *compiler) node(id string) (int, error) {
 			return 0, fmt.Errorf("engine: join %s has %d predecessors", id, len(preds))
 		}
 		if pn.inputs, err = c.inputs(preds); err == nil {
-			pn.join, pn.multi, err = c.join(n, preds)
+			pn.multi, err = c.join(n, preds)
 		}
 	case plan.KindMultiJoin:
 		pn.kind = plancheck.OpMultiJoin
@@ -191,10 +186,7 @@ func (c *compiler) node(id string) (int, error) {
 			return 0, fmt.Errorf("engine: multijoin %s has %d predecessors", id, len(preds))
 		}
 		if pn.inputs, err = c.inputs(preds); err == nil {
-			var jps []joinPred
-			if jps, err = compileJoinPreds(n, c.layout); err == nil {
-				pn.multi, err = c.multi(id, jps, preds)
-			}
+			pn.multi, err = c.join(n, preds)
 		}
 	default:
 		err = fmt.Errorf("engine: unsupported node kind %v", n.Kind)
@@ -256,35 +248,16 @@ func (c *compiler) service(id string, n *plan.Node) (*svcProg, error) {
 	return sp, nil
 }
 
-// join compiles a parallel join to exactly one of its two programs. When
-// every pair predicate is a pure atomic equality spanning the two inputs,
-// the join is the fan-in-2 case of the multi-way operator; the explorer
-// and its tile strategy serve the predicates that need an exploration
-// order (and any node the edge table cannot resolve).
-func (c *compiler) join(n *plan.Node, preds []string) (*joinProg, *multiProg, error) {
-	if err := n.Strategy.Validate(); err != nil {
-		return nil, nil, err
-	}
+// join compiles a join node of any fan-in: its pair predicates become
+// edges between the two branches each spans, and a binary join whose
+// predicates are not all atomic equalities is marked for the explorer.
+// A predicate that does not relate two different branches has no pair of
+// rows to be evaluated on, so the node is refused.
+func (c *compiler) join(n *plan.Node, preds []string) (*multiProg, error) {
 	jps, err := compileJoinPreds(n, c.layout)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	allEq := len(jps) > 0
-	for i := range jps {
-		allEq = allEq && jps[i].eqLeft != nil
-	}
-	if allEq {
-		if mp, err := c.multi(n.ID, jps, preds); err == nil {
-			return nil, mp, nil
-		}
-	}
-	return &joinProg{
-		preds: jps,
-		sizes: [2]int{c.chunkSizeOf(preds[0]), c.chunkSizeOf(preds[1])},
-	}, nil, nil
-}
-
-func (c *compiler) multi(id string, jps []joinPred, preds []string) (*multiProg, error) {
 	// Resolve which branch produces each layout slot, so every predicate
 	// maps to the two branches it spans.
 	slotBranch := make([]int, c.layout.width())
@@ -308,15 +281,26 @@ func (c *compiler) multi(id string, jps []joinPred, preds []string) (*multiProg,
 			slotBranch[slot] = i
 		}
 	}
+	allEq := len(jps) > 0
 	for _, jp := range jps {
 		bl, br := slotBranch[jp.leftSlot], slotBranch[jp.rightSlot]
 		if bl < 0 || br < 0 || bl == br {
-			return nil, fmt.Errorf("engine: multijoin %s predicate does not span two branches", id)
+			return nil, fmt.Errorf("engine: %s %s predicate on %s and %s does not span two branches",
+				n.Kind, n.ID, c.layout.aliases[jp.leftSlot], c.layout.aliases[jp.rightSlot])
 		}
+		hashable := jp.eqLeft != nil
+		allEq = allEq && hashable
+		mp.indexed = mp.indexed || hashable
 		ei := len(mp.edges)
-		mp.edges = append(mp.edges, multiEdge{jp: jp, bl: bl, br: br, hashable: jp.eqLeft != nil})
+		mp.edges = append(mp.edges, multiEdge{jp: jp, bl: bl, br: br, hashable: hashable})
 		mp.incident[bl] = append(mp.incident[bl], ei)
 		mp.incident[br] = append(mp.incident[br], ei)
+	}
+	if n.Kind == plan.KindJoin {
+		if err := n.Strategy.Validate(); err != nil {
+			return nil, err
+		}
+		mp.explore = !allEq
 	}
 	return mp, nil
 }

@@ -75,6 +75,9 @@ func (e *Explorer) FetchOrder() []Side { return e.fetchSequence }
 // Fetched returns the number of successful fetches per side.
 func (e *Explorer) Fetched() (nx, ny int) { return e.nx, e.ny }
 
+// Processed reports whether the tile has been emitted as a tile event.
+func (e *Explorer) Processed(t Tile) bool { return e.processed[t] }
+
 // Tiles returns the number of tile events emitted.
 func (e *Explorer) Tiles() int { return e.totalTiles }
 

@@ -2,8 +2,8 @@
 // the two-service search space (Fig. 4), the nested-loop and merge-scan
 // invocation strategies (Fig. 5), the rectangular and triangular completion
 // strategies (Figs. 6–7), a deterministic explorer that turns a strategy
-// pair into a stream of fetch and tile events, and executors for parallel
-// and pipe joins over ranked chunk streams.
+// pair into a stream of fetch and tile events, and a standalone parallel
+// join executor over ranked chunk streams.
 package join
 
 import "fmt"

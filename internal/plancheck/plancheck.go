@@ -75,8 +75,12 @@ const (
 	// CodeMultiJoin: a multi-way join node violates the n-ary legality
 	// rules — a cross-branch predicate outside the atomic-equality /
 	// bounded-proximity classes, a branch not bound by any cross
-	// predicate, or a predicate referencing an alias no branch produces.
+	// predicate, or a predicate that does not span two branches.
 	CodeMultiJoin = "plan-multijoin"
+	// CodeJoin: a binary join's predicate does not span its two inputs —
+	// it references an alias neither input produces, or two aliases of
+	// the same input — so no pair of rows would ever evaluate it.
+	CodeJoin = "plan-join"
 )
 
 // Diagnostic is one verified violation.
@@ -223,6 +227,7 @@ func checkStructure(p *plan.Plan, r *Report) {
 			if n.JoinSelectivity <= 0 || n.JoinSelectivity > 1 {
 				r.add(CodeStats, id, Error, "join selectivity %v out of (0,1]", n.JoinSelectivity)
 			}
+			checkJoinSpan(p, n, id, CodeJoin, r)
 		case plan.KindMultiJoin:
 			if len(preds) < 2 {
 				r.add(CodeStructure, id, Error, "multijoin node needs at least two predecessors, has %d", len(preds))
@@ -300,45 +305,62 @@ func checkStrategyUnused(n *plan.Node, id string, r *Report) {
 // checkMultiJoin verifies the n-ary legality rules on a multi-way join
 // node: every cross-branch predicate must be an atomic equality or
 // bounded proximity (with at least one equality edge, the posting-list
-// key), every predicate must reference aliases some branch produces, and
-// every branch must be bound by at least one legal cross predicate — an
-// unbound branch would degenerate into a cross product the ranked
-// intersection cannot bound.
+// key), every predicate must span two branches, and every branch must be
+// bound by at least one legal cross predicate — an unbound branch would
+// degenerate into a cross product the ranked intersection cannot bound.
 func checkMultiJoin(p *plan.Plan, n *plan.Node, id string, r *Report) {
 	if err := join.LegalMultiway(n.JoinPreds); err != nil {
 		r.add(CodeMultiJoin, id, Error, "%v", err)
 	}
-	preds := p.Predecessors(id)
-	if len(preds) < 2 {
+	branches := checkJoinSpan(p, n, id, CodeMultiJoin, r)
+	if branches == nil {
 		return // arity already a CodeStructure error
 	}
+	for _, i := range join.CoverMultiway(branches, n.JoinPreds) {
+		r.add(CodeMultiJoin, id, Error,
+			"branch %q is not bound by any cross-branch predicate", p.Predecessors(id)[i])
+	}
+}
+
+// checkJoinSpan verifies that every cross predicate of a join node
+// relates two of its branches: both aliases must be produced by some
+// branch, and by different ones. An alias several branches share counts
+// as the last one's, as in the engine's edge table. It returns each
+// branch's alias set, nil when the node has fewer than two branches.
+func checkJoinSpan(p *plan.Plan, n *plan.Node, id, code string, r *Report) []map[string]bool {
+	preds := p.Predecessors(id)
+	if len(preds) < 2 {
+		return nil
+	}
 	branches := make([]map[string]bool, len(preds))
-	known := map[string]bool{}
+	branchOf := map[string]int{}
 	for i, pr := range preds {
 		branches[i] = branchAliases(p, pr)
 		for a := range branches[i] {
-			known[a] = true
+			branchOf[a] = i
 		}
 	}
 	for _, jp := range n.JoinPreds {
 		if jp.Right.Kind != query.TermPath {
-			continue // already flagged by LegalMultiway
+			continue // not a cross predicate
 		}
-		if !known[jp.Left.Alias] {
-			r.add(CodeMultiJoin, id, Error, "predicate %s references alias %q, which no branch produces", jp, jp.Left.Alias)
+		l, lok := branchOf[jp.Left.Alias]
+		rb, rok := branchOf[jp.Right.Path.Alias]
+		if !lok {
+			r.add(code, id, Error, "predicate %s references alias %q, which no branch produces", jp, jp.Left.Alias)
 		}
-		if !known[jp.Right.Path.Alias] {
-			r.add(CodeMultiJoin, id, Error, "predicate %s references alias %q, which no branch produces", jp, jp.Right.Path.Alias)
+		if !rok {
+			r.add(code, id, Error, "predicate %s references alias %q, which no branch produces", jp, jp.Right.Path.Alias)
+		}
+		if lok && rok && l == rb {
+			r.add(code, id, Error, "predicate %s does not span two branches", jp)
 		}
 	}
-	for _, i := range join.CoverMultiway(branches, n.JoinPreds) {
-		r.add(CodeMultiJoin, id, Error,
-			"branch %q is not bound by any cross-branch predicate", preds[i])
-	}
+	return branches
 }
 
 // branchAliases returns the aliases of the service nodes in one branch of
-// a multi-way join: the branch root itself plus everything upstream.
+// a join: the branch root itself plus everything upstream.
 func branchAliases(p *plan.Plan, id string) map[string]bool {
 	out := ancestorAliases(p, id)
 	if n, ok := p.Node(id); ok && n.Kind == plan.KindService {

@@ -181,6 +181,22 @@ func TestBrokenPlanCorpus(t *testing.T) {
 			}
 			return plancheck.Check(p)
 		}},
+		{"join-predicate-within-one-input", plancheck.CodeJoin, false, func(t *testing.T) *plancheck.Report {
+			// M on both sides: no M-T row pair would ever evaluate it.
+			return plancheck.Check(mutate(t, base, "MS", func(n *plan.Node) {
+				preds := append([]query.Predicate(nil), n.JoinPreds...)
+				preds[0].Right.Path.Alias = "M"
+				n.JoinPreds = preds
+			}))
+		}},
+		{"join-predicate-downstream-alias", plancheck.CodeJoin, false, func(t *testing.T) *plancheck.Report {
+			// R is piped from the join's output: neither input produces it.
+			return plancheck.Check(mutate(t, base, "MS", func(n *plan.Node) {
+				preds := append([]query.Predicate(nil), n.JoinPreds...)
+				preds[0].Right.Path.Alias = "R"
+				n.JoinPreds = preds
+			}))
+		}},
 		{"multijoin-arity", plancheck.CodeStructure, false, func(t *testing.T) *plancheck.Report {
 			// A multi-way join with a single predecessor: n-ary in name
 			// only, rejected before the legality rules even apply.
