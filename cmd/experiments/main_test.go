@@ -40,6 +40,24 @@ func TestE2TableMatchesPaper(t *testing.T) {
 	}
 }
 
+// The E13 table must report the published guaranteed-vs-approximate
+// figures row for row: k, exact fetches, approximate fetches, recall.
+func TestE13TableMatchesPublished(t *testing.T) {
+	var out strings.Builder
+	if err := run("E13", &out); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		rows[strings.Join(strings.Fields(line), " ")] = true
+	}
+	for _, want := range []string{"5 4 3 0.60", "10 4 3 0.80", "20 6 5 0.95", "40 8 7 0.88"} {
+		if !rows[want] {
+			t.Errorf("E13 output missing row %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // The E3 listing must contain all four Fig. 9 topologies.
 func TestE3ListsFourTopologies(t *testing.T) {
 	var out strings.Builder
