@@ -23,7 +23,6 @@ import (
 	"seco/internal/query"
 	"seco/internal/service"
 	"seco/internal/synth"
-	"seco/internal/topk"
 	"seco/internal/wsms"
 )
 
@@ -122,8 +121,8 @@ func BenchmarkE4_NLvsMS(b *testing.B) {
 	}
 }
 
-// benchJoinPair builds the E7 synthetic services.
-func benchJoinPair(b *testing.B, xScoring service.Scoring) (service.Invocation, service.Invocation) {
+// benchJoinTables builds the E7 synthetic services.
+func benchJoinTables(b *testing.B, xScoring service.Scoring) (*service.Table, *service.Table) {
 	b.Helper()
 	xs, err := synth.NewRanked(synth.RankedConfig{
 		Name: "X", N: 300, KeyMod: 50, Shuffle: true, Seed: 1,
@@ -139,6 +138,13 @@ func benchJoinPair(b *testing.B, xScoring service.Scoring) (service.Invocation, 
 	if err != nil {
 		b.Fatal(err)
 	}
+	return xs, ys
+}
+
+// benchJoinPair invokes the E7 synthetic services.
+func benchJoinPair(b *testing.B, xScoring service.Scoring) (service.Invocation, service.Invocation) {
+	b.Helper()
+	xs, ys := benchJoinTables(b, xScoring)
 	xi, err := xs.Invoke(context.Background(), nil)
 	if err != nil {
 		b.Fatal(err)
@@ -387,24 +393,33 @@ func BenchmarkE12_MetricShapes(b *testing.B) {
 }
 
 // BenchmarkE13_TopKvsApproximate compares the request-responses of the
-// guaranteed rank join against the approximate extraction-optimal method
-// stopped at the same k (the Section 3.2 trade-off).
+// guaranteed rank join — the engine's pull driver on the rank-join plan
+// fixture — against the approximate extraction-optimal method stopped at
+// the same k (the Section 3.2 trade-off).
 func BenchmarkE13_TopKvsApproximate(b *testing.B) {
 	const k = 10
 	pred := join.Predicate{Conds: []join.Condition{{Left: "Key", Right: "Key"}}}
 	b.Run("rank-join-exact", func(b *testing.B) {
-		var fetches int
+		xs, ys := benchJoinTables(b, service.Linear(300))
+		a, err := plan.RankedJoinPlan(xs, ys, 1.0/50, k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := engine.New(map[string]service.Service{"X": xs, "Y": ys}, nil)
+		p, err := eng.Prepare(a, engine.PrepareOptions{Weights: plan.RankedJoinWeights(), TargetK: k})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		var calls int64
 		for i := 0; i < b.N; i++ {
-			xi, yi := benchJoinPair(b, service.Linear(300))
-			_, stats, err := topk.Join(context.Background(), xi, yi, topk.Options{
-				K: k, Predicate: pred,
-			})
+			run, err := p.Run(context.Background(), engine.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			fetches = stats.TotalFetches()
+			calls = run.TotalCalls()
 		}
-		b.ReportMetric(float64(fetches), "calls-to-k")
+		b.ReportMetric(float64(calls), "calls-to-k")
 	})
 	b.Run("extraction-optimal-approx", func(b *testing.B) {
 		var fetches int
@@ -585,19 +600,6 @@ func BenchmarkChunkSizeSweep(b *testing.B) {
 			b.ReportMetric(float64(calls), "calls-to-k")
 			b.ReportMetric(float64(tuples), "tuples-transferred")
 		})
-	}
-}
-
-// BenchmarkTopKJoin measures the rank-join executor itself.
-func BenchmarkTopKJoin(b *testing.B) {
-	pred := join.Predicate{Conds: []join.Condition{{Left: "Key", Right: "Key"}}}
-	for i := 0; i < b.N; i++ {
-		xi, yi := benchJoinPair(b, service.Linear(300))
-		if _, _, err := topk.Join(context.Background(), xi, yi, topk.Options{
-			K: 25, Predicate: pred,
-		}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

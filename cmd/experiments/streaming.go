@@ -14,7 +14,7 @@ import (
 // runE15 measures the pull-based streaming executor against the original
 // materialize-then-truncate path. Both executors receive the same
 // annotated plan and fetch budget; the streaming one additionally applies
-// the top-k stopping rule (the n-ary corner bound of internal/topk
+// the top-k stopping rule (the join operator's n-ary corner bound
 // composed along the plan), halting service calls as soon as the
 // guaranteed top-K is in hand. The saved column is Run.CallsSaved: the
 // annotation model's expected request-responses minus the calls actually

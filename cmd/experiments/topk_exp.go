@@ -6,16 +6,19 @@ import (
 	"io"
 	"sort"
 
+	"seco/internal/engine"
 	"seco/internal/join"
+	"seco/internal/plan"
 	"seco/internal/service"
 	"seco/internal/synth"
-	"seco/internal/topk"
 )
 
 // runE13 quantifies the Section 3.2 trade-off between the approximate
 // extraction-optimal methods of this chapter and the guaranteed top-k
 // join methods it defers to the next chapter: the guarantee costs more
 // request-responses, the approximation loses some of the true top-k.
+// The guaranteed side is the engine's pull driver on the rank-join
+// fixture; both sides rank pairs by the fixture's weighted sum.
 func runE13(w io.Writer) error {
 	mk := func(name string, seed int64) (*service.Table, error) {
 		return synth.NewRanked(synth.RankedConfig{
@@ -23,49 +26,50 @@ func runE13(w io.Writer) error {
 			Stats: service.Stats{AvgCardinality: 200, ChunkSize: 10, Scoring: service.Linear(200)},
 		})
 	}
+	xs, err := mk("X", 21)
+	if err != nil {
+		return err
+	}
+	ys, err := mk("Y", 22)
+	if err != nil {
+		return err
+	}
+	weights := plan.RankedJoinWeights()
 	pred := join.Predicate{Conds: []join.Condition{{Left: "Key", Right: "Key"}}}
+	eng := engine.New(map[string]service.Service{"X": xs, "Y": ys}, nil)
+	ctx := context.Background()
 	t := &table{header: []string{"k", "top-k fetches (exact)", "approx fetches", "approx recall"}}
 	for _, k := range []int{5, 10, 20, 40} {
-		xs, err := mk("X", 21)
+		a, err := plan.RankedJoinPlan(xs, ys, 1.0/20, k)
 		if err != nil {
 			return err
 		}
-		ys, err := mk("Y", 22)
+		p, err := eng.Prepare(a, engine.PrepareOptions{Weights: weights, TargetK: k})
 		if err != nil {
 			return err
 		}
-		xi, err := xs.Invoke(context.Background(), nil)
+		exact, err := p.Run(ctx, engine.RunOptions{})
 		if err != nil {
 			return err
 		}
-		yi, err := ys.Invoke(context.Background(), nil)
-		if err != nil {
-			return err
-		}
-		exact, exactStats, err := topk.Join(context.Background(), xi, yi, topk.Options{
-			K: k, Predicate: pred,
-		})
-		if err != nil {
-			return err
-		}
-		trueScores := make([]float64, len(exact))
-		for i, r := range exact {
-			trueScores[i] = r.Score
+		trueScores := make([]float64, len(exact.Combinations))
+		for i, c := range exact.Combinations {
+			trueScores[i] = c.Score
 		}
 
-		xi2, err := xs.Invoke(context.Background(), nil)
+		xi, err := xs.Invoke(ctx, nil)
 		if err != nil {
 			return err
 		}
-		yi2, err := ys.Invoke(context.Background(), nil)
+		yi, err := ys.Invoke(ctx, nil)
 		if err != nil {
 			return err
 		}
 		var approxScores []float64
-		approxStats, err := join.Parallel(context.Background(), xi2, yi2,
+		approxStats, err := join.Parallel(ctx, xi, yi,
 			join.Strategy{Invocation: join.MergeScan, Completion: join.Triangular, FlushOnExhaust: true},
 			pred, 0, 0, func(p join.Pair) error {
-				approxScores = append(approxScores, p.RankProduct())
+				approxScores = append(approxScores, weights["X"]*p.X.Score+weights["Y"]*p.Y.Score)
 				if len(approxScores) >= k {
 					return join.ErrStop
 				}
@@ -74,7 +78,7 @@ func runE13(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t.add(i0(k), i0(exactStats.TotalFetches()), i0(approxStats.TotalFetches()),
+		t.add(i0(k), i0(int(exact.TotalCalls())), i0(approxStats.TotalFetches()),
 			f2(recall(trueScores, approxScores)))
 	}
 	t.write(w)

@@ -88,11 +88,6 @@ type PlanOptions struct {
 	// Heuristics select branch orderings (zero value = bound-is-better,
 	// selective-first, greedy).
 	Heuristics optimizer.Heuristics
-	// MaxPlans bounds the anytime search (0 = exhaust).
-	MaxPlans int
-	// ExploreInterfaces lets phase 1 consider every interface of each
-	// mart instead of the ones the query names.
-	ExploreInterfaces bool
 	// DisableMultiway restricts phase 2 to binary join trees, never
 	// proposing the n-ary multijoin for eligible parallel groups.
 	DisableMultiway bool
@@ -114,8 +109,7 @@ func (s *System) Plan(q *query.Query, opts PlanOptions) (*optimizer.Result, erro
 		Metric:           metric,
 		Heuristics:       opts.Heuristics,
 		StatsByInterface: s.stats,
-		MaxPlans:         opts.MaxPlans,
-		FixedInterfaces:  !opts.ExploreInterfaces,
+		FixedInterfaces:  true,
 		DisableMultiway:  opts.DisableMultiway,
 	})
 }

@@ -7,7 +7,6 @@ import (
 
 	"seco/internal/fidelity"
 	"seco/internal/join"
-	"seco/internal/topk"
 	"seco/internal/types"
 )
 
@@ -23,7 +22,9 @@ import (
 //     accumulated rows of every other branch. By the time Next hands a
 //     combination out, every stored row combination has been enumerated
 //     exactly once, so the score bound is the n-ary corner bound of
-//     topk.WeightedThreshold over the branch frontiers.
+//     weightedThreshold over the branch frontiers. On two inputs this is
+//     the rank join with a top-k guarantee (HRJN, the method class
+//     Section 3.2 defers to the book's next chapter).
 //   - Any other binary join runs under the explorer with the node's
 //     strategy (op_join.go): each tile is one chunk pair, and the bound
 //     adds the best stored chunk pair the explorer has not processed.
@@ -539,7 +540,7 @@ func (s *multiJoinOp) Bound() float64 {
 	for i := range s.branches {
 		best[i], cur[i] = s.branches[i].best(), s.branches[i].bound
 	}
-	if v := topk.WeightedThreshold(s.ones, best, cur); v > b {
+	if v := weightedThreshold(s.ones, best, cur); v > b {
 		b = v
 	}
 	if s.explorer != nil {
@@ -548,6 +549,41 @@ func (s *multiJoinOp) Bound() float64 {
 		}
 	}
 	return b
+}
+
+// weightedThreshold is the rank join's corner bound over n ranked inputs
+// under the chapter's weighted-sum ranking Σ wᵢ·sᵢ: best[i] is the top
+// score seen on input i, cur[i] the score at its current frontier
+// (unseen tuples score at most cur[i]). The bound is the best total
+// achievable by a combination using at least one unseen component — for
+// each input, substitute its frontier while every other input
+// contributes its best. A frontier of -Inf marks an exhausted input,
+// which offers no unseen tuple and so no term; a best of -Inf marks a
+// silent input (nothing seen, nothing to come), which blocks every
+// combination through it. Weights must be non-negative. The arithmetic
+// order (total − wᵢ·bestᵢ + wᵢ·curᵢ) is fixed: the pull driver halts on
+// exact ties.
+func weightedThreshold(weights, best, cur []float64) float64 {
+	if len(weights) != len(best) || len(weights) != len(cur) {
+		panic("engine: weightedThreshold length mismatch")
+	}
+	total := 0.0
+	for i, w := range weights {
+		if math.IsInf(best[i], -1) {
+			return math.Inf(-1)
+		}
+		total += w * best[i]
+	}
+	tau := math.Inf(-1)
+	for i, w := range weights {
+		if math.IsInf(cur[i], -1) {
+			continue
+		}
+		if v := total - w*best[i] + w*cur[i]; v > tau {
+			tau = v
+		}
+	}
+	return tau
 }
 
 // Close ends the branch prefetchers' ownership of the input readers and

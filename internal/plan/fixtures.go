@@ -13,7 +13,8 @@ import (
 
 // This file builds the chapter's two worked plans as reusable fixtures:
 // the fully instantiated running-example plan of Fig. 10 (topology (d) of
-// Fig. 9) and the Conference/Weather/Flight/Hotel plan of Figs. 2–3. The
+// Fig. 9) and the Conference/Weather/Flight/Hotel plan of Figs. 2–3, plus
+// the two-service rank join that Section 3.2 contrasts them with. The
 // statistics encode the chapter's published numbers where given (movie
 // chunks of 20, theatre chunks of 5, Shows selectivity 2%, DinnerPlace
 // selectivity 40%, Conference average cardinality 20) and documented
@@ -111,6 +112,64 @@ func RunningExamplePlan(reg *mart.Registry) (*Plan, *query.Query, error) {
 		return nil, nil, err
 	}
 	return p, q, nil
+}
+
+// RankedJoinWeights is the ranking of RankedJoinPlan: the chapter's
+// weighted sum, with equal weights on the two services.
+func RankedJoinWeights() map[string]float64 {
+	return map[string]float64{"X": 0.5, "Y": 0.5}
+}
+
+// RankedJoinPlan builds the two-service join Section 3.2 uses to contrast
+// guaranteed top-k joins with the chapter's approximate methods: ranked
+// search services X and Y (the tables x and y, such as synth.NewRanked
+// builds) joined on X.Key = Y.Key with selectivity sel, asking for the
+// best k pairs. Each service's fetching factor reaches all its chunks, so
+// a pull run ends on the top-k guarantee or on exhaustion, never on a
+// budget. The returned plan is validated and annotated.
+func RankedJoinPlan(x, y *service.Table, sel float64, k int) (*Annotated, error) {
+	p := New(k)
+	svc := func(alias string, tab *service.Table) *Node {
+		return &Node{ID: alias, Kind: KindService, Alias: alias, Interface: tab.Interface(), Stats: tab.Stats()}
+	}
+	nodes := []*Node{
+		{ID: "input", Kind: KindInput},
+		{ID: "output", Kind: KindOutput},
+		svc("X", x),
+		svc("Y", y),
+		{
+			ID: "XY", Kind: KindJoin,
+			Strategy:        join.Strategy{Invocation: join.MergeScan, Completion: join.Triangular},
+			JoinSelectivity: sel,
+			JoinPreds: []query.Predicate{{
+				Left: query.PathRef{Alias: "X", Path: "Key"}, Op: types.OpEq,
+				Right: query.Term{Kind: query.TermPath, Path: query.PathRef{Alias: "Y", Path: "Key"}},
+			}},
+		},
+	}
+	for _, n := range nodes {
+		if err := p.AddNode(n); err != nil {
+			return nil, err
+		}
+	}
+	for _, arc := range [][2]string{
+		{"input", "X"}, {"input", "Y"}, {"X", "XY"}, {"Y", "XY"}, {"XY", "output"},
+	} {
+		if err := p.Connect(arc[0], arc[1]); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	chunks := func(tab *service.Table) int {
+		cs := tab.Stats().ChunkSize
+		if cs <= 0 { // unchunked: Annotate assigns it no factor
+			return 1
+		}
+		return max(1, (tab.Len()+cs-1)/cs)
+	}
+	return Annotate(p, map[string]int{"X": chunks(x), "Y": chunks(y)})
 }
 
 // Fig10Fetches is the fetching-factor assignment of Section 5.6: 5 chunks

@@ -67,11 +67,9 @@ type Config struct {
 	DisableMultiway bool
 	// CacheCalls enables the engines' cross-query call-sharing layer.
 	CacheCalls bool
-	// Hedge mounts the hedged-call layer on every service lane.
+	// Hedge mounts the hedged-call layer, under the default
+	// service.HedgePolicy, on every service lane.
 	Hedge bool
-	// HedgePolicy tunes hedging when Hedge is set (zero value =
-	// defaults).
-	HedgePolicy service.HedgePolicy
 	// Admission tunes the admission controller. Its Metrics field is
 	// overwritten with the server's registry.
 	Admission admission.Config
@@ -287,8 +285,7 @@ func (s *Server) build(e *planEntry, text string, k int) error {
 	}
 	ecfg := engine.Config{Clock: s.clock, Share: s.cfg.CacheCalls, Metrics: s.reg}
 	if s.cfg.Hedge {
-		policy := s.cfg.HedgePolicy
-		ecfg.Hedge = &policy
+		ecfg.Hedge = &service.HedgePolicy{}
 	}
 	if e.eng, err = s.sys.Engine(e.res, ecfg, s.cfg.Wrap); err != nil {
 		return err
