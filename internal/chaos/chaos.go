@@ -130,7 +130,7 @@ func (r BindingFault) Decide(c Call) Verdict {
 	if c.Op != "invoke" || c.Input == nil {
 		return Verdict{}
 	}
-	v, ok := c.Input[r.Path]
+	v, ok := c.Input.Get(r.Path)
 	if !ok {
 		return Verdict{}
 	}

@@ -29,9 +29,9 @@ func TestRuleDecisions(t *testing.T) {
 		{"spike off-beat", LatencySpike{Every: 3, Delay: time.Second}, Call{Seq: 0}, Verdict{}},
 		{"spike on-beat", LatencySpike{Every: 3, Delay: time.Second}, Call{Seq: 2}, Verdict{Delay: time.Second}},
 		{"binding miss", BindingFault{Path: "City", Value: "Roma", Fault: FaultTransient},
-			Call{Op: "invoke", Input: service.Input{"City": types.String("Milano")}}, Verdict{}},
+			Call{Op: "invoke", Input: service.Input{{Path: "City", Value: types.String("Milano")}}}, Verdict{}},
 		{"binding hit", BindingFault{Path: "City", Value: "Roma", Fault: FaultPermanent},
-			Call{Op: "invoke", Input: service.Input{"City": types.String("Roma")}}, Verdict{Fault: FaultPermanent}},
+			Call{Op: "invoke", Input: service.Input{{Path: "City", Value: types.String("Roma")}}}, Verdict{Fault: FaultPermanent}},
 		{"binding fetch exempt", BindingFault{Path: "City", Value: "Roma", Fault: FaultPermanent},
 			Call{Op: "fetch"}, Verdict{}},
 	}

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"seco/internal/plan"
+	"seco/internal/query"
+	"seco/internal/service"
+	"seco/internal/types"
 )
 
 // TestPullDriverAllocsBounded is the allocation-regression guard of the
@@ -95,4 +98,44 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 		t.Errorf("Prepared.Run allocates %.0f objects, not below the %.0f of an Execute", gotRun, got)
 	}
 	t.Logf("steady-state Prepared.Run: %.0f allocs (Execute %.0f)", gotRun, got)
+}
+
+var inputSink service.Input
+
+// TestInvocationInputAllocs guards the per-invocation input assembly: a
+// node without INPUT variables shares its template, and a piped
+// invocation costs one clone of the template, nothing per bound path.
+func TestInvocationInputAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	sp := &svcProg{
+		n:     &plan.Node{ID: "X", Alias: "X"},
+		in:    service.Input{{Path: "A", Value: types.Int(1)}, {Path: "Key"}},
+		pipes: []pipeBind{{pos: 1, slot: 0, from: query.PathRef{Alias: "U", Path: "Id"}}},
+	}
+	up := types.NewTuple(0.5)
+	up.Set("Id", types.Int(7))
+	src := &comb{score: 0.5, comps: []*types.Tuple{up, nil}}
+
+	fixed, err := sp.bind(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { inputSink, _ = sp.bind(nil) }); got != 0 {
+		t.Errorf("bind without INPUT variables allocates %.0f objects, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { inputSink, _ = sp.pipeInput(fixed, src) }); got != 1 {
+		t.Errorf("pipeInput allocates %.0f objects, want 1", got)
+	}
+	in, err := sp.pipeInput(fixed, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := in.Get("Key"); v.IntVal() != 7 {
+		t.Errorf("piped Key = %v, want 7", v)
+	}
+	if v, _ := fixed.Get("Key"); !v.IsNull() {
+		t.Errorf("pipeInput wrote into the template: Key = %v", v)
+	}
 }

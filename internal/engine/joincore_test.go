@@ -93,9 +93,9 @@ func triangleReferenceTopK(t *testing.T, q *query.Query, w *synth.TriangleWorld,
 			rows = append(rows, c.Tuples...)
 		}
 	}
-	city := service.Input{"City": types.String("Milano")}
+	city := service.Input{{Path: "City", Value: types.String("Milano")}}
 	byAlias := map[string][]*types.Tuple{
-		"S": all(w.Festivals, service.Input{"Name": w.Inputs["INPUT1"]}),
+		"S": all(w.Festivals, service.Input{{Path: "Name", Value: w.Inputs["INPUT1"]}}),
 		"A": all(w.Artists, city), "V": all(w.Venues, city), "P": all(w.Promoters, city),
 	}
 	aliases := q.Aliases()
@@ -302,7 +302,7 @@ func TestNumericEdgeKeysMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inv, err := tab.Invoke(context.Background(), service.Input{"City": types.String("Milano")})
+		inv, err := tab.Invoke(context.Background(), service.Input{{Path: "City", Value: types.String("Milano")}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,42 +392,43 @@ func TestServiceReaderModes(t *testing.T) {
 		invocations, fetches int64
 		upstreamPulls        int
 	}
-	keyPipe := []pipeBind{{path: "Key", slot: 0, from: query.PathRef{Alias: "U", Path: "Id"}}}
+	keyIn := service.Input{{Path: "Key"}}
+	keyPipe := []pipeBind{{pos: 0, slot: 0, from: query.PathRef{Alias: "U", Path: "Id"}}}
 	for _, tc := range []struct {
 		name   string
-		fixed  service.Input
-		pipes  []pipeBind // non-empty: the reader is a pipe
+		fixed  service.Input // the node's template, its pipe positions unset
+		pipes  []pipeBind    // non-empty: the reader is a pipe
 		par    int
 		clk    Clock   // nil: a VirtualClock
 		upKeys []int64 // the upstream combinations' Ids (piped: their keys)
 		steps  []step
 	}{
-		{"scan pages one shared prefix", service.Input{"Key": types.Int(1)}, nil, 1, nil, []int64{0, 1, 2}, []step{
+		{"scan pages one shared prefix", service.Input{{Path: "Key", Value: types.Int(1)}}, nil, 1, nil, []int64{0, 1, 2}, []step{
 			{1, 1, 1, 1, 1},   // first combination: one chunk, not the budget
 			{2, 2, 1, 2, 1},   // third tuple needs the second chunk
 			{4, 4, 1, 3, 2},   // 2nd upstream combination re-reads the prefix: no call
 			{-1, 11, 1, 3, 4}, // 18 in all, still one invocation and three fetches
 		}},
-		{"scan stops on an empty service", service.Input{"Key": types.Int(99)}, nil, 1, nil, []int64{0, 1, 2}, []step{
+		{"scan stops on an empty service", service.Input{{Path: "Key", Value: types.Int(99)}}, nil, 1, nil, []int64{0, 1, 2}, []step{
 			{-1, 0, 1, 0, 1}, // nothing can compose: the other two upstream pulls are skipped
 		}},
-		{"piped starts over per combination", service.Input{}, keyPipe, 1, nil, []int64{0, 1, 2}, []step{
+		{"piped starts over per combination", keyIn, keyPipe, 1, nil, []int64{0, 1, 2}, []step{
 			{1, 1, 1, 1, 1},   // no prepayment: one chunk of a budget of three
 			{5, 5, 1, 3, 1},   // the rest of combination 0
 			{1, 1, 2, 4, 2},   // combination 1 invokes afresh and pays one chunk
 			{-1, 11, 3, 9, 4}, // 18 in all: three invocations of three chunks
 		}},
-		{"piped survives an empty invocation", service.Input{}, keyPipe, 1, nil, []int64{99, 1}, []step{
+		{"piped survives an empty invocation", keyIn, keyPipe, 1, nil, []int64{99, 1}, []step{
 			{1, 1, 2, 1, 2}, // key 99 yields nothing; the next combination may still
 			{-1, 5, 2, 3, 3},
 		}},
-		{"piped window of three", service.Input{}, keyPipe, 3, &yieldClock{}, []int64{0, 1, 2, 3, 4}, []step{
+		{"piped window of three", keyIn, keyPipe, 3, &yieldClock{}, []int64{0, 1, 2, 3, 4}, []step{
 			{1, 1, 3, 3, 3},    // the current combination's chunk plus two first chunks ahead
 			{5, 5, 3, 5, 3},    // the rest of combination 0, on demand
 			{1, 1, 4, 6, 4},    // combination 1 has its chunk; combination 3 joins the window
 			{-1, 23, 5, 15, 6}, // a drain still fetches every invocation to its budget
 		}},
-		{"piped window of three on a virtual clock", service.Input{}, keyPipe, 3, nil, []int64{0, 1, 2, 3, 4}, []step{
+		{"piped window of three on a virtual clock", keyIn, keyPipe, 3, nil, []int64{0, 1, 2, 3, 4}, []step{
 			{1, 1, 1, 1, 3},    // the window is pulled, but only the current combination is invoked
 			{5, 5, 1, 3, 3},    // the rest of combination 0, on demand
 			{1, 1, 2, 4, 4},    // combination 1 is invoked once reached; combination 3 joins the window
@@ -453,7 +454,7 @@ func TestServiceReaderModes(t *testing.T) {
 			}
 			sp := &svcProg{
 				n: &plan.Node{ID: "X", Alias: "X", Stats: tab.Stats()}, slot: 1, budget: 3, w: 1, hint: 6,
-				pipes: tc.pipes,
+				in: tc.fixed, pipes: tc.pipes,
 			}
 			counter := e.Invoker().NewRun().Counter("X")
 			var wg sync.WaitGroup

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +299,8 @@ func brokenPlans(t *testing.T) []brokenPlan {
 		{"uncovered-pipe-binding", plancheck.CodeBinding, false, mutate(base, "R", rebindPipe("Z")), pull},
 		{"missing-input-binding", plancheck.CodeBinding, false,
 			mutate(base, "R", func(n *plan.Node) { n.Bindings = nil }), pull},
+		{"binding-duplicate-path", plancheck.CodeBinding, false,
+			mutate(base, "M", func(n *plan.Node) { n.Bindings = append(n.Bindings, n.Bindings[0]) }), pull},
 		{"self-piped-binding", plancheck.CodeBinding, false, mutate(base, "R", rebindPipe("R")), pull},
 		{"illegal-strategy", plancheck.CodeStrategy, false, mutate(base, "MS", func(n *plan.Node) {
 			n.Strategy = join.Strategy{Invocation: join.NestedLoop, H: 0}
@@ -464,6 +467,58 @@ func TestCompilerRefusesUnspannedJoinPredicate(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Errorf("MS predicate on M and %s: Prepare error %v, want %q", alias, err, want)
 		}
+	}
+}
+
+// TestCompilerBindsInputsByPath: the compiler lays a service's input
+// template out in path order whatever order the plan lists its bindings
+// in, and, with plancheck skipped, refuses a node that binds one path
+// twice instead of giving both bindings one position.
+func TestCompilerBindsInputsByPath(t *testing.T) {
+	e, base, q, world := fixture(t)
+	prepare := func(p *plan.Plan, skip bool) (*Prepared, error) {
+		a, err := plan.Annotate(p, plan.Fig10Fetches())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Prepare(a, PrepareOptions{Weights: q.Weights, TargetK: 5, SkipValidate: skip})
+	}
+	run := func(p *Prepared) *Run {
+		r, err := p.Run(context.Background(), RunOptions{Inputs: world.Inputs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	ref, err := prepare(base, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(ref)
+
+	reversed := base.Clone()
+	for _, id := range []string{"M", "R"} {
+		n, _ := reversed.Node(id)
+		if len(n.Bindings) < 2 {
+			t.Fatalf("fixture node %s binds %d paths, want several", id, len(n.Bindings))
+		}
+		slices.Reverse(n.Bindings)
+	}
+	p, err := prepare(reversed, false)
+	if err != nil {
+		t.Fatalf("reversed bindings refused: %v", err)
+	}
+	if got := run(p); !reflect.DeepEqual(runKeys(got), runKeys(want)) || !reflect.DeepEqual(got.Calls, want.Calls) {
+		t.Errorf("reversed bindings: %v (calls %v), want %v (calls %v)",
+			runKeys(got), got.Calls, runKeys(want), want.Calls)
+	}
+
+	dup := base.Clone()
+	n, _ := dup.Node("M")
+	n.Bindings = append(n.Bindings, n.Bindings[0])
+	wantErr := "engine: service M binds input \"" + n.Bindings[0].Path + "\" twice"
+	if _, err := prepare(dup, true); err == nil || err.Error() != wantErr {
+		t.Errorf("duplicate binding under SkipValidate: Prepare error %v, want %q", err, wantErr)
 	}
 }
 

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"seco/internal/plan"
 	"seco/internal/plancheck"
@@ -47,57 +49,54 @@ type svcProg struct {
 	w      float64
 	// hint pre-sizes the fetched-tuple prefix buffer.
 	hint int
-	// consts holds the constant input bindings; inputs lists the paths
-	// still to bind from RunOptions.Inputs, pipes those bound from each
-	// upstream combination (non-empty exactly for a pipe join).
-	consts service.Input
+	// in is the node's input template: one binding per path, sorted by
+	// path, with the constants set. inputs lists the positions still to
+	// bind from RunOptions.Inputs, pipes those bound from each upstream
+	// combination (non-empty exactly for a pipe join).
+	in     service.Input
 	inputs []inputBind
 	pipes  []pipeBind
 }
 
-// inputBind is one service input path fed by an INPUT variable.
+// inputBind is one service input position fed by an INPUT variable.
 type inputBind struct {
-	path, input string
+	pos   int
+	input string
 }
 
-// pipeBind is one service input path piped from an upstream component.
+// pipeBind is one service input position piped from an upstream
+// component.
 type pipeBind struct {
-	path string
+	pos int
 	// slot is the upstream alias's layout slot, -1 when the plan has no
 	// such alias (the pipe then finds no value, as an absent component).
 	slot int
 	from query.PathRef
 }
 
-// bind assembles the node's fixed input for one run: the constants plus
-// the run's INPUT bindings. A node without INPUT variables shares the
-// constant map across runs — services only read their input.
+// bind assembles the node's fixed input for one run: the template with
+// the run's INPUT bindings filled in. A node without INPUT variables
+// shares the template across runs — services only read their input.
 func (sp *svcProg) bind(inputs map[string]types.Value) (service.Input, error) {
 	if len(sp.inputs) == 0 {
-		return sp.consts, nil
+		return sp.in, nil
 	}
-	fixed := make(service.Input, len(sp.consts)+len(sp.inputs))
-	for path, v := range sp.consts {
-		fixed[path] = v
-	}
+	fixed := sp.in.Clone()
 	for _, b := range sp.inputs {
 		v, ok := inputs[b.input]
 		if !ok {
 			return nil, fmt.Errorf("engine: unbound input variable %s (service %s)",
 				b.input, sp.n.Alias)
 		}
-		fixed[b.path] = v
+		fixed[b.pos].Value = v
 	}
 	return fixed, nil
 }
 
 // pipeInput assembles the input of one piped invocation: the fixed
-// bindings plus the values the upstream combination supplies.
+// bindings with the values the upstream combination supplies filled in.
 func (sp *svcProg) pipeInput(fixed service.Input, src *comb) (service.Input, error) {
-	in := make(service.Input, len(fixed)+len(sp.pipes))
-	for path, v := range fixed {
-		in[path] = v
-	}
+	in := fixed.Clone()
 	for _, b := range sp.pipes {
 		v := types.Null
 		if b.slot >= 0 {
@@ -109,7 +108,7 @@ func (sp *svcProg) pipeInput(fixed service.Input, src *comb) (service.Input, err
 			return nil, fmt.Errorf("engine: pipe into %s: upstream %s has no value",
 				sp.n.Alias, b.from)
 		}
-		in[b.path] = v
+		in[b.pos].Value = v
 	}
 	return in, nil
 }
@@ -221,21 +220,33 @@ func (c *compiler) service(id string, n *plan.Node) (*svcProg, error) {
 	}
 	sp := &svcProg{
 		n: n, budget: budget, w: c.opts.Weights[n.Alias],
-		hint:   prefixHint(n, budget),
-		consts: service.Input{},
+		hint: prefixHint(n, budget),
+		in:   make(service.Input, len(n.Bindings)),
 	}
-	for _, b := range n.Bindings {
+	// The analyzer emits one binding per input path in path order; a
+	// hand-written plan may list them in any order, and one that binds a
+	// path twice has no position to give either binding.
+	bs := n.Bindings
+	if !slices.IsSortedFunc(bs, cmpBindingPath) {
+		bs = slices.Clone(bs)
+		slices.SortStableFunc(bs, cmpBindingPath)
+	}
+	for pos, b := range bs {
+		if pos > 0 && bs[pos-1].Path == b.Path {
+			return nil, fmt.Errorf("engine: service %s binds input %q twice", n.Alias, b.Path)
+		}
+		sp.in[pos].Path = b.Path
 		switch b.Source.Kind {
 		case query.BindConst:
-			sp.consts[b.Path] = b.Source.Const
+			sp.in[pos].Value = b.Source.Const
 		case query.BindInput:
-			sp.inputs = append(sp.inputs, inputBind{path: b.Path, input: b.Source.Input})
+			sp.inputs = append(sp.inputs, inputBind{pos: pos, input: b.Source.Input})
 		case query.BindJoin:
 			slot, ok := c.layout.slots[b.Source.From.Alias]
 			if !ok {
 				slot = -1
 			}
-			sp.pipes = append(sp.pipes, pipeBind{path: b.Path, slot: slot, from: b.Source.From})
+			sp.pipes = append(sp.pipes, pipeBind{pos: pos, slot: slot, from: b.Source.From})
 		}
 	}
 	var err error
@@ -247,6 +258,10 @@ func (c *compiler) service(id string, n *plan.Node) (*svcProg, error) {
 	}
 	return sp, nil
 }
+
+// cmpBindingPath orders input bindings by path, the order of a
+// service.Input.
+func cmpBindingPath(a, b query.InputBinding) int { return strings.Compare(a.Path, b.Path) }
 
 // join compiles a join node of any fan-in: its pair predicates become
 // edges between the two branches each spans, and a binary join whose

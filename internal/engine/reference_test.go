@@ -235,10 +235,10 @@ func drainTable(t *testing.T, tab *service.Table) []*types.Tuple {
 	case len(inputs) == 0:
 		tryInput(nil)
 	case inputs[0] == "Seed":
-		tryInput(service.Input{"Seed": types.Int(1)})
+		tryInput(service.Input{{Path: "Seed", Value: types.Int(1)}})
 	case inputs[0] == "Key":
 		for id := int64(0); id < 500; id++ {
-			tryInput(service.Input{"Key": types.Int(id)})
+			tryInput(service.Input{{Path: "Key", Value: types.Int(id)}})
 		}
 	default:
 		t.Fatalf("unexpected input paths %v", inputs)

@@ -282,7 +282,7 @@ func (r *Report) Publish(reg *obs.Registry) {
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		reg.Gauge("seco.fidelity.worst_q_milli."+k).Set(int64(worst[k]*1000 + 0.5))
+		reg.Gauge("seco.fidelity.worst_q_milli." + k).Set(int64(worst[k]*1000 + 0.5))
 	}
 	reg.Counter("seco.fidelity.drift.detected").Add(int64(r.Drifted))
 }

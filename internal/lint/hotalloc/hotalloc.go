@@ -6,8 +6,8 @@
 // regressions from creeping back. Inside any method named Next it flags:
 //
 //   - composite literals whose underlying type is map[string]types.Value
-//     (including named forms such as service.Input) — the per-tuple alias
-//     and binding maps the slot layout replaced;
+//     (including named map forms) — the per-tuple alias and binding maps
+//     the slot layout replaced;
 //   - make calls producing such a map;
 //   - calls to fmt.Sprintf — formatting belongs at compile time or at the
 //     materialization boundary, not in the per-pull loop.

@@ -407,10 +407,11 @@ func anyIn(set map[string]bool, ids []string) bool {
 }
 
 // checkBindings verifies binding coverage for every service invocation:
-// each input path of the bound interface must be covered by a binding, and
-// each piped (BindJoin) binding must be fed by a service node that is a
-// strict ancestor in the DAG — otherwise the invocation would block on a
-// value no upstream node produces.
+// each input path of the bound interface must be covered by a binding, no
+// path may be bound twice (the engine gives each path one input
+// position), and each piped (BindJoin) binding must be fed by a service
+// node that is a strict ancestor in the DAG — otherwise the invocation
+// would block on a value no upstream node produces.
 func checkBindings(p *plan.Plan, r *Report) {
 	for _, id := range p.NodeIDs() {
 		n, _ := p.Node(id)
@@ -420,6 +421,9 @@ func checkBindings(p *plan.Plan, r *Report) {
 		anc := ancestorAliases(p, id)
 		covered := map[string]bool{}
 		for _, b := range n.Bindings {
+			if covered[b.Path] {
+				r.add(CodeBinding, id, Error, "input %q bound twice", b.Path)
+			}
 			covered[b.Path] = true
 			if b.Source.Kind != query.BindJoin {
 				continue

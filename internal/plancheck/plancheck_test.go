@@ -123,6 +123,12 @@ func TestBrokenPlanCorpus(t *testing.T) {
 			})
 			return plancheck.Check(c)
 		}},
+		{"binding-duplicate-path", plancheck.CodeBinding, false, func(t *testing.T) *plancheck.Report {
+			c := mutate(t, base, "M", func(n *plan.Node) {
+				n.Bindings = append(n.Bindings, n.Bindings[0])
+			})
+			return plancheck.Check(c)
+		}},
 		{"self-piped-binding", plancheck.CodeBinding, false, func(t *testing.T) *plancheck.Report {
 			c := mutate(t, base, "R", func(n *plan.Node) {
 				for i := range n.Bindings {

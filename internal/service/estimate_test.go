@@ -34,7 +34,7 @@ func probeTable(t *testing.T, n, chunk int, sc Scoring) *Table {
 }
 
 func probeInput() []Input {
-	return []Input{{"Key": types.Int(1)}}
+	return []Input{{{Path: "Key", Value: types.Int(1)}}}
 }
 
 func TestEstimateStatsLinearService(t *testing.T) {
@@ -92,7 +92,7 @@ func TestEstimateStatsConstantExactService(t *testing.T) {
 func TestEstimateStatsMultipleSamplesAverage(t *testing.T) {
 	tab := probeTable(t, 12, 0, Constant(0.5))
 	// Second sample matches nothing: average halves.
-	samples := []Input{{"Key": types.Int(1)}, {"Key": types.Int(999)}}
+	samples := []Input{{{Path: "Key", Value: types.Int(1)}}, {{Path: "Key", Value: types.Int(999)}}}
 	st, err := EstimateStats(context.Background(), tab, samples, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"seco/internal/mart"
@@ -14,16 +15,44 @@ import (
 // further chunks for the invocation.
 var ErrExhausted = errors.New("service: result list exhausted")
 
-// Input binds the input attribute paths of a service interface to values.
-type Input map[string]types.Value
+// Binding binds one input attribute path to a value.
+type Binding struct {
+	Path  string
+	Value types.Value
+}
+
+// Input binds the input attribute paths of a service interface to values:
+// one Binding per path, sorted by path. Interfaces list their input paths
+// sorted too (mart.Interface.InputPaths), so a service checks and matches
+// a binding by one merge walk, with no hashing. Services only read their
+// input; a caller may share one Input across invocations.
+type Input []Binding
+
+// NewInput builds the input binding the map describes.
+func NewInput(m map[string]types.Value) Input {
+	in := make(Input, 0, len(m))
+	for p, v := range m {
+		in = append(in, Binding{Path: p, Value: v})
+	}
+	sort.Slice(in, func(i, j int) bool { return in[i].Path < in[j].Path })
+	return in
+}
 
 // Clone returns a copy of the input binding.
 func (in Input) Clone() Input {
 	c := make(Input, len(in))
-	for k, v := range in {
-		c[k] = v
-	}
+	copy(c, in)
 	return c
+}
+
+// Get returns the value bound to path, and whether the path is bound.
+func (in Input) Get(path string) (types.Value, bool) {
+	for _, b := range in {
+		if b.Path == path {
+			return b.Value, true
+		}
+	}
+	return types.Null, false
 }
 
 // Chunk is one unit of results returned by a single request-response.
@@ -105,11 +134,15 @@ type Service interface {
 // CheckInput verifies that in binds every input path of si, returning a
 // descriptive error otherwise. Service implementations call it from Invoke.
 func CheckInput(si *mart.Interface, in Input) error {
+	j := 0
 	for _, p := range si.InputPaths() {
-		v, ok := in[p]
-		if !ok || v.IsNull() {
+		for j < len(in) && in[j].Path < p {
+			j++
+		}
+		if j == len(in) || in[j].Path != p || in[j].Value.IsNull() {
 			return unboundError(si, p)
 		}
+		j++
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -116,25 +115,16 @@ func (s *Share) Interface() *mart.Interface { return s.inner.Interface() }
 func (s *Share) Stats() Stats { return s.inner.Stats() }
 
 // inputKey canonicalizes a binding for use as a map key: "path=value;"
-// per bound path in sorted order, appended into one buffer. This runs on
-// every Invoke through the Share layer. When in binds exactly as many
-// paths as the interface's sorted input paths — which CheckInput has
-// just proved present — it walks those; any other binding is sorted.
-func inputKey(inputs []string, in Input) string {
-	paths := inputs
-	if len(in) != len(inputs) {
-		paths = make([]string, 0, len(in))
-		for p := range in {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-	}
-	var buf [64]byte
+// per bound path, appended into one buffer. This runs on every Invoke
+// through the Share layer; the binding is sorted by path, so equal
+// bindings key equally.
+func inputKey(in Input) string {
+	var buf [128]byte
 	b := buf[:0]
-	for _, p := range paths {
-		b = append(b, p...)
+	for _, x := range in {
+		b = append(b, x.Path...)
 		b = append(b, '=')
-		b = in[p].AppendTo(b)
+		b = x.Value.AppendTo(b)
 		b = append(b, ';')
 	}
 	return string(b)
@@ -146,7 +136,7 @@ func (s *Share) Invoke(ctx context.Context, in Input) (Invocation, error) {
 	if err := CheckInput(si, in); err != nil {
 		return nil, err
 	}
-	key := inputKey(si.InputPaths(), in)
+	key := inputKey(in)
 	s.mu.Lock()
 	entry, ok := s.entries[key]
 	if !ok {

@@ -103,41 +103,38 @@ func TestShareDistinguishesBindings(t *testing.T) {
 	tab := newMovieTable(t, 0)
 	wire := NewCounter(tab, nil)
 	sh := NewShare(wire)
-	other := movieInput()
+	other := movieBinding()
 	other["Genres.Genre"] = types.String("Drama")
 	drainShared(t, sh, movieInput())
-	drainShared(t, sh, other)
+	drainShared(t, sh, NewInput(other))
 	if wire.Invocations() != 2 {
 		t.Errorf("distinct bindings shared an entry: %d wire invocations", wire.Invocations())
 	}
 }
 
-// Equal bindings key equally whichever order their paths went in, on the
-// walk over the interface's sorted input paths and on the sorting
-// fallback alike; a binding carrying an extra path keys apart.
+// Equal bindings key equally whichever order their paths went in; a
+// binding carrying an extra path keys apart.
 func TestShareInputKey(t *testing.T) {
 	tab := newMovieTable(t, 0)
 	inputs := tab.Interface().InputPaths()
-	want := movieInput()
+	want := movieBinding()
 	if len(inputs) != len(want) {
 		t.Fatalf("interface inputs %v, fixture binds %d paths", inputs, len(want))
 	}
-	forward, backward := Input{}, Input{}
+	fwd, bwd := map[string]types.Value{}, map[string]types.Value{}
 	for i := range inputs {
-		forward[inputs[i]] = want[inputs[i]]
-		backward[inputs[len(inputs)-1-i]] = want[inputs[len(inputs)-1-i]]
+		fwd[inputs[i]] = want[inputs[i]]
+		bwd[inputs[len(inputs)-1-i]] = want[inputs[len(inputs)-1-i]]
 	}
-	key := inputKey(inputs, forward)
-	if got := inputKey(inputs, backward); got != key {
+	forward, backward := NewInput(fwd), NewInput(bwd)
+	key := inputKey(forward)
+	if got := inputKey(backward); got != key {
 		t.Errorf("insertion order changed the key: %q vs %q", got, key)
 	}
-	if got := inputKey(nil, backward); got != key {
-		t.Errorf("sorting fallback keys %q, input-path walk %q", got, key)
-	}
-	extra := movieInput()
+	extra := movieBinding()
 	extra["Title"] = types.String("Up")
-	if got := inputKey(inputs, extra); got == key || got != inputKey(nil, extra) {
-		t.Errorf("extra path: key %q (without it %q, sorted %q)", got, key, inputKey(nil, extra))
+	if got := inputKey(NewInput(extra)); got == key {
+		t.Errorf("extra path: key %q equals the key without it", got)
 	}
 
 	wire := NewCounter(tab, nil)

@@ -235,16 +235,21 @@ type bound struct {
 
 // bind pairs every compiled column with its bound value, rejecting
 // missing bindings (access limitations are mandatory) and bindings an
-// atomic column's values cannot be compared with.
+// atomic column's values cannot be compared with. Columns and bindings
+// are both sorted by path, so one merge walk pairs them.
 func (ix *tableIndex) bind(in Input, bs []bound) ([]bound, error) {
+	j := 0
 	for _, c := range ix.cols {
-		v, ok := in[c.path]
-		if !ok || v.IsNull() {
+		for j < len(in) && in[j].Path < c.path {
+			j++
+		}
+		if j == len(in) || in[j].Path != c.path || in[j].Value.IsNull() {
 			return nil, unboundError(ix.t.si, c.path)
 		}
-		b := bound{column: c, v: v}
+		b := bound{column: c, v: in[j].Value}
+		j++
 		if c.post != nil {
-			b.key, b.keyed = v.EqKey()
+			b.key, b.keyed = b.v.EqKey()
 		}
 		bs = append(bs, b)
 	}
@@ -266,26 +271,31 @@ func (ix *tableIndex) bind(in Input, bs []bound) ([]bound, error) {
 	return bs, nil
 }
 
-// bindExtras adds the keys of in beyond the interface's inputs: they
+// bindExtras adds the bindings of in beyond the interface's inputs: they
 // filter too, by comparison, on columns made up for the invocation. One on
 // an input path's repeating group joins that group's single-sub-tuple
-// test. The result is a fresh slice in path order.
+// test. The result is a fresh slice in path order, merged from the bound
+// columns and the extra bindings, both sorted by path.
 func (ix *tableIndex) bindExtras(in Input, bs []bound) []bound {
-	out := append(make([]bound, 0, len(in)), bs...)
-	for p, v := range in {
-		if ix.t.si.Adornments[p] == mart.Input {
-			continue
+	out := make([]bound, 0, len(in))
+	i := 0
+	for _, e := range in {
+		for i < len(bs) && bs[i].path < e.Path {
+			out = append(out, bs[i])
+			i++
 		}
-		c := ix.t.newColumn(p)
+		if i < len(bs) && bs[i].path == e.Path {
+			continue // an input path, bound already
+		}
+		c := ix.t.newColumn(e.Path)
 		for _, ic := range ix.cols {
 			if ic.group == c.group {
 				c.span = ic.span // nil between atomic paths
 			}
 		}
-		out = append(out, bound{column: c, v: v})
+		out = append(out, bound{column: c, v: e.Value})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].path < out[j].path })
-	return out
+	return append(out, bs[i:]...)
 }
 
 // Invoke implements Service: the candidates are the shortest posting list

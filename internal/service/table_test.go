@@ -73,13 +73,17 @@ func newMovieTable(t *testing.T, chunkSize int) *Table {
 	return tab
 }
 
-func movieInput() Input {
-	return Input{
+// movieBinding is the canonical movie binding as a map, for tests that
+// edit it before building the Input.
+func movieBinding() map[string]types.Value {
+	return map[string]types.Value{
 		"Genres.Genre":     types.String("Comedy"),
 		"Openings.Country": types.String("Italy"),
 		"Openings.Date":    types.Date(time.Date(2009, 7, 1, 0, 0, 0, 0, time.UTC)),
 	}
 }
+
+func movieInput() Input { return NewInput(movieBinding()) }
 
 func drain(t *testing.T, inv Invocation) []*types.Tuple {
 	t.Helper()
@@ -161,22 +165,22 @@ func TestTableChunking(t *testing.T) {
 
 func TestTableMissingInputRejected(t *testing.T) {
 	tab := newMovieTable(t, 0)
-	in := movieInput()
+	in := movieBinding()
 	delete(in, "Genres.Genre")
-	if _, err := tab.Invoke(context.Background(), in); err == nil {
+	if _, err := tab.Invoke(context.Background(), NewInput(in)); err == nil {
 		t.Error("Invoke without a bound input succeeded")
 	}
 	in["Genres.Genre"] = types.Null
-	if _, err := tab.Invoke(context.Background(), in); err == nil {
+	if _, err := tab.Invoke(context.Background(), NewInput(in)); err == nil {
 		t.Error("Invoke with null input succeeded")
 	}
 }
 
 func TestTableEmptyResultUnchunked(t *testing.T) {
 	tab := newMovieTable(t, 0)
-	in := movieInput()
+	in := movieBinding()
 	in["Genres.Genre"] = types.String("Western")
-	inv, err := tab.Invoke(context.Background(), in)
+	inv, err := tab.Invoke(context.Background(), NewInput(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +195,9 @@ func TestTableEmptyResultUnchunked(t *testing.T) {
 
 func TestTableEmptyResultChunked(t *testing.T) {
 	tab := newMovieTable(t, 2)
-	in := movieInput()
+	in := movieBinding()
 	in["Genres.Genre"] = types.String("Western")
-	inv, err := tab.Invoke(context.Background(), in)
+	inv, err := tab.Invoke(context.Background(), NewInput(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +225,30 @@ func TestTableContextCancelled(t *testing.T) {
 func TestTableInputClone(t *testing.T) {
 	in := movieInput()
 	c := in.Clone()
-	c["Genres.Genre"] = types.String("Horror")
-	if in["Genres.Genre"].Str() != "Comedy" {
-		t.Error("Clone shares map")
+	c[0].Value = types.String("Horror")
+	if v, _ := in.Get("Genres.Genre"); v.Str() != "Comedy" {
+		t.Error("Clone shares storage")
+	}
+}
+
+// NewInput sorts the map's paths, and Get finds a bound path and only a
+// bound path.
+func TestNewInputSortedAndGet(t *testing.T) {
+	in := movieInput()
+	want := []string{"Genres.Genre", "Openings.Country", "Openings.Date"}
+	if len(in) != len(want) {
+		t.Fatalf("NewInput = %v", in)
+	}
+	for i, b := range in {
+		if b.Path != want[i] {
+			t.Errorf("binding %d path = %q, want %q", i, b.Path, want[i])
+		}
+	}
+	if v, ok := in.Get("Openings.Country"); !ok || v.Str() != "Italy" {
+		t.Errorf("Get(Openings.Country) = %v, %v", v, ok)
+	}
+	if v, ok := in.Get("Title"); ok || !v.IsNull() {
+		t.Errorf("Get(Title) = %v, %v; want unbound", v, ok)
 	}
 }
 
@@ -327,9 +352,11 @@ func referenceChunks(t *Table, in Input) ([]Chunk, error) {
 		}
 		return types.OpEq
 	}
+	vals := make(map[string]types.Value, len(in))
 	paths := make([]string, 0, len(in))
-	for p := range in {
-		paths = append(paths, p)
+	for _, b := range in {
+		vals[b.Path] = b.Value
+		paths = append(paths, b.Path)
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
@@ -337,7 +364,7 @@ func referenceChunks(t *Table, in Input) ([]Chunk, error) {
 			continue
 		}
 		for _, row := range t.rows {
-			if _, err := op(p).Eval(row.Get(p), in[p]); err != nil {
+			if _, err := op(p).Eval(row.Get(p), vals[p]); err != nil {
 				return nil, fmt.Errorf("service %s: matching %q: %w", t.si.Name, p, err)
 			}
 		}
@@ -348,7 +375,7 @@ rows:
 		for i, p := range paths {
 			g, _, dotted := strings.Cut(p, ".")
 			if !dotted {
-				if ok, _ := op(p).Eval(row.Get(p), in[p]); !ok {
+				if ok, _ := op(p).Eval(row.Get(p), vals[p]); !ok {
 					continue rows
 				}
 				continue
@@ -364,7 +391,7 @@ rows:
 					if qg != g {
 						break
 					}
-					if ok, err := op(q).Eval(st[sub], in[q]); err != nil || !ok {
+					if ok, err := op(q).Eval(st[sub], vals[q]); err != nil || !ok {
 						all = false
 						break
 					}
@@ -513,7 +540,7 @@ func (w *randomWorld) rows(n int) []*types.Tuple {
 }
 
 func (w *randomWorld) binding() Input {
-	in := Input{}
+	in := map[string]types.Value{}
 	bind := func(p string) {
 		switch p {
 		case "B", "C", "G.Y":
@@ -538,7 +565,7 @@ func (w *randomWorld) binding() Input {
 			}
 		}
 	}
-	return in
+	return NewInput(in)
 }
 
 // TestTableMatchesReferenceScan is the differential test of the indexed
@@ -612,7 +639,11 @@ func TestTableMismatchErrorIsDeterministic(t *testing.T) {
 		types.NewTuple(0.5).Set("City", types.String("Rome")).Set("Stars", types.Int(3)).Set("Zone", types.String("N")),
 		types.NewTuple(0.5).Set("City", types.String("Oslo")).Set("Stars", types.Int(4)).Set("Zone", types.String("S")),
 	)
-	in := Input{"City": types.String("Bern"), "Stars": types.String("three"), "Zone": types.String("W")}
+	in := Input{
+		{Path: "City", Value: types.String("Bern")},
+		{Path: "Stars", Value: types.String("three")},
+		{Path: "Zone", Value: types.String("W")},
+	}
 	const want = `service Hotel1: matching "Stars": types: cannot compare int with string`
 	if _, err := tab.Invoke(context.Background(), in); err == nil || err.Error() != want {
 		t.Fatalf("Invoke error = %v, want %s", err, want)
@@ -680,6 +711,15 @@ func flightTable(tb testing.TB, inputs ...string) *Table {
 	return tab
 }
 
+// flightInput is the equality binding on From, To and Day.
+func flightInput() Input {
+	return Input{
+		{Path: "Day", Value: types.Int(4)},
+		{Path: "From", Value: types.String("city03")},
+		{Path: "To", Value: types.String("city11")},
+	}
+}
+
 var benchChunk Chunk
 
 // BenchmarkTableInvoke is the substrate layer's own benchmark: one Invoke
@@ -690,11 +730,10 @@ func BenchmarkTableInvoke(b *testing.B) {
 		inputs []string
 		in     Input
 	}{
-		{"equality3", []string{"From", "To", "Day"}, Input{
-			"From": types.String("city03"), "To": types.String("city11"), "Day": types.Int(4)}},
-		{"range", []string{"Price"}, Input{"Price": types.Float(390)}},
+		{"equality3", []string{"From", "To", "Day"}, flightInput()},
+		{"range", []string{"Price"}, Input{{Path: "Price", Value: types.Float(390)}}},
 		{"group", []string{"Legs.Via", "Legs.Carrier"}, Input{
-			"Legs.Via": types.String("city07"), "Legs.Carrier": types.String("c2")}},
+			{Path: "Legs.Carrier", Value: types.String("c2")}, {Path: "Legs.Via", Value: types.String("city07")}}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -720,7 +759,7 @@ func BenchmarkTableInvoke(b *testing.B) {
 // match list, nothing per row or per bound path.
 func TestTableInvokeAllocationCeiling(t *testing.T) {
 	tab := flightTable(t, "From", "To", "Day")
-	in := Input{"From": types.String("city03"), "To": types.String("city11"), "Day": types.Int(4)}
+	in := flightInput()
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
 		inv, err := tab.Invoke(ctx, in)
@@ -733,5 +772,39 @@ func TestTableInvokeAllocationCeiling(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("equality Invoke + Fetch allocates %.0f times, ceiling 2", allocs)
+	}
+}
+
+var keySink string
+
+// TestInvocationBindingAllocs guards the per-invocation binding walks:
+// checking and binding a path-sorted Input against the interface's
+// sorted input paths allocates nothing, and the Share key allocates only
+// its string.
+func TestInvocationBindingAllocs(t *testing.T) {
+	tab := flightTable(t, "From", "To", "Day")
+	in := flightInput()
+	ix := tab.index()
+	var buf [8]bound
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"CheckInput", 0, func() {
+			if err := CheckInput(tab.si, in); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"tableIndex.bind", 0, func() {
+			if bs, err := ix.bind(in, buf[:0]); err != nil || len(bs) != 3 {
+				t.Fatalf("bind = %d columns, %v", len(bs), err)
+			}
+		}},
+		{"inputKey", 1, func() { keySink = inputKey(in) }},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got != c.want {
+			t.Errorf("%s allocates %.0f objects, want %.0f", c.name, got, c.want)
+		}
 	}
 }

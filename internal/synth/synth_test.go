@@ -83,7 +83,7 @@ func TestNewKeyed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv, err := tab.Invoke(context.Background(), service.Input{"Key": types.Int(2)})
+	inv, err := tab.Invoke(context.Background(), service.Input{{Path: "Key", Value: types.Int(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +120,12 @@ func TestMovieWorldCoherent(t *testing.T) {
 		t.Fatal("no restaurants generated")
 	}
 	// The canonical inputs return movies.
-	inv, err := w.Movies.Invoke(context.Background(), service.Input{
+	inv, err := w.Movies.Invoke(context.Background(), service.NewInput(map[string]types.Value{
 		"Genres.Genre":     w.Inputs["INPUT1"],
 		"Language":         w.Inputs["INPUT7"],
 		"Openings.Country": w.Inputs["INPUT2"],
 		"Openings.Date":    w.Inputs["INPUT3"],
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestMovieWorldCoherent(t *testing.T) {
 	}
 	// Theatres near the canonical user location exist and are ranked by
 	// distance.
-	tin, err := w.Theatres.Invoke(context.Background(), service.Input{
+	tin, err := w.Theatres.Invoke(context.Background(), service.NewInput(map[string]types.Value{
 		"UAddress": w.Inputs["INPUT4"],
 		"UCity":    w.Inputs["INPUT5"],
 		"UCountry": w.Inputs["INPUT2"],
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +151,12 @@ func TestMovieWorldCoherent(t *testing.T) {
 	// address.
 	found := false
 	for _, th := range tc.Tuples {
-		rinv, err := w.Restaurants.Invoke(context.Background(), service.Input{
+		rinv, err := w.Restaurants.Invoke(context.Background(), service.NewInput(map[string]types.Value{
 			"UAddress":        th.Get("TAddress"),
 			"UCity":           th.Get("TCity"),
 			"UCountry":        th.Get("TCountry"),
 			"Categories.Name": w.Inputs["INPUT6"],
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,9 +208,9 @@ func TestTravelWorldCoherent(t *testing.T) {
 		t.Errorf("conferences = %d, want 60", w.Conferences.Len())
 	}
 	// Conferences on the canonical topic.
-	inv, err := w.Conferences.Invoke(context.Background(), service.Input{
+	inv, err := w.Conferences.Invoke(context.Background(), service.NewInput(map[string]types.Value{
 		"Topic": w.Inputs["INPUT1"],
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,10 @@ func TestTravelWorldCoherent(t *testing.T) {
 	}
 	conf := c.Tuples[0]
 	// Weather for the conference city and month exists.
-	winv, err := w.Weather.Invoke(context.Background(), service.Input{
+	winv, err := w.Weather.Invoke(context.Background(), service.NewInput(map[string]types.Value{
 		"City":  conf.Get("City"),
 		"Month": w.Inputs["INPUT3"],
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +235,11 @@ func TestTravelWorldCoherent(t *testing.T) {
 		t.Fatalf("weather tuples = %d (%v), want 1", len(wc.Tuples), err)
 	}
 	// Flights to the conference city on its start date exist, ranked.
-	finv, err := w.Flights.Invoke(context.Background(), service.Input{
+	finv, err := w.Flights.Invoke(context.Background(), service.NewInput(map[string]types.Value{
 		"From": w.Inputs["INPUT2"],
 		"To":   conf.Get("City"),
 		"Date": conf.Get("StartDate"),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +248,9 @@ func TestTravelWorldCoherent(t *testing.T) {
 		t.Fatalf("no flights: %v", err)
 	}
 	// Hotels in the city exist.
-	hinv, err := w.Hotels.Invoke(context.Background(), service.Input{
+	hinv, err := w.Hotels.Invoke(context.Background(), service.NewInput(map[string]types.Value{
 		"City": conf.Get("City"),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +274,10 @@ func TestTravelWorldSomeCitiesHot(t *testing.T) {
 	}
 	hot, cold := 0, 0
 	for i := 0; i < 12; i++ {
-		inv, err := w.Weather.Invoke(context.Background(), service.Input{
+		inv, err := w.Weather.Invoke(context.Background(), service.NewInput(map[string]types.Value{
 			"City":  types.String(fmtCity(i)),
 			"Month": w.Inputs["INPUT3"],
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
