@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"seco/internal/mart"
+	"seco/internal/optimizer"
 	"seco/internal/plan"
+	"seco/internal/query"
 	"seco/internal/service"
 	"seco/internal/synth"
 )
@@ -36,6 +38,43 @@ func movienightOpts(t *testing.T) (map[string]service.Service, *plan.Annotated, 
 	}
 	return world.Services(), a, Options{
 		Inputs: world.Inputs, Weights: q.Weights, TargetK: 10, Parallelism: 1,
+	}
+}
+
+// conftravelOpts plans the conference-travel query at K=5 the way the
+// serving layer does (optimizer, fixed interfaces, published stats). Its
+// root reader is the H pipe, which tests ~800 candidates to keep 5, so
+// nearly all of its pull is spent skipping below the driver's floor.
+func conftravelOpts(t *testing.T) (map[string]service.Service, *plan.Annotated, Options) {
+	t.Helper()
+	reg, err := mart.TravelScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := synth.NewTravelWorld(reg, synth.TravelConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := query.Parse(query.TravelExampleText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Analyze(reg); err != nil {
+		t.Fatal(err)
+	}
+	services := world.Services()
+	stats := map[string]service.Stats{}
+	for _, svc := range services {
+		stats[svc.Interface().Name] = svc.Stats()
+	}
+	res, err := optimizer.Optimize(q, reg, optimizer.Options{
+		K: 5, StatsByInterface: stats, FixedInterfaces: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return services, res.Annotated, Options{
+		Inputs: world.Inputs, Weights: q.Weights, TargetK: 5, Parallelism: 1,
 	}
 }
 
@@ -81,27 +120,33 @@ func (di *dyingInvocation) Fetch(ctx context.Context) (service.Chunk, error) {
 	return di.inner.Fetch(ctx)
 }
 
-// cancellingSvc cancels the run's context after limit calls, simulating
-// a caller abandoning the query mid-flight.
+// cancellingSvc cancels the run's context on call limit (Invoke and Fetch
+// together), simulating a caller abandoning the query mid-flight. With
+// onFetch it waits for the first Fetch from call limit on and cancels once
+// that Fetch has returned its chunk, so the reader is left the chunk to
+// read after the cancel. at records the cancelling call.
 type cancellingSvc struct {
-	inner  service.Service
-	limit  int64
-	cancel context.CancelFunc
-	calls  atomic.Int64
+	inner   service.Service
+	limit   int64
+	onFetch bool
+	cancel  context.CancelFunc
+	calls   atomic.Int64
+	at      atomic.Int64
 }
 
 func (c *cancellingSvc) Interface() *mart.Interface { return c.inner.Interface() }
 func (c *cancellingSvc) Stats() service.Stats       { return c.inner.Stats() }
 func (c *cancellingSvc) Unwrap() service.Service    { return c.inner }
 
-func (c *cancellingSvc) tick() {
-	if c.calls.Add(1) == c.limit {
+func (c *cancellingSvc) tick(fetch bool) {
+	n := c.calls.Add(1)
+	if n >= c.limit && (fetch || !c.onFetch) && c.at.CompareAndSwap(0, n) {
 		c.cancel()
 	}
 }
 
 func (c *cancellingSvc) Invoke(ctx context.Context, in service.Input) (service.Invocation, error) {
-	c.tick()
+	c.tick(false)
 	inv, err := c.inner.Invoke(ctx, in)
 	if err != nil {
 		return nil, err
@@ -115,8 +160,13 @@ type cancellingInvocation struct {
 }
 
 func (ci *cancellingInvocation) Fetch(ctx context.Context) (service.Chunk, error) {
-	ci.svc.tick()
-	return ci.inner.Fetch(ctx)
+	if !ci.svc.onFetch {
+		ci.svc.tick(true)
+		return ci.inner.Fetch(ctx)
+	}
+	chunk, err := ci.inner.Fetch(ctx)
+	ci.svc.tick(true)
+	return chunk, err
 }
 
 // TestDegradePermanentFailure kills the restaurant service mid-run. With
@@ -256,7 +306,9 @@ func TestDegradeNeverMasksCancellation(t *testing.T) {
 
 // TestCancellationStopsCalls verifies both executors stop issuing
 // request-responses promptly once the context is cancelled: the wire
-// call count must stay well below the full run's.
+// call count must stay well below the full run's. On conftravel the
+// cancel lands while the pull's root reader skips below-floor candidates,
+// whose per-candidate poll must see it.
 func TestCancellationStopsCalls(t *testing.T) {
 	for _, materialize := range []bool{false, true} {
 		services, a, opts := movienightOpts(t)
@@ -278,6 +330,37 @@ func TestCancellationStopsCalls(t *testing.T) {
 		if got, want := c.calls.Load(), full.TotalCalls(); got >= want {
 			t.Errorf("materialize=%v: %d calls on the cancelling service, full run only needs %d total",
 				materialize, got, want)
+		}
+	}
+
+	services, a, opts := conftravelOpts(t)
+	full, err := New(services, nil).Execute(context.Background(), a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped := full.Produced["H"] - len(full.Combinations); skipped < 100 {
+		t.Fatalf("conftravel root reader skipped %d candidates; the case no longer cancels mid-skip", skipped)
+	}
+	// H's Invokes and Fetches together; the reader skips from the second
+	// on. Cancel on each Fetch in turn: the reader skips the chunk it
+	// returns, and unless a poll sees the cancel, its next call reaches H.
+	ticks := int64(full.Calls["H"] + full.Invocations["H"])
+	for limit := int64(2); limit < ticks; limit++ {
+		services, _, _ := conftravelOpts(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		c := &cancellingSvc{inner: services["H"], limit: limit, onFetch: true, cancel: cancel}
+		services["H"] = c
+		_, err := New(services, nil).Execute(ctx, a, opts)
+		cancel()
+		if c.at.Load() == ticks {
+			break // cancelled on the run's last call: nothing left to stop
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("conftravel: run cancelled at H call %d returned %v, want context.Canceled", c.at.Load(), err)
+		}
+		if got, at := c.calls.Load(), c.at.Load(); got != at || got >= ticks {
+			t.Fatalf("conftravel: %d calls on H after the cancel at call %d; the full run needs %d",
+				got, at, ticks)
 		}
 	}
 }

@@ -95,9 +95,9 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 		return nil, err
 	}
 
-	budget := ex.budgetCheck(start)
+	budget := ex.budget
 	best := newTopK(ex.opts.TargetK, ex.outHint)
-	ex.best, ex.budget = &best, budget
+	ex.best = &best
 	var deg *Degradation
 	for {
 		if err := ctx.Err(); err != nil {

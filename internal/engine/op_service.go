@@ -61,8 +61,10 @@ type serviceOp struct {
 	// invocation for the whole run, a pipe's own per combination.
 	rd *reading
 	// ahead holds a pipe's readings pulled ahead and not yet reached, in
-	// upstream order.
+	// upstream order; spare holds its spent ones, reused with their input
+	// buffers for the next combinations.
 	ahead  []*reading
+	spare  []*reading
 	cur    *comb
 	j      int
 	upDone bool
@@ -71,12 +73,18 @@ type serviceOp struct {
 	// fetch, advance or real emission.
 	skipping bool
 	rest     float64
+	// cancel is the run context's Done channel, captured at Open: the
+	// per-candidate cancellation poll is a non-blocking receive on it.
+	cancel <-chan struct{}
 }
 
 // reading is one invocation of the service and the ranked prefix it has
 // fetched so far.
 type reading struct {
-	src       *comb // the upstream combination a pipe binds from; nil for a scan
+	src *comb // the upstream combination a pipe binds from; nil for a scan
+	// in is a pipe reading's own input buffer, refilled from src on each
+	// reuse; services do not retain it past Invoke.
+	in        service.Input
 	inv       service.Invocation
 	tuples    []*types.Tuple
 	fetches   int
@@ -97,7 +105,22 @@ func (r *reading) release() {
 	}
 }
 
-func (s *serviceOp) Open(ctx context.Context) error { return s.up.Open(ctx) }
+func (s *serviceOp) Open(ctx context.Context) error {
+	s.cancel = ctx.Done()
+	return s.up.Open(ctx)
+}
+
+// canceled polls the run context without the lock ctx.Err takes: a
+// receive on its Done channel (nil, so never ready, for a context that
+// cannot be canceled).
+func (s *serviceOp) canceled(ctx context.Context) error {
+	select {
+	case <-s.cancel:
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
 
 // canFetch reports whether the invocation may still be asked for another
 // chunk. All three disqualifiers (budget spent, limit reached, service
@@ -125,9 +148,10 @@ func (s *serviceOp) fetch(ctx context.Context, r *reading) error {
 		in := s.fixed
 		if r.src != nil {
 			var err error
-			if in, err = s.pipeInput(s.fixed, r.src); err != nil {
+			if r.in, err = s.pipeInput(r.in, s.fixed, r.src); err != nil {
 				return withAlias(s.n.Alias, err)
 			}
+			in = r.in
 		}
 		inv, err := s.counter.Invoke(ctx, in)
 		if err != nil {
@@ -180,7 +204,7 @@ func (s *serviceOp) Next(ctx context.Context) (*comb, error) {
 		return nil, nil
 	}
 	for {
-		if err := ctx.Err(); err != nil {
+		if err := s.canceled(ctx); err != nil {
 			return nil, err
 		}
 		if s.cur == nil {
@@ -240,7 +264,7 @@ func (s *serviceOp) skip(ctx context.Context) error {
 	if s.certified(math.Max(s.curBound(), s.rest)) {
 		return nil
 	}
-	if err := ctx.Err(); err != nil || s.ex.budget == nil {
+	if err := s.canceled(ctx); err != nil || s.ex.budget == nil {
 		return err
 	}
 	return s.ex.budget()
@@ -296,7 +320,7 @@ func (s *serviceOp) advance(ctx context.Context) error {
 			s.upDone = true
 			break
 		}
-		r := &reading{src: c}
+		r := s.newReading(c)
 		if len(s.ahead) > 0 && !s.ex.engine.virtual {
 			s.launch(ctx, r)
 		}
@@ -313,6 +337,19 @@ func (s *serviceOp) advance(ctx context.Context) error {
 		<-r.ready
 	}
 	return r.err
+}
+
+// newReading returns a fresh reading of the upstream combination c, reusing
+// a spent one (and its input buffer) when there is one.
+func (s *serviceOp) newReading(c *comb) *reading {
+	n := len(s.spare)
+	if n == 0 {
+		return &reading{src: c}
+	}
+	r := s.spare[n-1]
+	s.spare = s.spare[:n-1]
+	*r = reading{src: c, in: r.in}
+	return r
 }
 
 // launch issues a look-ahead reading's Invoke and first Fetch on its own
@@ -342,8 +379,8 @@ func (s *serviceOp) launch(ctx context.Context, r *reading) {
 // run out of tuples. A scan keeps its prefix for the next combination —
 // unless the service yielded nothing, when no combination can ever
 // compose and the remaining upstream pulls are skipped. A pipe drops the
-// invocation: the next combination pipes a different input and may still
-// yield.
+// invocation, keeping the reading for reuse: the next combination pipes a
+// different input and may still yield.
 func (s *serviceOp) spent() {
 	s.cur = nil
 	if len(s.pipes) == 0 {
@@ -351,6 +388,7 @@ func (s *serviceOp) spent() {
 		return
 	}
 	s.rd.release()
+	s.spare = append(s.spare, s.rd)
 	s.rd = nil
 }
 
@@ -412,7 +450,7 @@ func (s *serviceOp) Close() error {
 		}
 		r.release()
 	}
-	s.rd, s.ahead = nil, nil
+	s.rd, s.ahead, s.spare = nil, nil, nil
 	s.arena.release()
 	return nil
 }

@@ -124,12 +124,16 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Run, error) {
 	}
 	start := e.clock.Now()
 	ex := &executor{Prepared: p, run: opts, scope: e.invoker.NewRun(), floor: math.Inf(-1)}
-	// Thread the execution budget through the context: every Invoke and
-	// Fetch passes the run's Counter, which refuses calls once the budget
-	// probe reports expiry — on this engine's clock, so virtual runs
-	// expire in simulated time.
-	if check := ex.budgetCheck(start); check != nil {
-		ctx = service.WithBudget(ctx, check)
+	// Bind the run's fixed call state into its Counters, the choke point
+	// every Invoke and Fetch passes: the budget probe refuses calls once
+	// it reports expiry — on this engine's clock, so virtual runs expire
+	// in simulated time — and an untraced run skips the scope lookup.
+	ex.budget = ex.budgetCheck(start)
+	var remaining func() time.Duration
+	if ex.budget != nil {
+		// Retry's backoff, below the Counter, reads the probe from the
+		// context.
+		ctx = service.WithBudget(ctx, ex.budget)
 		// Under a wall clock the budget also yields per-call deadlines:
 		// every Invoke/Fetch gets a context.WithTimeout bounded by what is
 		// left, so a stalled wire call cannot outlive the run's deadline.
@@ -138,11 +142,10 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Run, error) {
 		if _, wall := e.clock.(WallClock); wall {
 			deadline := start.Add(opts.Budget)
 			clk := e.clock
-			ctx = service.WithRemaining(ctx, func() time.Duration {
-				return deadline.Sub(clk.Now())
-			})
+			remaining = func() time.Duration { return deadline.Sub(clk.Now()) }
 		}
 	}
+	ex.scope.Bind(ex.budget, remaining, opts.Trace != nil)
 	g, err := p.instantiate(ex)
 	if err != nil {
 		return nil, err
@@ -173,8 +176,9 @@ type executor struct {
 	// fields (its Next runs on the driver goroutine): floor is the K-th best
 	// score once the top-K is full and the run may stop early, -Inf
 	// otherwise and under drain; halted is set by either stop path.
-	floor  float64
-	best   *topK
+	floor float64
+	best  *topK
+	// budget is the run's budget-expiry probe, nil without a budget.
 	budget func() error
 	halted bool
 }

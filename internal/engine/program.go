@@ -93,10 +93,11 @@ func (sp *svcProg) bind(inputs map[string]types.Value) (service.Input, error) {
 	return fixed, nil
 }
 
-// pipeInput assembles the input of one piped invocation: the fixed
-// bindings with the values the upstream combination supplies filled in.
-func (sp *svcProg) pipeInput(fixed service.Input, src *comb) (service.Input, error) {
-	in := fixed.Clone()
+// pipeInput assembles the input of one piped invocation into dst's
+// storage: the fixed bindings with the values the upstream combination
+// supplies filled in. It allocates only when dst is too small.
+func (sp *svcProg) pipeInput(dst, fixed service.Input, src *comb) (service.Input, error) {
+	in := append(dst[:0], fixed...)
 	for _, b := range sp.pipes {
 		v := types.Null
 		if b.slot >= 0 {
@@ -105,7 +106,7 @@ func (sp *svcProg) pipeInput(fixed service.Input, src *comb) (service.Input, err
 			}
 		}
 		if v.IsNull() {
-			return nil, fmt.Errorf("engine: pipe into %s: upstream %s has no value",
+			return in, fmt.Errorf("engine: pipe into %s: upstream %s has no value",
 				sp.n.Alias, b.from)
 		}
 		in[b.pos].Value = v

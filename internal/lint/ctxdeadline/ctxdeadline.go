@@ -196,8 +196,8 @@ func (t *tracker) classifyCall(call *ast.CallExpr) (state, string) {
 			return bare, "http.Request.Context"
 		}
 	default:
-		// The service layer's context hooks (WithBudget, WithRemaining,
-		// …) decorate a parent without touching its deadline.
+		// The service layer's context hooks (WithBudget, …) decorate a
+		// parent without touching its deadline.
 		if strings.HasSuffix(fn.Pkg().Path(), "internal/service") &&
 			strings.HasPrefix(fn.Name(), "With") && len(call.Args) > 0 {
 			return t.classify(call.Args[0])

@@ -43,8 +43,8 @@ func handler(w http.ResponseWriter, r *http.Request) {
 	var inv invoker
 	inv.Invoke(vctx, nil)
 
-	rctx := service.WithRemaining(vctx, func() time.Duration { return time.Millisecond })
-	inv.Fetch(rctx, 1)
+	bctx := service.WithBudget(vctx, func() error { return nil })
+	inv.Fetch(bctx, 1)
 }
 
 // withDeadline uses an absolute deadline instead of a timeout.

@@ -41,6 +41,12 @@ func TestNilTracerAndScopeAreNoOps(t *testing.T) {
 	if got := sc.Lane(); got != "" {
 		t.Fatalf("nil scope lane = %q", got)
 	}
+	if sc.On() {
+		t.Fatal("nil scope reports On")
+	}
+	if !NewTracer().Scope("x").On() {
+		t.Fatal("a live tracer's scope reports off")
+	}
 	snap := tr.Snapshot()
 	if len(snap.Spans) != 0 {
 		t.Fatalf("nil tracer snapshot has %d spans", len(snap.Spans))

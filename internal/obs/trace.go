@@ -167,6 +167,11 @@ type Scope struct {
 	lane string
 }
 
+// On reports whether the scope records anything. A hot call site tests
+// it before building attributes or a closer: both escape to the heap even
+// when the scope would drop them.
+func (s *Scope) On() bool { return s != nil && s.t != nil }
+
 // Lane names the scope's trace lane (empty on a nil scope).
 func (s *Scope) Lane() string {
 	if s == nil {

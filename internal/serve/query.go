@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -231,7 +230,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp.Combinations = make([]queryCombination, 0, len(run.Combinations))
 	for _, c := range run.Combinations {
 		resp.Combinations = append(resp.Combinations, queryCombination{
-			Score: c.Score, Combo: fmt.Sprint(c),
+			Score: c.Score, Combo: c.String(),
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -21,13 +21,27 @@ import (
 // the latency charged for it, so it emits the per-call trace spans (into
 // the scope carried by the context, if any) and feeds the per-alias
 // metrics instruments installed by the Invoker.
+//
+// What is fixed for a run is read from plain fields, never from the
+// context: the published latency (resolved at construction — Stats are
+// fixed once bound) and, for a Counter of a RunScope, the run's budget
+// and remaining-time probes and whether the run is traced (RunScope.Bind).
 type Counter struct {
 	inner Service
 	// Delay, when non-nil, is invoked with the service latency on every
 	// Fetch, before the fetch is served.
-	Delay func(time.Duration)
+	Delay   func(time.Duration)
+	latency time.Duration
 
 	inst *instruments // per-alias metrics; nil means unmetered
+
+	// budget returns the budget-exhaustion error once the run's budget is
+	// spent; remaining reports what is left of it, bounding every call
+	// with a per-call deadline. Either is nil when the run installs none.
+	// untraced skips the scope lookup: the run records no spans.
+	budget    func() error
+	remaining func() time.Duration
+	untraced  bool
 
 	invocations atomic.Int64
 	fetches     atomic.Int64
@@ -36,7 +50,7 @@ type Counter struct {
 
 // NewCounter wraps svc. A nil delay hook means fetches complete instantly.
 func NewCounter(svc Service, delay func(time.Duration)) *Counter {
-	return &Counter{inner: svc, Delay: delay}
+	return &Counter{inner: svc, Delay: delay, latency: svc.Stats().Latency}
 }
 
 // Unwrap implements Wrapper.
@@ -50,21 +64,29 @@ func (c *Counter) Stats() Stats { return c.inner.Stats() }
 
 // Invoke implements Service, counting the invocation. The execution
 // budget is checked first: the engine wraps every bound service in a
-// Counter, so a context carrying a spent budget stops every further
-// Invoke and Fetch of the run at this single choke point.
+// Counter, so a spent budget stops every further Invoke and Fetch of the
+// run at this single choke point.
 func (c *Counter) Invoke(ctx context.Context, in Input) (Invocation, error) {
-	if err := CheckBudget(ctx); err != nil {
+	if err := c.checkBudget(); err != nil {
 		return nil, err
 	}
-	ctx, cancel := callContext(ctx)
+	ctx, cancel := c.callContext(ctx)
 	defer cancel()
-	end := obs.ScopeFrom(ctx).StartCall("invoke")
+	sc := c.scope(ctx)
+	var end func(time.Duration, ...obs.Attr)
+	if sc.On() {
+		end = sc.StartCall("invoke")
+	}
 	inv, err := c.inner.Invoke(ctx, in)
 	if err != nil {
-		end(0, obs.KV("err", errClass(err)))
+		if end != nil {
+			end(0, obs.KV("err", errClass(err)))
+		}
 		return nil, err
 	}
-	end(0)
+	if end != nil {
+		end(0)
+	}
 	c.invocations.Add(1)
 	c.inst.invoke()
 	return &countedInvocation{counter: c, inner: inv}, nil
@@ -98,45 +120,71 @@ type countedInvocation struct {
 // request-responses — and not traced as calls — because no call would be
 // issued for them.
 func (ci *countedInvocation) Fetch(ctx context.Context) (Chunk, error) {
-	if err := CheckBudget(ctx); err != nil {
+	c := ci.counter
+	if err := c.checkBudget(); err != nil {
 		return Chunk{}, err
 	}
-	ctx, cancel := callContext(ctx)
+	ctx, cancel := c.callContext(ctx)
 	defer cancel()
 	depth := ci.chunks.Load() + 1
-	end := obs.ScopeFrom(ctx).StartCall("fetch", obs.KI("chunk", depth))
+	sc := c.scope(ctx)
+	var end func(time.Duration, ...obs.Attr)
+	if sc.On() {
+		end = sc.StartCall("fetch", obs.KI("chunk", depth))
+	}
 	chunk, err := ci.inner.Fetch(ctx)
 	if err != nil {
-		if errors.Is(err, ErrExhausted) {
-			end(0, obs.KV("exhausted", "true"))
-		} else {
-			end(0, obs.KV("err", errClass(err)))
+		if end != nil {
+			attr := obs.KV("err", errClass(err))
+			if errors.Is(err, ErrExhausted) {
+				attr = obs.KV("exhausted", "true")
+			}
+			end(0, attr)
 		}
 		return chunk, err
 	}
-	latency := ci.counter.inner.Stats().Latency
-	if d := ci.counter.Delay; d != nil {
-		d(latency)
+	if d := c.Delay; d != nil {
+		d(c.latency)
 	}
 	ci.chunks.Add(1)
-	ci.counter.fetches.Add(1)
-	ci.counter.tuples.Add(int64(len(chunk.Tuples)))
-	end(latency, obs.KI("tuples", int64(len(chunk.Tuples))))
-	ci.counter.inst.fetch(latency, depth, len(chunk.Tuples))
+	c.fetches.Add(1)
+	c.tuples.Add(int64(len(chunk.Tuples)))
+	if end != nil {
+		end(c.latency, obs.KI("tuples", int64(len(chunk.Tuples))))
+	}
+	c.inst.fetch(c.latency, depth, len(chunk.Tuples))
 	return chunk, nil
 }
 
-// callContext derives the per-call context: when the engine installed a
+// checkBudget returns the budget-exhaustion error once the run's budget
+// is spent, nil otherwise or when the run has no budget.
+func (c *Counter) checkBudget() error {
+	if c.budget == nil {
+		return nil
+	}
+	return c.budget()
+}
+
+// scope returns the trace scope of a call: the one the operator attached
+// to the context, or nil without a lookup when the run is untraced.
+func (c *Counter) scope(ctx context.Context) *obs.Scope {
+	if c.untraced {
+		return nil
+	}
+	return obs.ScopeFrom(ctx)
+}
+
+// callContext derives the per-call context: when the run installed a
 // remaining-time probe (wall-clock runs with an execution budget), every
 // Invoke and Fetch carries its own deadline bounded by what is left of
 // the budget, so a single stalled wire call can never outlive the run's
 // deadline. Without a probe the context passes through untouched and the
 // returned cancel is a no-op.
-func callContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	rem, ok := RemainingBudget(ctx)
-	if !ok {
+func (c *Counter) callContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.remaining == nil {
 		return ctx, func() {}
 	}
+	rem := c.remaining()
 	if rem < 0 {
 		rem = 0
 	}

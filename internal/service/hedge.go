@@ -43,8 +43,11 @@ type Hedge struct {
 	// lat is the published-latency histogram feeding the slow-call
 	// trigger (the Invoker passes its seco.invoker.latency_ms.<alias>
 	// instrument); nil falls back to Stats().Latency.
-	lat   *obs.Histogram
-	clock atomic.Pointer[tsBox]
+	lat *obs.Histogram
+	// latency is the wrapped service's published latency, resolved once:
+	// Stats are fixed once bound.
+	latency time.Duration
+	clock   atomic.Pointer[tsBox]
 
 	attempts atomic.Int64
 	wins     atomic.Int64
@@ -73,7 +76,7 @@ type HedgePolicy struct {
 
 // NewHedge wraps svc in a hedging layer.
 func NewHedge(svc Service, policy HedgePolicy) *Hedge {
-	return &Hedge{inner: svc, policy: policy}
+	return &Hedge{inner: svc, policy: policy, latency: svc.Stats().Latency}
 }
 
 // SetLatencySource installs the latency histogram feeding the slow-call
@@ -148,7 +151,7 @@ func (h *Hedge) trigger() time.Duration {
 	if h.lat != nil && h.lat.Count() >= minSamples {
 		base = time.Duration(h.lat.Quantile(pct) * float64(time.Millisecond))
 	} else {
-		base = h.inner.Stats().Latency
+		base = h.latency
 	}
 	t := time.Duration(float64(base) * mult)
 	if t < floor {
@@ -206,7 +209,7 @@ func (hi *hedgeInvocation) Fetch(ctx context.Context) (Chunk, error) {
 			// The charged cost of this call is everything the layers below
 			// slept (spikes, backoff) plus the published latency the
 			// Counter above is about to charge.
-			took := ts.Now().Sub(start) + h.inner.Stats().Latency
+			took := ts.Now().Sub(start) + h.latency
 			if took > h.trigger() {
 				h.late.Add(1)
 				h.mLate.Add(1)

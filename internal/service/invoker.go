@@ -12,9 +12,11 @@ import (
 // two executors used to wire separately per run:
 //
 //   - the middleware composition order: per-run Counter (budget probe,
-//     latency charge, logical call counting) over the optional Share
-//     layer (cross-query singleflight + memo) over the user-supplied
-//     chain (Retry/Breaker/chaos injectors) over the base service;
+//     latency charge, logical call counting) over the optional Hedge
+//     (one second attempt for a hedgeable failure) over the optional
+//     Share layer (cross-query singleflight + memo) over the
+//     user-supplied chain (Retry/Breaker/chaos injectors) over the base
+//     service;
 //   - per-run counter isolation: every execution gets a fresh RunScope
 //     with its own Counters, so N concurrent queries through one engine
 //     never mix their Run stats;
@@ -24,7 +26,7 @@ import (
 //     memoized chunks.
 type Invoker struct {
 	delay  func(time.Duration)
-	lanes  map[string]Service // per alias: [Share →] user chain → base
+	lanes  map[string]Service // per alias: [Hedge →] [Share →] user chain → base
 	shares []*Share
 	inst   map[string]*instruments // per alias; nil when unmetered
 }
@@ -181,6 +183,18 @@ func (i *instruments) fetch(latency time.Duration, depth int64, tuples int) {
 // engine-wide lanes.
 type RunScope struct {
 	counters map[string]*Counter
+}
+
+// Bind hands the run's fixed call state to every Counter of the scope,
+// before the run's first call: budget returns the budget-exhaustion error
+// once the execution budget is spent, remaining reports what is left of
+// it so each call gets a deadline (either may be nil), and traced says
+// whether the run records spans. An unbound scope checks no budget and
+// looks the trace scope up on every call.
+func (r *RunScope) Bind(budget func() error, remaining func() time.Duration, traced bool) {
+	for _, c := range r.counters {
+		c.budget, c.remaining, c.untraced = budget, remaining, !traced
+	}
 }
 
 // Counter returns the run's counting wrapper for an alias, or nil when

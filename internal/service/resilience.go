@@ -144,36 +144,13 @@ func WithBudget(ctx context.Context, check func() error) context.Context {
 }
 
 // CheckBudget returns the budget-exhaustion error when the context
-// carries a spent execution budget, nil otherwise. Counter consults it
-// before every Invoke and Fetch, which propagates the engine's deadline
-// through every service call of a run; Retry consults it before each
-// backoff so a spent budget is never slept against.
+// carries a spent execution budget, nil otherwise. Retry consults it
+// before each backoff so a spent budget is never slept against; the
+// run's Counters hold the same probe in a field (RunScope.Bind), so the
+// per-call check at the choke point needs no context lookup.
 func CheckBudget(ctx context.Context) error {
 	if check, ok := ctx.Value(budgetKey{}).(func() error); ok {
 		return check()
 	}
 	return nil
-}
-
-// remainingKey carries the remaining-time probe in a context.
-type remainingKey struct{}
-
-// WithRemaining attaches a remaining-time probe to the context. remaining
-// reports how much of the execution budget is left; the engine installs a
-// closure over its wall-clock deadline so the Counter can derive a
-// per-call timeout for every Invoke and Fetch (deadline propagation all
-// the way into the service layer). Virtual-clock runs do not install it —
-// their budget enforcement is the deterministic CheckBudget probe, and a
-// wall timeout over simulated time would be meaningless.
-func WithRemaining(ctx context.Context, remaining func() time.Duration) context.Context {
-	return context.WithValue(ctx, remainingKey{}, remaining)
-}
-
-// RemainingBudget reports the remaining execution time carried by the
-// context, or ok=false when no probe is installed.
-func RemainingBudget(ctx context.Context) (time.Duration, bool) {
-	if remaining, ok := ctx.Value(remainingKey{}).(func() time.Duration); ok {
-		return remaining(), true
-	}
-	return 0, false
 }

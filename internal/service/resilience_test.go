@@ -239,14 +239,17 @@ func TestBudgetShortCircuits(t *testing.T) {
 		t.Errorf("spent budget still slept %d times / retried %d times", slept, r.Retried())
 	}
 
-	c := NewCounter(newMovieTable(t, 0), nil)
-	if _, err := c.Invoke(ctx, movieInput()); !errors.Is(err, spent) {
+	// The Counter holds its run's probe, bound once per run.
+	scope := NewInvoker(map[string]Service{"M": newMovieTable(t, 0)}, InvokerOptions{}).NewRun()
+	c := scope.Counter("M")
+	scope.Bind(func() error { return spent }, nil, false)
+	if _, err := c.Invoke(context.Background(), movieInput()); !errors.Is(err, spent) {
 		t.Fatalf("counter under spent budget: err = %v, want budget error", err)
 	}
 
 	// A healthy budget is invisible.
-	ok := WithBudget(context.Background(), func() error { return nil })
-	if _, err := c.Invoke(ok, movieInput()); err != nil {
+	scope.Bind(func() error { return nil }, nil, false)
+	if _, err := c.Invoke(context.Background(), movieInput()); err != nil {
 		t.Fatalf("healthy budget blocked the call: %v", err)
 	}
 	if err := CheckBudget(context.Background()); err != nil {

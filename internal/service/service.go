@@ -24,8 +24,12 @@ type Binding struct {
 // Input binds the input attribute paths of a service interface to values:
 // one Binding per path, sorted by path. Interfaces list their input paths
 // sorted too (mart.Interface.InputPaths), so a service checks and matches
-// a binding by one merge walk, with no hashing. Services only read their
-// input; a caller may share one Input across invocations.
+// a binding by one merge walk, with no hashing.
+//
+// A Service only reads its input, and must not retain in after Invoke
+// returns: the invocation it hands back may keep values, never the slice
+// (Share, which needs the binding later, copies it). So a caller may
+// share one Input across invocations, and refill one buffer for the next.
 type Input []Binding
 
 // NewInput builds the input binding the map describes.
@@ -127,7 +131,8 @@ type Service interface {
 	Stats() Stats
 	// Invoke starts a new invocation for the given input binding. Missing
 	// bindings for input-adorned paths are an error: access limitations
-	// are mandatory (Section 2.3).
+	// are mandatory (Section 2.3). The service must not retain in after
+	// Invoke returns (see Input).
 	Invoke(ctx context.Context, in Input) (Invocation, error)
 }
 

@@ -114,34 +114,35 @@ func (s *Share) Interface() *mart.Interface { return s.inner.Interface() }
 // Stats implements Service.
 func (s *Share) Stats() Stats { return s.inner.Stats() }
 
-// inputKey canonicalizes a binding for use as a map key: "path=value;"
-// per bound path, appended into one buffer. This runs on every Invoke
+// appendInputKey canonicalizes a binding for use as a map key:
+// "path=value;" per bound path, appended to b. This runs on every Invoke
 // through the Share layer; the binding is sorted by path, so equal
 // bindings key equally.
-func inputKey(in Input) string {
-	var buf [128]byte
-	b := buf[:0]
+func appendInputKey(b []byte, in Input) []byte {
 	for _, x := range in {
 		b = append(b, x.Path...)
 		b = append(b, '=')
 		b = x.Value.AppendTo(b)
 		b = append(b, ';')
 	}
-	return string(b)
+	return b
 }
 
-// Invoke implements Service.
+// Invoke implements Service. The key is built in a stack buffer and
+// looked up without a string conversion; only a new entry allocates its
+// key and a copy of the binding, so the caller may reuse in afterwards.
 func (s *Share) Invoke(ctx context.Context, in Input) (Invocation, error) {
 	si := s.inner.Interface()
 	if err := CheckInput(si, in); err != nil {
 		return nil, err
 	}
-	key := inputKey(in)
+	var buf [128]byte
+	key := appendInputKey(buf[:0], in)
 	s.mu.Lock()
-	entry, ok := s.entries[key]
+	entry, ok := s.entries[string(key)]
 	if !ok {
 		entry = &shareEntry{share: s, input: in.Clone()}
-		s.entries[key] = entry
+		s.entries[string(key)] = entry
 	}
 	s.mu.Unlock()
 	return &shareInvocation{entry: entry}, nil
@@ -173,14 +174,17 @@ func (e *shareEntry) fetchAt(ctx context.Context, i int) (Chunk, error) {
 		if i < len(e.chunks) {
 			chunk := e.chunks[i]
 			e.mu.Unlock()
+			event := "share-memo-hit"
 			if waited {
+				event = "share-dedup-join"
 				e.share.dedupHits.Add(1)
 				e.share.mDedup.Add(1)
-				obs.ScopeFrom(ctx).Event("share-dedup-join", obs.KI("chunk", int64(i+1)))
 			} else {
 				e.share.memoHits.Add(1)
 				e.share.mMemo.Add(1)
-				obs.ScopeFrom(ctx).Event("share-memo-hit", obs.KI("chunk", int64(i+1)))
+			}
+			if sc := obs.ScopeFrom(ctx); sc.On() {
+				sc.Event(event, obs.KI("chunk", int64(i+1)))
 			}
 			return chunk, nil
 		}
@@ -283,8 +287,10 @@ type shareInvocation struct {
 
 // Fetch implements Invocation.
 func (si *shareInvocation) Fetch(ctx context.Context) (Chunk, error) {
-	if err := ctx.Err(); err != nil {
-		return Chunk{}, err
+	select {
+	case <-ctx.Done():
+		return Chunk{}, ctx.Err()
+	default:
 	}
 	chunk, err := si.entry.fetchAt(ctx, si.next)
 	if err != nil {

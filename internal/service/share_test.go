@@ -127,13 +127,13 @@ func TestShareInputKey(t *testing.T) {
 		bwd[inputs[len(inputs)-1-i]] = want[inputs[len(inputs)-1-i]]
 	}
 	forward, backward := NewInput(fwd), NewInput(bwd)
-	key := inputKey(forward)
-	if got := inputKey(backward); got != key {
+	key := string(appendInputKey(nil, forward))
+	if got := string(appendInputKey(nil, backward)); got != key {
 		t.Errorf("insertion order changed the key: %q vs %q", got, key)
 	}
 	extra := movieBinding()
 	extra["Title"] = types.String("Up")
-	if got := inputKey(NewInput(extra)); got == key {
+	if got := string(appendInputKey(nil, NewInput(extra))); got == key {
 		t.Errorf("extra path: key %q equals the key without it", got)
 	}
 

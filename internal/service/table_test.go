@@ -775,17 +775,18 @@ func TestTableInvokeAllocationCeiling(t *testing.T) {
 	}
 }
 
-var keySink string
+var keyLen int
 
 // TestInvocationBindingAllocs guards the per-invocation binding walks:
 // checking and binding a path-sorted Input against the interface's
-// sorted input paths allocates nothing, and the Share key allocates only
-// its string.
+// sorted input paths allocates nothing, and neither does building the
+// Share key in a caller's buffer.
 func TestInvocationBindingAllocs(t *testing.T) {
 	tab := flightTable(t, "From", "To", "Day")
 	in := flightInput()
 	ix := tab.index()
 	var buf [8]bound
+	var key [128]byte
 	for _, c := range []struct {
 		name string
 		want float64
@@ -801,7 +802,7 @@ func TestInvocationBindingAllocs(t *testing.T) {
 				t.Fatalf("bind = %d columns, %v", len(bs), err)
 			}
 		}},
-		{"inputKey", 1, func() { keySink = inputKey(in) }},
+		{"appendInputKey", 0, func() { keyLen = len(appendInputKey(key[:0], in)) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.f); got != c.want {
 			t.Errorf("%s allocates %.0f objects, want %.0f", c.name, got, c.want)
