@@ -17,16 +17,10 @@
 //	              measurement harness)
 //	detrange    — no ordered slices built by appending inside a
 //	              range-over-map in the plan-producing packages
-//	closedrain  — no discarded Close errors on the engine's drain paths
-//	obsleak     — no engine Invoke/Fetch calls on a fresh
-//	              context.Background/TODO, which would sever the run's
-//	              trace lane
-//	ctxdeadline — no serving-layer Execute/Invoke/Fetch calls on a
-//	              context that provably carries no deadline, which would
-//	              break end-to-end deadline propagation
-//	hotalloc    — no map[string]types.Value literals/makes or fmt.Sprintf
-//	              inside operator Next methods, the per-combination hot
-//	              loop the compact runtime keeps allocation-free
+//	ctxdeadline — no serving-layer or engine Execute/Run/Invoke/Fetch
+//	              calls on a context that provably carries no deadline,
+//	              which would break end-to-end deadline propagation and
+//	              sever the run's trace lane
 //	arenaescape — no combArena-allocated comb stored, sent, or captured
 //	              anywhere that outlives the owning operator's Close, and
 //	              no use after the arena's release
@@ -47,12 +41,9 @@ import (
 
 	"seco/internal/lint"
 	"seco/internal/lint/arenaescape"
-	"seco/internal/lint/closedrain"
 	"seco/internal/lint/ctxdeadline"
 	"seco/internal/lint/detrange"
-	"seco/internal/lint/hotalloc"
 	"seco/internal/lint/interneq"
-	"seco/internal/lint/obsleak"
 	"seco/internal/lint/poolpair"
 	"seco/internal/lint/wallclock"
 )
@@ -61,10 +52,7 @@ import (
 var analyzers = []*lint.Analyzer{
 	wallclock.Analyzer,
 	detrange.Analyzer,
-	closedrain.Analyzer,
-	obsleak.Analyzer,
 	ctxdeadline.Analyzer,
-	hotalloc.Analyzer,
 	arenaescape.Analyzer,
 	poolpair.Analyzer,
 	interneq.Analyzer,

@@ -23,7 +23,7 @@ func TestListDescribesEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errw); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errw.String())
 	}
-	for _, name := range []string{"wallclock", "detrange", "closedrain"} {
+	for _, name := range []string{"wallclock", "detrange", "ctxdeadline", "arenaescape", "poolpair", "interneq"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -63,7 +63,7 @@ func TestJSONOutput(t *testing.T) {
 
 func TestOnlySelectsSubset(t *testing.T) {
 	var out, errw strings.Builder
-	if code := run([]string{"-only", "wallclock,closedrain", "seco/internal/engine"}, &out, &errw); code != 0 {
+	if code := run([]string{"-only", "wallclock,ctxdeadline", "seco/internal/engine"}, &out, &errw); code != 0 {
 		t.Fatalf("exit %d:\n%s%s", code, out.String(), errw.String())
 	}
 }

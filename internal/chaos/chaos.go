@@ -182,11 +182,6 @@ type Injector struct {
 	injected  atomic.Int64
 	permanent atomic.Int64
 	spikes    atomic.Int64
-
-	// metrics mirrors, bound via BindMetrics; nil handles are no-ops.
-	mInjected  *obs.Counter
-	mPermanent *obs.Counter
-	mSpikes    *obs.Counter
 }
 
 // clockBox wraps the TimeSource interface for atomic storage.
@@ -228,18 +223,6 @@ func (j *Injector) Interface() *mart.Interface { return j.inner.Interface() }
 // Stats implements service.Service.
 func (j *Injector) Stats() service.Stats { return j.inner.Stats() }
 
-// BindMetrics registers the injector's fault counters on reg, keyed by
-// the wrapped service's interface name. A nil registry is a no-op.
-func (j *Injector) BindMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	name := j.inner.Interface().Name
-	j.mInjected = reg.Counter("seco.chaos.injected." + name)
-	j.mPermanent = reg.Counter("seco.chaos.permanent." + name)
-	j.mSpikes = reg.Counter("seco.chaos.spikes." + name)
-}
-
 // intercept evaluates the rules for one call and applies the verdict:
 // charging delays, counting, tracing the injected event into the
 // calling operator's lane, and returning the injected error, if any.
@@ -259,7 +242,6 @@ func (j *Injector) intercept(ctx context.Context, op string, in service.Input) e
 
 	if verdict.Delay > 0 {
 		j.spikes.Add(1)
-		j.mSpikes.Add(1)
 		obs.ScopeFrom(ctx).Event("chaos-spike", obs.KV("op", op), obs.KD("delay", verdict.Delay))
 		if box := j.clock.Load(); box != nil && box.ts != nil {
 			box.ts.Sleep(verdict.Delay)
@@ -268,13 +250,11 @@ func (j *Injector) intercept(ctx context.Context, op string, in service.Input) e
 	switch verdict.Fault {
 	case FaultTransient:
 		n := j.injected.Add(1)
-		j.mInjected.Add(1)
 		obs.ScopeFrom(ctx).Event("chaos-fault", obs.KV("op", op), obs.KV("kind", "transient"))
 		return fmt.Errorf("chaos: service %s: injected transient %s failure #%d (call %d): %w",
 			j.inner.Interface().Name, op, n, call.Seq, service.ErrTransient)
 	case FaultPermanent:
 		n := j.permanent.Add(1)
-		j.mPermanent.Add(1)
 		obs.ScopeFrom(ctx).Event("chaos-fault", obs.KV("op", op), obs.KV("kind", "permanent"))
 		return fmt.Errorf("chaos: service %s: injected permanent %s failure #%d (call %d): %w",
 			j.inner.Interface().Name, op, n, call.Seq, service.ErrPermanent)

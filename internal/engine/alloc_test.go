@@ -4,9 +4,12 @@ import (
 	"context"
 	"testing"
 
+	"seco/internal/join"
 	"seco/internal/plan"
+	"seco/internal/plancheck"
 	"seco/internal/query"
 	"seco/internal/service"
+	"seco/internal/synth"
 	"seco/internal/types"
 )
 
@@ -99,6 +102,142 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 		t.Errorf("Prepared.Run allocates %.0f objects, not below the %.0f of an Execute", gotRun, got)
 	}
 	t.Logf("steady-state Prepared.Run: %.0f allocs (Execute %.0f)", gotRun, got)
+}
+
+// combFlowPlan is the fixture of TestOperatorAllocsPerComb: every comb a
+// ranked scan X (n tuples) emits crosses every operator kind once.
+//
+//	input → X → all (selection keeping every X, fanned out through tees)
+//	all → P, all → Q (pipes keyed on X.Key, one tuple per key)
+//	P, Q → PQ (equality join) → worst (selection keeping X's last five) → output
+//
+// The pull driver cannot certify the five worst-ranked combinations before
+// X is exhausted, so a top-5 run drains all n combs through the graph
+// while materializing only five results.
+func combFlowPlan(t *testing.T, n int) *Prepared {
+	t.Helper()
+	x, err := synth.NewRanked(synth.RankedConfig{Name: "X", N: n, KeyMod: n, Stats: service.Stats{
+		AvgCardinality: float64(n), ChunkSize: 20, CostPerCall: 1, Scoring: service.Linear(n),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := map[string]service.Service{"X": x}
+	pipe := func(alias string) *plan.Node {
+		tab, err := synth.NewKeyed(alias, n, 1, service.Stats{AvgCardinality: 1, CostPerCall: 1, Scoring: service.Linear(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		services[alias] = tab
+		from := query.BindingSource{Kind: query.BindJoin, Op: types.OpEq, From: query.PathRef{Alias: "X", Path: "Key"}}
+		return &plan.Node{ID: alias, Kind: plan.KindService, Alias: alias, Interface: tab.Interface(),
+			Stats: tab.Stats(), PipeSelectivity: 1, Bindings: []query.InputBinding{{Path: "Key", Source: from}}}
+	}
+	pred := func(l query.PathRef, op types.Op, r query.Term) []query.Predicate {
+		return []query.Predicate{{Left: l, Op: op, Right: r}}
+	}
+	xPosAtLeast := func(v int) []query.Predicate {
+		return pred(query.PathRef{Alias: "X", Path: "Pos"}, types.OpGe, query.Term{Kind: query.TermConst, Const: types.Int(int64(v))})
+	}
+	p := plan.New(5)
+	for _, nd := range []*plan.Node{
+		{ID: "input", Kind: plan.KindInput},
+		{ID: "output", Kind: plan.KindOutput},
+		{ID: "X", Kind: plan.KindService, Alias: "X", Interface: x.Interface(), Stats: x.Stats()},
+		{ID: "all", Kind: plan.KindSelection, Selections: xPosAtLeast(0), Selectivity: 1},
+		pipe("P"), pipe("Q"),
+		{ID: "PQ", Kind: plan.KindJoin, JoinSelectivity: 1,
+			Strategy:  join.Strategy{Invocation: join.MergeScan, Completion: join.Rectangular},
+			JoinPreds: pred(query.PathRef{Alias: "P", Path: "Key"}, types.OpEq, query.Term{Kind: query.TermPath, Path: query.PathRef{Alias: "Q", Path: "Key"}})},
+		{ID: "worst", Kind: plan.KindSelection, Selections: xPosAtLeast(n - 5), Selectivity: 5 / float64(n)},
+	} {
+		if err := p.AddNode(nd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, arc := range [][2]string{
+		{"input", "X"}, {"X", "all"}, {"all", "P"}, {"all", "Q"},
+		{"P", "PQ"}, {"Q", "PQ"}, {"PQ", "worst"}, {"worst", "output"},
+	} {
+		if err := p.Connect(arc[0], arc[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := plan.Annotate(p, map[string]int{"X": (n + 19) / 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := NewWithConfig(services, Config{Share: true}).Prepare(a,
+		PrepareOptions{Weights: map[string]float64{"X": 1, "P": 0.5, "Q": 0.5}, TargetK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep
+}
+
+// TestOperatorAllocsPerComb guards every operator's Next against
+// per-combination allocations — a map literal, a fmt.Sprintf, a boxed
+// value — in serviceOp, multiJoinOp, selectionOp, teeOp and the countedOp
+// around each of them. It measures steady-state allocations of the same
+// plan at two sizes: the difference per added X tuple is what the graph
+// allocates per comb, free of every fixed per-run cost (which
+// TestPullDriverAllocsBounded bounds). Each operator kind emits at least
+// one more comb per added tuple, so one allocation per comb in any Next
+// lifts the slope by at least 1, more than twice the ceiling's headroom.
+func TestOperatorAllocsPerComb(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	const small, large = 100, 200
+	measure := func(n int) (float64, map[string]int) {
+		prep := combFlowPlan(t, n)
+		var r *Run
+		run := func() {
+			var err error
+			if r, err = prep.Run(context.Background(), RunOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Combinations) != 5 {
+				t.Fatalf("n=%d: %d results, want 5", n, len(r.Combinations))
+			}
+		}
+		run() // warm the share memo and the buffer pools
+		allocs := testing.AllocsPerRun(50, run)
+		// Combs each operator kind handed out, tees counted by the fan-out
+		// node whose every comb they deliver.
+		emitted := map[string]int{}
+		for _, pn := range prep.nodes {
+			kind := pn.kind
+			if kind == plancheck.OpPipe {
+				kind = plancheck.OpScan
+			}
+			emitted[kind] += r.Produced[pn.id]
+			emitted["counted"] += r.Produced[pn.id]
+			if pn.shared {
+				emitted["tee"] += r.Produced[pn.id]
+			}
+		}
+		return allocs, emitted
+	}
+	a0, e0 := measure(small)
+	a1, e1 := measure(large)
+	for _, kind := range []string{plancheck.OpScan, plancheck.OpJoin, plancheck.OpSelection, "tee", "counted"} {
+		if grew := e1[kind] - e0[kind]; grew < large-small {
+			t.Errorf("%s operators emit %d more combs at n=%d than at n=%d, want at least %d: the fixture no longer exercises them",
+				kind, grew, large, small, large-small)
+		}
+	}
+	perComb := (a1 - a0) / (large - small)
+	// Measured 8.08 allocs per X tuple (Go 1.24), none in a Next: per pipe
+	// invocation (two per tuple) the Counter's and Share's invocation
+	// handles and the spent reading's pool put, plus the join's
+	// posting-list growth.
+	const ceiling = 8.5
+	if perComb > ceiling {
+		t.Errorf("the operator graph allocates %.2f objects per comb (%.0f at n=%d, %.0f at n=%d), ceiling %.1f",
+			perComb, a0, small, a1, large, ceiling)
+	}
+	t.Logf("%.2f allocs per comb (%.0f at n=%d, %.0f at n=%d)", perComb, a0, small, a1, large)
 }
 
 var inputSink service.Input

@@ -128,6 +128,6 @@ func (g *graph) newServiceOp(i int, pn *progNode) (Operator, error) {
 // implementations drain any goroutines still owning their inputs.
 func (g *graph) shutdown() {
 	for i := len(g.ops) - 1; i >= 0; i-- {
-		_ = g.ops[i].Close()
+		g.ops[i].Close()
 	}
 }

@@ -372,7 +372,7 @@ func (s *sliceOp) Next(context.Context) (*comb, error) {
 	return c, nil
 }
 func (s *sliceOp) Bound() float64 { return 0 }
-func (s *sliceOp) Close() error   { return nil }
+func (s *sliceOp) Close()         {}
 
 // TestServiceReaderModes drives the one demand-paged reader over a keyed
 // service (6 tuples per key, chunks of 2, budget 3). A scan invokes once

@@ -588,7 +588,7 @@ func weightedThreshold(weights, best, cur []float64) float64 {
 
 // Close ends the branch prefetchers' ownership of the input readers and
 // returns the row buffers, the output buffer and the arena's blocks.
-func (s *multiJoinOp) Close() error {
+func (s *multiJoinOp) Close() {
 	s.done = true
 	for i := range s.branches {
 		s.branches[i].release()
@@ -598,5 +598,4 @@ func (s *multiJoinOp) Close() error {
 		s.pending = nil
 	}
 	s.arena.release()
-	return nil
 }

@@ -438,7 +438,7 @@ func (s *serviceOp) boundRest() float64 {
 	return b
 }
 
-func (s *serviceOp) Close() error {
+func (s *serviceOp) Close() {
 	s.done = true
 	s.cur = nil
 	if s.rd != nil {
@@ -452,7 +452,6 @@ func (s *serviceOp) Close() error {
 	}
 	s.rd, s.ahead, s.spare = nil, nil, nil
 	s.arena.release()
-	return nil
 }
 
 // nextCap bounds the score of tuple j of a reading: the fetched tuple

@@ -39,7 +39,7 @@ type Operator interface {
 	Open(ctx context.Context) error
 	Next(ctx context.Context) (*comb, error)
 	Bound() float64
-	Close() error
+	Close()
 }
 
 // ErrClosed is returned by Next on an operator that has been closed
@@ -102,9 +102,9 @@ func (c *countedOp) Bound() float64 {
 	return c.inner.Bound()
 }
 
-func (c *countedOp) Close() error {
+func (c *countedOp) Close() {
 	if c.closed {
-		return nil
+		return
 	}
 	c.closed = true
 	if c.endSp != nil {
@@ -114,7 +114,7 @@ func (c *countedOp) Close() error {
 		)
 		c.endSp = nil
 	}
-	return c.inner.Close()
+	c.inner.Close()
 }
 
 // inputOp emits the single empty combination every plan starts from.
@@ -140,10 +140,7 @@ func (s *inputOp) Bound() float64 {
 	return 0
 }
 
-func (s *inputOp) Close() error {
-	s.done = true
-	return nil
-}
+func (s *inputOp) Close() { s.done = true }
 
 // selectionOp filters its input; selections never change scores, so the
 // input bound carries over.
@@ -180,7 +177,7 @@ func (s *selectionOp) Next(ctx context.Context) (*comb, error) {
 
 func (s *selectionOp) Bound() float64 { return s.up.Bound() }
 
-func (s *selectionOp) Close() error { return nil }
+func (s *selectionOp) Close() {}
 
 // sharedOp buffers a fan-out node's output so several consumers can
 // replay it independently; comb (and component tuple) identity is
@@ -264,4 +261,4 @@ func (t *teeOp) Bound() float64 {
 
 // Close detaches this consumer only; the backing operator is owned by the
 // graph and closed during graph teardown.
-func (t *teeOp) Close() error { return nil }
+func (t *teeOp) Close() {}

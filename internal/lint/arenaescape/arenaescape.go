@@ -16,6 +16,12 @@
 // Close the arena has been released. The pair pass tracks locally
 // created arenas: newCombArena paired with release on every path, and no
 // comb from new/clone dereferenced after release.
+//
+// No test covers this invariant. release zeroes the arena's blocks and
+// returns them to a process-wide pool, so a comb kept past Close reads
+// whatever combination another operator or run carves there next: a
+// cross-run aliasing bug that only a particular interleaving exposes,
+// which no golden or differential test reproduces on demand.
 package arenaescape
 
 import (

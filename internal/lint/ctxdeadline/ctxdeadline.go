@@ -1,12 +1,24 @@
-// Package ctxdeadline reports engine and service calls in the serving
-// layer whose context provably carries no deadline. The overload story
-// of cmd/secoserve depends on end-to-end deadline propagation: the
-// admission controller grants each request a budget, the handler turns
-// it into a context deadline, and every Execute/Run/Invoke/Fetch below
-// inherits it so a wedged upstream cannot hold a request slot forever.
-// A call site reachable from a handler that passes context.Background(),
-// context.TODO() or a bare (*http.Request).Context() — none of which
-// carry a deadline — silently opts out of that protection.
+// Package ctxdeadline reports engine and service calls whose context
+// provably carries no deadline, in the serving layer and in the engine.
+// Two properties ride on the context a call receives:
+//
+//   - The deadline. The overload story of cmd/secoserve depends on
+//     end-to-end deadline propagation: the admission controller grants
+//     each request a budget, the handler turns it into a context
+//     deadline, and every Execute/Run/Invoke/Fetch below inherits it so a
+//     wedged upstream cannot hold a request slot forever. The check
+//     caught the serving layer's background refresh (Server.RunOnce)
+//     executing on an unbounded context.Background(); it now runs under
+//     context.WithTimeout.
+//   - The trace lane. Operators reach the service layer through contexts
+//     carrying their obs.Scope, and the invoker and the resilience
+//     middleware read it back to emit spans into the operator's lane. An
+//     engine Invoke/Fetch on a fresh context.Background()/TODO() runs, but
+//     its spans, retries and breaker transitions vanish from the trace.
+//
+// A call site that passes context.Background(), context.TODO() or a bare
+// (*http.Request).Context() — none of which carry a deadline or a trace
+// scope — silently opts out of both.
 //
 // The analysis is intraprocedural and deliberately one-sided: it flags
 // only contexts that provably lack a deadline, tracing local variables
@@ -23,15 +35,17 @@ import (
 	"strings"
 
 	"seco/internal/lint"
+	"seco/internal/lint/inspect"
 )
 
 // Analyzer flags Execute/Run/Invoke/Fetch calls on deadline-less contexts in
-// the serving layer.
+// the serving layer and the engine.
 var Analyzer = &lint.Analyzer{
 	Name: "ctxdeadline",
-	Doc:  "flags serving-layer Execute/Run/Invoke/Fetch calls whose context provably carries no deadline, breaking end-to-end deadline propagation",
+	Doc:  "flags serving-layer and engine Execute/Run/Invoke/Fetch calls whose context provably carries no deadline, breaking end-to-end deadline propagation and the run's trace lane",
 	Scope: []string{
 		"seco/cmd/secoserve",
+		"seco/internal/engine",
 		"seco/internal/serve",
 	},
 	Run: run,
@@ -134,13 +148,13 @@ func (t *tracker) report(f *ast.File) {
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		fn := callee(t.pass, call)
+		fn := inspect.Callee(t.pass.Info, call)
 		if fn == nil || !sinks[fn.Name()] || !firstParamIsContext(fn) {
 			return true
 		}
 		if st, root := t.classify(call.Args[0]); st == bare {
 			t.pass.Reportf(call.Pos(),
-				"%s called with a deadline-less context (%s): derive the context with context.WithTimeout from the admitted budget so the deadline propagates end to end",
+				"%s called with a deadline-less context (%s): derive it from the request context (context.WithTimeout on the admitted budget at the serving edge) so the deadline and the run's trace lane propagate end to end",
 				types.ExprString(call.Fun), root)
 		}
 		return true
@@ -192,7 +206,7 @@ func (t *tracker) classifyCall(call *ast.CallExpr) (state, string) {
 		// (*http.Request).Context() is deadline-less unless the server
 		// sets timeouts the analysis cannot see; the serving layer must
 		// wrap it with the admitted budget rather than pass it through.
-		if fn.Name() == "Context" && recvIsHTTPRequest(fn) {
+		if _, ok := inspect.MethodOn(t.pass.Info, call, "net/http", "Request", "Context"); ok {
 			return bare, "http.Request.Context"
 		}
 	default:
@@ -216,29 +230,7 @@ func (t *tracker) objOf(id *ast.Ident) *types.Var {
 }
 
 // isContext reports whether the type is context.Context.
-func isContext(typ types.Type) bool {
-	named, ok := typ.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// callee resolves the statically-known called function or method.
-func callee(pass *lint.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.Info.Uses[id].(*types.Func)
-	return fn
-}
+func isContext(typ types.Type) bool { return inspect.IsNamed(typ, "context", "Context") }
 
 // firstParamIsContext reports whether fn's first parameter is a
 // context.Context.
@@ -248,18 +240,4 @@ func firstParamIsContext(fn *types.Func) bool {
 		return false
 	}
 	return isContext(sig.Params().At(0).Type())
-}
-
-// recvIsHTTPRequest reports whether fn is a method on *net/http.Request.
-func recvIsHTTPRequest(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	typ := sig.Recv().Type()
-	if ptr, ok := typ.(*types.Pointer); ok {
-		typ = ptr.Elem()
-	}
-	named, ok := typ.(*types.Named)
-	return ok && named.Obj().Name() == "Request"
 }

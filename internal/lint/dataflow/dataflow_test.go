@@ -47,42 +47,6 @@ func fnNamed(t *testing.T, info *types.Info, f *ast.File, name string) inspect.F
 	return inspect.Func{}
 }
 
-func TestChains(t *testing.T) {
-	_, f, info := check(t, `package p
-func f() int {
-	x := 1
-	y := x + x
-	x = y
-	x += 2
-	return x
-}
-`)
-	fn := fnNamed(t, info, f, "f")
-	chains := Chains(info, fn.Body)
-	var x, y *Chain
-	for v, c := range chains {
-		switch v.Name() {
-		case "x":
-			x = c
-		case "y":
-			y = c
-		}
-	}
-	if x == nil || y == nil {
-		t.Fatalf("missing chains: x=%v y=%v", x, y)
-	}
-	// x: defs = {x := 1, x = y}; uses = {x+x twice, x += 2 LHS, return x}.
-	if len(x.Defs) != 2 {
-		t.Errorf("x defs = %d, want 2", len(x.Defs))
-	}
-	if len(x.Uses) != 4 {
-		t.Errorf("x uses = %d, want 4", len(x.Uses))
-	}
-	if len(y.Defs) != 1 || len(y.Uses) != 1 {
-		t.Errorf("y defs/uses = %d/%d, want 1/1", len(y.Defs), len(y.Uses))
-	}
-}
-
 // escSrc declares a tracked source get() and a sink type; each test
 // function exercises one escape context.
 const escSrc = `package p

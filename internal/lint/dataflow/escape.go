@@ -1,3 +1,20 @@
+// Package dataflow is the function-body analysis layer under the repo's
+// ownership-aware analyzers. It provides two building blocks, both
+// intra-procedural and stdlib-only:
+//
+//   - an escape lattice (Classify): given seed expressions producing an
+//     owned value, the set of local variables carrying that value and
+//     how each use lets the value outlive the function — stored to a
+//     field or global, returned, sent to a channel, captured by a
+//     goroutine;
+//   - a path-sensitive pair tracker (Track): acquire/release protocols
+//     (pool get/put, arena new/release) checked along every control-flow
+//     path, flagging resources that miss their release on some exit, are
+//     used after release, released twice, or overwritten while held.
+//
+// Analyzers configure these with their API shapes (what acquires, what
+// releases, what counts as a benign use) and turn the results into
+// diagnostics.
 package dataflow
 
 import (

@@ -5,12 +5,20 @@
 // plan determinism (stable topology enumeration, stable JSON encodings,
 // reproducible branch-and-bound tie-breaks).
 //
-// A loop is exempt when the slice is later handed to a sort.* or
-// slices.* call in the same function: sorting re-establishes a
-// deterministic order, which is the repo's standard idiom (collect then
-// sort). Appends into a map index (out[k] = append(out[k], v)) are also
-// exempt — per-key order does not depend on iteration order — as are
-// slices declared inside the loop body.
+// A loop is exempt when the slice is later handed to a sorting call
+// (sort.Strings, sort.Slice, slices.Sort, …) in the same function:
+// sorting re-establishes a deterministic order, which is the repo's
+// standard idiom (collect then sort). A search or an IsSorted check reads
+// the slice without ordering it, so it redeems nothing. Appends into a
+// map index (out[k] = append(out[k], v)) are also exempt — per-key order
+// does not depend on iteration order — as are slices declared inside the
+// loop body.
+//
+// No test covers this invariant. Deleting the sort.Strings(ready) that
+// orders the roots of Plan.resolve's topological walk (plan.go) fails no
+// test: a valid plan has one root, its input node, and no test lays out
+// a plan with several. Map order would leak into the first one that does.
+// This analyzer flags the deletion.
 package detrange
 
 import (
@@ -18,6 +26,7 @@ import (
 	"go/types"
 
 	"seco/internal/lint"
+	"seco/internal/lint/inspect"
 )
 
 // Analyzer flags nondeterministically ordered slices built from map
@@ -85,7 +94,7 @@ func mapRangeAppends(pass *lint.Pass, rng *ast.RangeStmt) []*ast.Ident {
 			return true // an index expression like out[k] = append(...) carries no order
 		}
 		call, ok := assign.Rhs[0].(*ast.CallExpr)
-		if !ok || !isBuiltinAppend(pass, call) {
+		if !ok || !inspect.IsBuiltin(pass.Info, call, "append") {
 			return true
 		}
 		obj := identObj(pass, target)
@@ -103,19 +112,16 @@ func mapRangeAppends(pass *lint.Pass, rng *ast.RangeStmt) []*ast.Ident {
 	return out
 }
 
-// isBuiltinAppend reports whether the call is the append builtin.
-func isBuiltinAppend(pass *lint.Pass, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	_, isBuiltin := pass.Info.Uses[id].(*types.Builtin)
-	return isBuiltin
+// sorters are the calls that reorder their argument.
+var sorters = map[string]bool{
+	"sort.Sort": true, "sort.Stable": true, "sort.Slice": true, "sort.SliceStable": true,
+	"sort.Strings": true, "sort.Ints": true, "sort.Float64s": true,
+	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
 // sortedInFunc reports whether obj is passed (possibly nested inside a
-// conversion or composite) to a sort.* or slices.* call anywhere in the
-// function body.
+// conversion or composite) to a sorting call anywhere in the function
+// body.
 func sortedInFunc(pass *lint.Pass, body *ast.BlockStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -126,15 +132,8 @@ func sortedInFunc(pass *lint.Pass, body *ast.BlockStmt, obj types.Object) bool {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return true
-		}
-		if p := fn.Pkg().Path(); p != "sort" && p != "slices" {
+		fn := inspect.Callee(pass.Info, call)
+		if fn == nil || fn.Pkg() == nil || !sorters[fn.Pkg().Path()+"."+fn.Name()] {
 			return true
 		}
 		for _, arg := range call.Args {

@@ -23,6 +23,15 @@ func badValues(m map[string]int) []int {
 	return vals
 }
 
+// A search reads the slice without ordering it.
+func badSearched(m map[string]int) int {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want "appending to keys while ranging over a map"
+	}
+	return sort.SearchStrings(keys, "x")
+}
+
 func badPackageLevel(m map[string]bool) {
 	for k := range m {
 		global = append(global, k) // want "appending to global while ranging over a map"

@@ -13,6 +13,10 @@
 // combs. Comparisons against string literals are exempt — a literal has
 // no handle to compare — as is everything outside the hot set (boundary
 // materialization, error formatting).
+//
+// No test covers this invariant: a raw-string comparison returns the same
+// answer as the handle comparison, so every golden and differential test
+// still passes and only the cost of the comparison moves.
 package interneq
 
 import (

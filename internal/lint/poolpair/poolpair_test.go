@@ -17,7 +17,7 @@ func TestClean(t *testing.T) {
 func TestScope(t *testing.T) {
 	for path, want := range map[string]bool{
 		"seco/internal/engine":  true,
-		"seco/internal/service": true,
+		"seco/internal/service": false,
 		"seco/internal/types":   false,
 		"seco/internal/obs":     false,
 	} {

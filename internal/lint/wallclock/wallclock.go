@@ -11,6 +11,11 @@
 // flow through the installed TimeSource) even a value reference is
 // flagged, because stashing time.Sleep in a field is just a deferred
 // call. Test files are exempt.
+//
+// No test covers this invariant. A time.Sleep added to the service
+// reader's fetch (op_service.go) fails no test and leaves every golden
+// and the experiments output byte-identical: on the virtual clock it
+// charges no simulated time, so only real waiting shows.
 package wallclock
 
 import (

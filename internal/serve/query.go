@@ -133,7 +133,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = r.Header.Get("X-Seco-Tenant")
 	}
-	deadline := time.Duration(req.DeadlineMS * float64(time.Millisecond))
+	// Clamp before converting: a deadline past time.Duration's range would
+	// wrap negative, which admission reads as "none given".
+	ms := min(max(req.DeadlineMS, 0), float64(math.MaxInt64/time.Millisecond))
+	deadline := time.Duration(ms * float64(time.Millisecond))
 	// X-Seco-Queued-Ns carries the ingress lag (admission-time minus
 	// arrival-time on the shared clock); a fronting proxy or the loadgen
 	// driver stamps it so admission sees deadline already spent queueing.

@@ -133,6 +133,28 @@ func TestQueryShedTierDegrades(t *testing.T) {
 	}
 }
 
+// A deadline too large for time.Duration caps at admission's MaxDeadline
+// instead of wrapping negative and falling back to the default: the budget
+// never falls as deadline_ms grows.
+func TestQueryBudgetNeverFallsAsDeadlineGrows(t *testing.T) {
+	_, ts := startServer(t)
+	last := 0.0
+	for _, ms := range []string{"1", "50", "5000", "10000", "60000", "9.2e12", "1e13", "1e300"} {
+		code, _, raw := postQuery(t, ts, `{"deadline_ms":`+ms+`}`, nil)
+		if code != http.StatusOK {
+			t.Fatalf("deadline_ms %s: status %d: %s", ms, code, raw)
+		}
+		budget := decodeResponse(t, raw).BudgetMS
+		if budget < last {
+			t.Errorf("deadline_ms %s: budget %vms, below the %vms of a shorter deadline", ms, budget, last)
+		}
+		last = budget
+	}
+	if last != 10000 {
+		t.Errorf("deadline_ms 1e300: budget %vms, want MaxDeadline's 10000ms", last)
+	}
+}
+
 func TestQueryDeadlineBudgetDegrades(t *testing.T) {
 	// A tight client deadline admitted at the full tier still expires
 	// mid-run; the degradation must name the deadline, not load shedding.
