@@ -129,7 +129,7 @@ func runE18(w io.Writer) error {
 	fmt.Fprintln(w, "  top-5 is certified); the one-sided drift rule ignores that direction.")
 	fmt.Fprintf(w, "  on the zipf world the hot keys push the real edge match rate far above\n")
 	fmt.Fprintf(w, "  the registered 1/6, and seco.fidelity.drift.detected fired %d times —\n", zipfDrift)
-	fmt.Fprintln(w, "  the re-planning trigger of ROADMAP item 4.")
+	fmt.Fprintln(w, "  the re-planning trigger of ROADMAP item 11.")
 	return writeArtifact(w, "fidelity_cells.json", cells)
 }
 

@@ -21,11 +21,6 @@
 //	              calls on a context that provably carries no deadline,
 //	              which would break end-to-end deadline propagation and
 //	              sever the run's trace lane
-//	arenaescape — no combArena-allocated comb stored, sent, or captured
-//	              anywhere that outlives the owning operator's Close, and
-//	              no use after the arena's release
-//	poolpair    — every sync.Pool-derived buffer reaches its put on all
-//	              exit paths, with no use after the put
 //	interneq    — no raw string ==/strings.Compare over interned
 //	              Value.Str()/String() in operator hot paths
 package main
@@ -40,11 +35,9 @@ import (
 	"strings"
 
 	"seco/internal/lint"
-	"seco/internal/lint/arenaescape"
 	"seco/internal/lint/ctxdeadline"
 	"seco/internal/lint/detrange"
 	"seco/internal/lint/interneq"
-	"seco/internal/lint/poolpair"
 	"seco/internal/lint/wallclock"
 )
 
@@ -53,8 +46,6 @@ var analyzers = []*lint.Analyzer{
 	wallclock.Analyzer,
 	detrange.Analyzer,
 	ctxdeadline.Analyzer,
-	arenaescape.Analyzer,
-	poolpair.Analyzer,
 	interneq.Analyzer,
 }
 

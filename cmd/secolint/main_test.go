@@ -23,7 +23,7 @@ func TestListDescribesEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errw); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errw.String())
 	}
-	for _, name := range []string{"wallclock", "detrange", "ctxdeadline", "arenaescape", "poolpair", "interneq"} {
+	for _, name := range []string{"wallclock", "detrange", "ctxdeadline", "interneq"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -44,8 +44,8 @@ func TestJSONOutput(t *testing.T) {
 	var diags []lint.Diagnostic
 	diags = append(diags, lint.Diagnostic{
 		Pos:      token.Position{Filename: "a.go", Line: 3, Column: 7},
-		Analyzer: "poolpair",
-		Message:  `buffer leaks on the "error" path`,
+		Analyzer: "wallclock",
+		Message:  `time.Now reads the wall clock; use the engine Clock`,
 	})
 	var buf strings.Builder
 	if err := writeJSON(&buf, diags); err != nil {
@@ -55,7 +55,7 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(buf.String()), &decoded); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
-	want := jsonDiagnostic{File: "a.go", Line: 3, Col: 7, Analyzer: "poolpair", Message: `buffer leaks on the "error" path`}
+	want := jsonDiagnostic{File: "a.go", Line: 3, Col: 7, Analyzer: "wallclock", Message: `time.Now reads the wall clock; use the engine Clock`}
 	if len(decoded) != 1 || decoded[0] != want {
 		t.Errorf("round-trip got %+v, want %+v", decoded, want)
 	}

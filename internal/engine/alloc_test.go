@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"seco/internal/join"
+	"seco/internal/mart"
 	"seco/internal/plan"
 	"seco/internal/plancheck"
 	"seco/internal/query"
@@ -47,8 +49,9 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	run()
 	run()
 	got := testing.AllocsPerRun(10, run)
-	// Measured 325 allocs/run steady-state (Go 1.24), with memo-hit
-	// fetches and recycled pipe readings allocating nothing; the
+	// Measured 313 allocs/run steady-state (Go 1.24), with memo-hit
+	// fetches, recycled pipe readings and pooled-buffer puts allocating
+	// nothing; the
 	// map-backed runtime sat near 3800. The ceiling leaves ~1.25x headroom
 	// for toolchain drift, little enough that one allocation per fetch or
 	// per piped invocation trips it. Fidelity accounting is off here, and
@@ -93,7 +96,7 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	}
 	prepared()
 	gotRun := testing.AllocsPerRun(10, prepared)
-	// Measured 175 allocs/run; ~1.25x headroom, as above.
+	// Measured 163 allocs/run; ~1.25x headroom, as above.
 	const runCeiling = 220
 	if gotRun > runCeiling {
 		t.Errorf("steady-state Prepared.Run allocates %.0f objects, ceiling %d", gotRun, runCeiling)
@@ -102,6 +105,66 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 		t.Errorf("Prepared.Run allocates %.0f objects, not below the %.0f of an Execute", gotRun, got)
 	}
 	t.Logf("steady-state Prepared.Run: %.0f allocs (Execute %.0f)", gotRun, got)
+}
+
+// TestPullRunAllocBytes pins what the buffer pools buy. Allocation counts
+// do not see them: with every pool replaced by make, each buffer is still
+// one allocation, only a larger one. So a steady-state conftravel pull run
+// (pools warm, chunks memoized by the Share layer) must stay under a
+// bytes-per-run ceiling.
+func TestPullRunAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	reg, err := mart.TravelScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, q, err := plan.TravelPlan(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := synth.NewTravelWorld(reg, synth.TravelConfig{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := plan.Annotate(p, map[string]int{"F": 2, "H": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := NewWithConfig(world.Services(), Config{Share: true}).Prepare(a,
+		PrepareOptions{Weights: q.Weights, TargetK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		r, err := prep.Run(context.Background(), RunOptions{Inputs: world.Inputs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Combinations) != 5 {
+			t.Fatalf("%d results, want 5", len(r.Combinations))
+		}
+	}
+	run() // warm the share memo
+	runtime.GC()
+	run() // refill the pools the collection emptied
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	// Measured 24.3 KB per run (Go 1.24). With the chunk-buffer pools
+	// replaced by make it measured 46.5 KB, and with the arena block pools
+	// replaced too, 250 KB; the ceiling leaves ~1.3x headroom.
+	const ceiling = 32
+	if kb > ceiling {
+		t.Errorf("steady-state conftravel pull run allocates %.1f KB, ceiling %d KB", kb, ceiling)
+	}
+	t.Logf("steady-state conftravel pull run: %.1f KB", kb)
 }
 
 // combFlowPlan is the fixture of TestOperatorAllocsPerComb: every comb a
@@ -228,11 +291,11 @@ func TestOperatorAllocsPerComb(t *testing.T) {
 		}
 	}
 	perComb := (a1 - a0) / (large - small)
-	// Measured 8.08 allocs per X tuple (Go 1.24), none in a Next: per pipe
+	// Measured 6.07 allocs per X tuple (Go 1.24), none in a Next: per pipe
 	// invocation (two per tuple) the Counter's and Share's invocation
-	// handles and the spent reading's pool put, plus the join's
-	// posting-list growth.
-	const ceiling = 8.5
+	// handles, plus the join's posting-list growth. A pool put that boxes
+	// its buffer again adds one per pipe invocation, two per tuple.
+	const ceiling = 6.5
 	if perComb > ceiling {
 		t.Errorf("the operator graph allocates %.2f objects per comb (%.0f at n=%d, %.0f at n=%d), ceiling %.1f",
 			perComb, a0, small, a1, large, ceiling)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -192,13 +193,29 @@ func (a *combArena) ptrs() []*types.Tuple {
 	return ps
 }
 
-// release clears and returns the arena's blocks to the pools. The owner
-// must not allocate from, nor anything dereference combs of, this arena
-// afterwards.
+// poisonTuple fills poisonComps, the component vector of every released
+// comb: a comb read after its arena's release scores NaN and resolves no
+// attribute, so the misuse fails loudly instead of reading plausible
+// zeros.
+var (
+	poisonTuple = types.NewTuple(math.NaN())
+	poisonComps = func() []*types.Tuple {
+		v := make([]*types.Tuple, ptrBlockLen)
+		for i := range v {
+			v[i] = poisonTuple
+		}
+		return v
+	}()
+	poisonComb = comb{score: math.NaN(), comps: poisonComps}
+)
+
+// release poisons the arena's combs, clears its component blocks and
+// returns both to the pools. The owner must not allocate from, nor
+// anything dereference combs of, this arena afterwards.
 func (a *combArena) release() {
 	for _, blk := range a.blocks {
 		for i := range *blk {
-			(*blk)[i] = comb{}
+			(*blk)[i] = poisonComb
 		}
 		*blk = (*blk)[:0]
 		combBlockPool.Put(blk)
@@ -212,45 +229,51 @@ func (a *combArena) release() {
 	a.ptrBlocks = nil
 }
 
-// Pools for the runtime's reusable chunk buffers: comb slices (branch
-// chunks, tile output) and tuple slices (service fetch prefixes). Buffers
-// are cleared on put so they never retain combinations or tuples past
-// their owner's Close.
-
-var combSlicePool = sync.Pool{New: func() any {
-	s := make([]*comb, 0, 32)
-	return &s
-}}
-
-var tupleSlicePool = sync.Pool{New: func() any {
-	s := make([]*types.Tuple, 0, 64)
-	return &s
-}}
-
-func getCombSlice(hint int) []*comb         { return getSlice[*comb](&combSlicePool, hint) }
-func putCombSlice(s []*comb)                { putSlice(&combSlicePool, s) }
-func getTupleSlice(hint int) []*types.Tuple { return getSlice[*types.Tuple](&tupleSlicePool, hint) }
-func putTupleSlice(s []*types.Tuple)        { putSlice(&tupleSlicePool, s) }
-
-// getSlice returns an empty pooled buffer, grown to the hint. An
-// undersized pooled buffer goes back to the pool before the fresh
-// allocation replaces it, so large hints don't drain the pool.
-func getSlice[T any](p *sync.Pool, hint int) []T {
-	b := p.Get().(*[]T)
-	if hint > cap(*b) {
-		p.Put(b)
-		return make([]T, 0, hint)
-	}
-	return (*b)[:0]
+// pooled is the handle of a pooled chunk buffer: comb slices (branch
+// chunks, join output) and tuple slices (service fetch prefixes). Its
+// owner keeps the handle and puts it back, with the buffer as it has
+// grown, so no put boxes a slice header. run stamps the graph holding the
+// handle (nil while pooled): a put of a handle the run does not hold
+// panics, and graph.shutdown checks that every handle came back.
+type pooled[T any] struct {
+	s   []T
+	run *graph
 }
 
-// putSlice clears and returns a buffer to the pool.
-func putSlice[T any](p *sync.Pool, s []T) {
-	if cap(s) == 0 {
-		return
+// slicePool pools the handles of one element type's chunk buffers.
+type slicePool[T any] struct{ p sync.Pool }
+
+var (
+	combSlices  = newSlicePool[*comb](32)
+	tupleSlices = newSlicePool[*types.Tuple](64)
+)
+
+func newSlicePool[T any](size int) *slicePool[T] {
+	return &slicePool[T]{p: sync.Pool{New: func() any { return &pooled[T]{s: make([]T, 0, size)} }}}
+}
+
+// get takes a handle for run g, its buffer empty and regrown to the hint
+// when the pooled one is smaller. The handle is stamped as it leaves the
+// pool, so any handle the run takes must come back.
+func (sp *slicePool[T]) get(g *graph, hint int) *pooled[T] {
+	h := sp.p.Get().(*pooled[T])
+	h.run = g
+	g.held.Add(1)
+	if hint > cap(h.s) {
+		h.s = make([]T, 0, hint)
 	}
-	s = s[:cap(s)]
-	clear(s)
-	s = s[:0]
-	p.Put(&s)
+	return h
+}
+
+// put returns run g's handle with s, the buffer as its owner grew it,
+// cleared so the pool retains no combinations or tuples.
+func (sp *slicePool[T]) put(g *graph, h *pooled[T], s []T) {
+	if h.run != g {
+		panic("engine: put of a pooled buffer the run does not hold")
+	}
+	h.run = nil
+	g.held.Add(-1)
+	clear(s[:cap(s)])
+	h.s = s[:0]
+	sp.p.Put(h)
 }

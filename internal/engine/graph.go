@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"testing"
 
 	"seco/internal/fidelity"
 	"seco/internal/plancheck"
@@ -35,6 +36,9 @@ type graph struct {
 	// consumers); shutdown closes them in reverse, output side first.
 	ops    []Operator
 	shared []*sharedOp
+	// held counts the pooled buffer handles the run holds (see pooled);
+	// shutdown checks that every one came back.
+	held atomic.Int64
 	// fid hands out the per-node candidate counters of the fidelity
 	// accounting; nil (handing out nil counters) unless RunOptions.Fidelity.
 	fid *fidelity.Recorder
@@ -117,7 +121,7 @@ func (g *graph) newServiceOp(i int, pn *progNode) (Operator, error) {
 	// lane. Scope is nil (and WithScope a no-op) when the run is untraced.
 	sc := g.ex.run.Trace.Scope(pn.id)
 	return &serviceOp{
-		svcProg: sp, ex: g.ex, wg: &g.wg, counter: counter, fixed: fixed,
+		svcProg: sp, ex: g.ex, g: g, counter: counter, fixed: fixed,
 		par: g.ex.opts.Parallelism, up: up, depth: &g.depth[i], sc: sc,
 		cand: g.fid.Counter(pn.id), arena: newCombArena(g.ex.layout.width()),
 	}, nil
@@ -125,9 +129,14 @@ func (g *graph) newServiceOp(i int, pn *progNode) (Operator, error) {
 
 // shutdown closes every operator, output side first. It must run after
 // the drivers' cancel + wg.Wait, except that the operators' own Close
-// implementations drain any goroutines still owning their inputs.
+// implementations drain any goroutines still owning their inputs. Under
+// test, a pooled buffer the closed graph still holds is a leak and fails
+// the run.
 func (g *graph) shutdown() {
 	for i := len(g.ops) - 1; i >= 0; i-- {
 		g.ops[i].Close()
+	}
+	if n := g.held.Load(); n != 0 && testing.Testing() {
+		panic(fmt.Sprintf("engine: run closed holding %d pooled buffers", n))
 	}
 }

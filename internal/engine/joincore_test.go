@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -457,9 +456,10 @@ func TestServiceReaderModes(t *testing.T) {
 				in: tc.fixed, pipes: tc.pipes,
 			}
 			counter := e.Invoker().NewRun().Counter("X")
-			var wg sync.WaitGroup
+			ex := &executor{Prepared: &Prepared{engine: e, layout: layout}}
+			g := &graph{ex: ex}
 			op := &serviceOp{
-				svcProg: sp, ex: &executor{Prepared: &Prepared{engine: e, layout: layout}}, wg: &wg,
+				svcProg: sp, ex: ex, g: g,
 				counter: counter, fixed: tc.fixed, par: tc.par, up: up, depth: &atomic.Int64{},
 				arena: newCombArena(layout.width()),
 			}
@@ -484,7 +484,7 @@ func TestServiceReaderModes(t *testing.T) {
 						last = at
 					}
 				}
-				wg.Wait()
+				g.wg.Wait()
 				for _, r := range op.ahead {
 					if r.fetches > 1 {
 						t.Fatalf("step %d: a combination ahead of the current one holds %d chunks", i, r.fetches)

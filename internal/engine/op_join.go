@@ -40,9 +40,11 @@ type joinBranch struct {
 	// has ended before the graph closes the inputs.
 	outstanding bool
 
-	// rows holds every arrived row in arrival order (a pooled buffer);
-	// chunks records where each arrived chunk ends and its best score.
+	// rows holds every arrived row in arrival order, in the pooled buffer
+	// buf holds; chunks records where each arrived chunk ends and its best
+	// score.
 	rows     []*comb
+	buf      *pooled[*comb]
 	chunks   []chunkMark
 	bestSeen float64
 	// bound is the reader's bound snapshot as of the last completed pull
@@ -67,7 +69,10 @@ type chunkMark struct {
 	max float64
 }
 
+// branchPull is one pull's result: the rows with the chunk appended and
+// the buffer handle, which crosses the prefetch goroutine with them.
 type branchPull struct {
+	buf   *pooled[*comb]
 	rows  []*comb
 	bound float64
 	short bool // the reader ran dry during this pull
@@ -96,33 +101,35 @@ func (b *joinBranch) start(ctx context.Context) {
 		return
 	}
 	b.outstanding = true
-	rows := b.rows
+	buf, rows := b.buf, b.rows
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		b.ch <- b.labeledPull(ctx, rows)
+		b.ch <- b.labeledPull(ctx, buf, rows)
 	}()
 }
 
 // labeledPull runs pull, labelled with the branch's input node when the
 // run is observed, so profiles split the join branches.
-func (b *joinBranch) labeledPull(ctx context.Context, rows []*comb) (res branchPull) {
+func (b *joinBranch) labeledPull(ctx context.Context, buf *pooled[*comb], rows []*comb) (res branchPull) {
 	if b.g.ex.run.Trace == nil && b.g.ex.engine.metrics == nil {
-		return b.pull(ctx, rows)
+		return b.pull(ctx, buf, rows)
 	}
 	pprof.Do(ctx, pprof.Labels("seco.operator", b.id), func(ctx context.Context) {
-		res = b.pull(ctx, rows)
+		res = b.pull(ctx, buf, rows)
 	})
 	return res
 }
 
-// pull appends the branch's next chunk from its reader to rows. Only the
-// capacity beyond len(rows) is written, which the join never reads.
-func (b *joinBranch) pull(ctx context.Context, rows []*comb) branchPull {
-	if rows == nil {
-		rows = getCombSlice(b.size)
+// pull appends the branch's next chunk from its reader to rows, taking
+// the buffer on the first pull. Only the capacity beyond len(rows) is
+// written, which the join never reads.
+func (b *joinBranch) pull(ctx context.Context, buf *pooled[*comb], rows []*comb) branchPull {
+	if buf == nil {
+		buf = combSlices.get(b.g, b.size)
+		rows = buf.s
 	}
-	res := branchPull{rows: rows}
+	res := branchPull{buf: buf, rows: rows}
 	for n := 0; n < b.size; n++ {
 		c, err := b.reader.Next(ctx)
 		if err != nil {
@@ -149,13 +156,13 @@ func (b *joinBranch) take(ctx context.Context) ([]*comb, error) {
 	}
 	var res branchPull
 	if b.g.ex.engine.virtual {
-		res = b.labeledPull(ctx, b.rows)
+		res = b.labeledPull(ctx, b.buf, b.rows)
 	} else {
 		res = <-b.ch
 	}
 	b.outstanding = false
 	from := len(b.rows)
-	b.rows = res.rows[:from]
+	b.buf, b.rows = res.buf, res.rows[:from]
 	if res.err != nil {
 		return nil, res.err
 	}
@@ -197,10 +204,12 @@ func (b *joinBranch) release() {
 	if b.outstanding {
 		res := <-b.ch
 		b.outstanding = false
-		b.rows = res.rows
+		b.buf, b.rows = res.buf, res.rows
 	}
-	putCombSlice(b.rows)
-	b.rows, b.chunks = nil, nil
+	if b.buf != nil {
+		combSlices.put(b.g, b.buf, b.rows)
+	}
+	b.buf, b.rows, b.chunks = nil, nil, nil
 }
 
 // explore runs one step of the explorer's schedule: a fetch event takes

@@ -71,6 +71,7 @@ type multiEdge struct {
 // multiJoinOp is the ranked join operator of fan-in two or more.
 type multiJoinOp struct {
 	ex       *executor
+	g        *graph
 	branches []joinBranch
 	// edges is the program's edge table, or this run's copy of it with
 	// the posting lists the run fills when some edge is hashable;
@@ -88,7 +89,10 @@ type multiJoinOp struct {
 	// fidelity is off.
 	cand *fidelity.Counter
 
+	// pending is the output of the current join step, in the pooled
+	// buffer pendingBuf holds.
 	pending    []*comb
+	pendingBuf *pooled[*comb]
 	pendingIdx int
 	rr         int
 	started    bool
@@ -106,6 +110,7 @@ func (g *graph) newMultiJoinOp(pn *progNode) (Operator, error) {
 	nb := len(pn.inputs)
 	s := &multiJoinOp{
 		ex:       g.ex,
+		g:        g,
 		cand:     g.fid.Counter(pn.id),
 		branches: make([]joinBranch, nb),
 		edges:    mp.edges, incident: mp.incident, ones: mp.ones,
@@ -301,12 +306,13 @@ func (s *multiJoinOp) edgeKey(e *multiEdge, left bool, c *comb) (key uint64, ok 
 // windows: branch bi's window rows bind first, in order, and expand binds
 // the rest. Results land in s.pending.
 func (s *multiJoinOp) joinBox(bi int) error {
-	if s.pending == nil {
+	if s.pendingBuf == nil {
 		hint := 0
 		for i := range s.branches {
 			hint += s.branches[i].size
 		}
-		s.pending = getCombSlice(hint)
+		s.pendingBuf = combSlices.get(s.g, hint)
+		s.pending = s.pendingBuf.s
 	}
 	s.pending = s.pending[:0]
 	s.pendingIdx = 0
@@ -593,9 +599,9 @@ func (s *multiJoinOp) Close() {
 	for i := range s.branches {
 		s.branches[i].release()
 	}
-	if s.pending != nil {
-		putCombSlice(s.pending)
-		s.pending = nil
+	if s.pendingBuf != nil {
+		combSlices.put(s.g, s.pendingBuf, s.pending)
+		s.pendingBuf, s.pending = nil, nil
 	}
 	s.arena.release()
 }

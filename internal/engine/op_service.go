@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 
 	"seco/internal/fidelity"
@@ -39,7 +38,7 @@ import (
 type serviceOp struct {
 	*svcProg
 	ex      *executor
-	wg      *sync.WaitGroup // tracks the look-ahead goroutines
+	g       *graph // tracks the look-ahead goroutines and pooled buffers
 	counter *service.Counter
 	fixed   service.Input
 	// par is the look-ahead window of a pipe: upstream combinations pulled
@@ -84,9 +83,12 @@ type reading struct {
 	src *comb // the upstream combination a pipe binds from; nil for a scan
 	// in is a pipe reading's own input buffer, refilled from src on each
 	// reuse; services do not retain it past Invoke.
-	in        service.Input
-	inv       service.Invocation
+	in  service.Input
+	inv service.Invocation
+	// tuples is the fetched prefix, in the pooled buffer buf holds once
+	// the first chunk has landed.
 	tuples    []*types.Tuple
+	buf       *pooled[*types.Tuple]
 	fetches   int
 	exhausted bool
 	// ready is closed once a look-ahead reading's Invoke and first Fetch
@@ -98,10 +100,10 @@ type reading struct {
 }
 
 // release returns the reading's prefix buffer to the pool.
-func (r *reading) release() {
-	if r.tuples != nil {
-		putTupleSlice(r.tuples)
-		r.tuples = nil
+func (s *serviceOp) release(r *reading) {
+	if r.buf != nil {
+		tupleSlices.put(s.g, r.buf, r.tuples)
+		r.buf, r.tuples = nil, nil
 	}
 }
 
@@ -169,10 +171,11 @@ func (s *serviceOp) fetch(ctx context.Context, r *reading) error {
 	}
 	r.fetches++
 	s.depth.Add(1)
-	if r.tuples == nil {
+	if r.buf == nil {
 		// Pre-size the prefix buffer from the plan's fetch budget and the
 		// service's published chunk size.
-		r.tuples = getTupleSlice(s.hint)
+		r.buf = tupleSlices.get(s.g, s.hint)
+		r.tuples = r.buf.s
 	}
 	r.tuples = append(r.tuples, chunk.Tuples...)
 	if s.n.Limit > 0 && len(r.tuples) > s.n.Limit {
@@ -364,9 +367,9 @@ func (s *serviceOp) launch(ctx context.Context, r *reading) {
 		}
 		ctx = s.labeled
 	}
-	s.wg.Add(1)
+	s.g.wg.Add(1)
 	go func() {
-		defer s.wg.Done()
+		defer s.g.wg.Done()
 		defer close(r.ready)
 		if labeled {
 			pprof.SetGoroutineLabels(ctx)
@@ -387,7 +390,7 @@ func (s *serviceOp) spent() {
 		s.done = len(s.rd.tuples) == 0
 		return
 	}
-	s.rd.release()
+	s.release(s.rd)
 	s.spare = append(s.spare, s.rd)
 	s.rd = nil
 }
@@ -442,13 +445,13 @@ func (s *serviceOp) Close() {
 	s.done = true
 	s.cur = nil
 	if s.rd != nil {
-		s.rd.release()
+		s.release(s.rd)
 	}
 	for _, r := range s.ahead {
 		if r.ready != nil {
 			<-r.ready
 		}
-		r.release()
+		s.release(r)
 	}
 	s.rd, s.ahead, s.spare = nil, nil, nil
 	s.arena.release()

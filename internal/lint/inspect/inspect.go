@@ -1,11 +1,8 @@
 // Package inspect is the shared traversal and resolution layer under the
-// repo's dataflow-based analyzers. It factors out the walking every
-// types-aware analyzer repeats: enumerating function bodies (declarations
-// and literals, with receiver metadata), resolving call expressions to
-// their static callees, classifying receiver types, and answering "what
-// syntactic context does this node sit in" through a parent map. Nothing
-// here reports diagnostics; analyzers compose these primitives with the
-// dataflow package's def-use, escape and pair-tracking machinery.
+// repo's types-aware analyzers. It factors out the walking every analyzer
+// repeats: enumerating function bodies (declarations and literals, with
+// their receiver type), resolving call expressions to their static
+// callees, and classifying named types. Nothing here reports diagnostics.
 package inspect
 
 import (
@@ -24,9 +21,6 @@ type Func struct {
 	Lit *ast.FuncLit
 	// Name is the declaration name, or "func literal in <name>".
 	Name string
-	// Recv is the receiver's *types.Var when the body is a method with a
-	// named receiver; nil otherwise (functions, literals, "_" receivers).
-	Recv *types.Var
 	// RecvType is the bare receiver type name ("serviceOp"), "" otherwise.
 	RecvType string
 	Body     *ast.BlockStmt
@@ -34,9 +28,9 @@ type Func struct {
 
 // Funcs enumerates every function body in the file in source order:
 // each declaration, then each literal nested anywhere inside it (literals
-// are returned as their own Func so dataflow analyses stay one-body
-// deep — a literal's body is not re-walked as part of its enclosure).
-func Funcs(info *types.Info, f *ast.File) []Func {
+// are returned as their own Func so analyses stay one body deep — a
+// literal's body is not re-walked as part of its enclosure).
+func Funcs(f *ast.File) []Func {
 	var out []Func
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
@@ -45,9 +39,6 @@ func Funcs(info *types.Info, f *ast.File) []Func {
 		}
 		fn := Func{Decl: fd, Name: fd.Name.Name, Body: fd.Body}
 		fn.RecvType = RecvTypeName(fd)
-		if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-			fn.Recv, _ = info.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
-		}
 		out = append(out, fn)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
@@ -167,45 +158,4 @@ func MethodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName, method st
 		return nil, false
 	}
 	return sel.X, true
-}
-
-// Parents maps every node under root to its syntactic parent. The map is
-// what lets an analyzer ask "is this identifier the value of a send
-// statement / an element of a composite literal / the left side of an
-// assignment" without threading a stack through every walk.
-func Parents(root ast.Node) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// LocalVar resolves an expression (through parens) to the local variable
-// it names, or nil: package-level variables, fields and non-identifiers
-// all return nil.
-func LocalVar(info *types.Info, e ast.Expr) *types.Var {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, ok := info.Uses[id].(*types.Var)
-	if !ok {
-		if v, ok = info.Defs[id].(*types.Var); !ok {
-			return nil
-		}
-	}
-	if v.IsField() || v.Parent() == nil || v.Parent() == v.Pkg().Scope() {
-		return nil
-	}
-	return v
 }

@@ -114,7 +114,7 @@ func run(pass *lint.Pass) error {
 		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}
-		for _, fn := range inspect.Funcs(pass.Info, f) {
+		for _, fn := range inspect.Funcs(f) {
 			// Declarations only: a declaration's walk already covers its
 			// nested literals, so visiting them again would double-report.
 			if fn.Lit != nil || !hotFunc(pass, fn) {

@@ -20,6 +20,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"seco/internal/mart"
@@ -71,12 +72,29 @@ type Term struct {
 func (t Term) String() string {
 	switch t.Kind {
 	case TermConst:
-		return t.Const.String()
+		return constString(t.Const)
 	case TermInput:
 		return t.Input
 	default:
 		return t.Path.String()
 	}
+}
+
+// constString renders a constant as Parse reads it back: the lexer has
+// no escapes and no exponents, so a string goes raw between a quote
+// character it does not contain and a float without an exponent.
+func constString(v types.Value) string {
+	switch v.Kind() {
+	case types.KindString:
+		quote := `"`
+		if strings.Contains(v.Str(), quote) {
+			quote = "'"
+		}
+		return quote + v.Str() + quote
+	case types.KindFloat:
+		return strconv.FormatFloat(v.FloatVal(), 'f', -1, 64)
+	}
+	return v.String()
 }
 
 // Predicate is one conjunct of the where clause: Left Op Term. It is a
@@ -243,17 +261,26 @@ func (q *Query) String() string {
 		b.WriteString(strings.Join(conds, " and "))
 	}
 	if len(q.Weights) > 0 {
+		// Weights in select order, then any for an alias the select
+		// clause lacks (Parse accepts them; Analyze rejects them), sorted.
+		aliases := q.Aliases()
+		for a := range q.Weights {
+			if _, ok := q.Service(a); !ok {
+				aliases = append(aliases, a)
+			}
+		}
+		sort.Strings(aliases[len(q.Services):])
 		b.WriteString(" rank ")
 		first := true
-		for _, s := range q.Services {
-			w, ok := q.Weights[s.Alias]
+		for _, a := range aliases {
+			w, ok := q.Weights[a]
 			if !ok {
 				continue
 			}
 			if !first {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%g %s", w, s.Alias)
+			fmt.Fprintf(&b, "%s %s", strconv.FormatFloat(w, 'f', -1, 64), a)
 			first = false
 		}
 	}
