@@ -146,6 +146,54 @@ func TestPullRunAllocBytes(t *testing.T) {
 			t.Fatalf("%d results, want 5", len(r.Combinations))
 		}
 	}
+	kb := steadyRunKB(run)
+	// Measured 24.3 KB per run (Go 1.24). With the chunk-buffer pools
+	// replaced by make it measured 46.5 KB, and with the arena block pools
+	// replaced too, 250 KB; the ceiling leaves ~1.3x headroom.
+	const ceiling = 32
+	if kb > ceiling {
+		t.Errorf("steady-state conftravel pull run allocates %.1f KB, ceiling %d KB", kb, ceiling)
+	}
+	t.Logf("steady-state conftravel pull run: %.1f KB", kb)
+}
+
+// TestTriangleRunAllocBytes is TestPullRunAllocBytes on the triangle's
+// multi-way join, whose per-run state is its edges' posting maps: a
+// branch holds 15–20 rows, so a map pre-sized for more costs bytes on
+// every run and no time.
+func TestTriangleRunAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	tri, world := triangleFixture(t)
+	prep, err := NewWithConfig(world.Services(), Config{Share: true}).Prepare(tri.Annotated,
+		PrepareOptions{Weights: tri.Query.Weights, TargetK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		r, err := prep.Run(context.Background(), RunOptions{Inputs: world.Inputs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Combinations) == 0 {
+			t.Fatal("triangle run returned nothing")
+		}
+	}
+	kb := steadyRunKB(run)
+	// Measured 11.1 KB per run (Go 1.24); with each hashable edge's two
+	// posting maps pre-sized for 64 keys, as they once were, 29.2 KB.
+	// The ceiling leaves ~1.3x headroom.
+	const ceiling = 15
+	if kb > ceiling {
+		t.Errorf("steady-state triangle run allocates %.1f KB, ceiling %d KB", kb, ceiling)
+	}
+	t.Logf("steady-state triangle run: %.1f KB", kb)
+}
+
+// steadyRunKB returns the KB one call of run allocates once the share
+// memo and the buffer pools are warm, averaged over 50 calls.
+func steadyRunKB(run func()) float64 {
 	run() // warm the share memo
 	runtime.GC()
 	run() // refill the pools the collection emptied
@@ -156,15 +204,7 @@ func TestPullRunAllocBytes(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-	// Measured 24.3 KB per run (Go 1.24). With the chunk-buffer pools
-	// replaced by make it measured 46.5 KB, and with the arena block pools
-	// replaced too, 250 KB; the ceiling leaves ~1.3x headroom.
-	const ceiling = 32
-	if kb > ceiling {
-		t.Errorf("steady-state conftravel pull run allocates %.1f KB, ceiling %d KB", kb, ceiling)
-	}
-	t.Logf("steady-state conftravel pull run: %.1f KB", kb)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
 }
 
 // combFlowPlan is the fixture of TestOperatorAllocsPerComb: every comb a

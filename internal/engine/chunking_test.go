@@ -123,11 +123,8 @@ func TestMergeBranchesSharedComponents(t *testing.T) {
 		aliases: []string{"C", "F", "H"},
 		weights: []float64{1, 1, 1},
 	}
-	s := &multiJoinOp{
-		ex:       &executor{Prepared: &Prepared{layout: layout}},
-		arena:    newCombArena(layout.width()),
-		branches: make([]joinBranch, 2),
-	}
+	g := &graph{ex: &executor{Prepared: &Prepared{layout: layout}}}
+	s := &multiJoinOp{ex: g.ex, arena: g.newArena(), branches: make([]joinBranch, 2)}
 	defer s.arena.release()
 	merge := func(l, r *comb) (*comb, bool) {
 		s.branches[0].assign, s.branches[1].assign = l, r

@@ -137,14 +137,19 @@ var ptrBlockPool = sync.Pool{New: func() any {
 // holds its own and allocates on its consumer goroutine — and release
 // returns the blocks to the pools. combs handed out stay valid until
 // release, which the graph defers to operator Close: teardown runs only
-// after the driver has materialized its results.
+// after the driver has materialized its results. Every block taken counts
+// on the run's held, so graph.shutdown catches an arena never released.
 type combArena struct {
+	g         *graph
 	width     int
 	blocks    []*[]comb
 	ptrBlocks []*[]*types.Tuple
 }
 
-func newCombArena(width int) *combArena { return &combArena{width: width} }
+// newArena returns an empty arena of run g, as wide as its alias layout.
+func (g *graph) newArena() *combArena {
+	return &combArena{g: g, width: g.ex.layout.width()}
+}
 
 // new returns a zeroed comb with a width-sized component vector.
 func (a *combArena) new() *comb {
@@ -154,6 +159,7 @@ func (a *combArena) new() *comb {
 	} else {
 		blk = combBlockPool.Get().(*[]comb)
 		a.blocks = append(a.blocks, blk)
+		a.g.held.Add(1)
 	}
 	*blk = (*blk)[:len(*blk)+1]
 	c := &(*blk)[len(*blk)-1]
@@ -185,6 +191,7 @@ func (a *combArena) ptrs() []*types.Tuple {
 	} else {
 		blk = ptrBlockPool.Get().(*[]*types.Tuple)
 		a.ptrBlocks = append(a.ptrBlocks, blk)
+		a.g.held.Add(1)
 	}
 	lo := len(*blk)
 	*blk = (*blk)[:lo+a.width]
@@ -213,6 +220,7 @@ var (
 // returns both to the pools. The owner must not allocate from, nor
 // anything dereference combs of, this arena afterwards.
 func (a *combArena) release() {
+	a.g.held.Add(-int64(len(a.blocks) + len(a.ptrBlocks)))
 	for _, blk := range a.blocks {
 		for i := range *blk {
 			(*blk)[i] = poisonComb

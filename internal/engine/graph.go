@@ -36,8 +36,9 @@ type graph struct {
 	// consumers); shutdown closes them in reverse, output side first.
 	ops    []Operator
 	shared []*sharedOp
-	// held counts the pooled buffer handles the run holds (see pooled);
-	// shutdown checks that every one came back.
+	// held counts the pooled buffer handles and arena blocks the run
+	// holds (see pooled and combArena); shutdown checks that every one
+	// came back.
 	held atomic.Int64
 	// fid hands out the per-node candidate counters of the fidelity
 	// accounting; nil (handing out nil counters) unless RunOptions.Fidelity.
@@ -123,7 +124,7 @@ func (g *graph) newServiceOp(i int, pn *progNode) (Operator, error) {
 	return &serviceOp{
 		svcProg: sp, ex: g.ex, g: g, counter: counter, fixed: fixed,
 		par: g.ex.opts.Parallelism, up: up, depth: &g.depth[i], sc: sc,
-		cand: g.fid.Counter(pn.id), arena: newCombArena(g.ex.layout.width()),
+		cand: g.fid.Counter(pn.id), arena: g.newArena(),
 	}, nil
 }
 

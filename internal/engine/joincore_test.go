@@ -461,7 +461,7 @@ func TestServiceReaderModes(t *testing.T) {
 			op := &serviceOp{
 				svcProg: sp, ex: ex, g: g,
 				counter: counter, fixed: tc.fixed, par: tc.par, up: up, depth: &atomic.Int64{},
-				arena: newCombArena(layout.width()),
+				arena: g.newArena(),
 			}
 			defer op.Close()
 			ctx := context.Background()

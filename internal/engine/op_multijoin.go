@@ -114,7 +114,7 @@ func (g *graph) newMultiJoinOp(pn *progNode) (Operator, error) {
 		cand:     g.fid.Counter(pn.id),
 		branches: make([]joinBranch, nb),
 		edges:    mp.edges, incident: mp.incident, ones: mp.ones,
-		arena:    newCombArena(g.ex.layout.width()),
+		arena:    g.newArena(),
 		frontier: make([]float64, 2*nb),
 	}
 	for i, in := range pn.inputs {
@@ -124,8 +124,8 @@ func (g *graph) newMultiJoinOp(pn *progNode) (Operator, error) {
 		s.edges = append([]multiEdge(nil), mp.edges...)
 		for i := range s.edges {
 			if e := &s.edges[i]; e.hashable {
-				e.postL = make(map[uint64][]int32, 64)
-				e.postR = make(map[uint64][]int32, 64)
+				e.postL = make(map[uint64][]int32)
+				e.postR = make(map[uint64][]int32)
 				e.classOf = make([]types.Value, len(e.jp.eqLeft))
 			}
 		}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"time"
 
@@ -68,7 +70,9 @@ func wireDegradation(d *engine.Degradation) *queryDegradation {
 	return out
 }
 
-// queryResponse is the POST /query success payload.
+// queryResponse is the POST /query success payload. The handler writes
+// it through respBuf.appendResponse, in the bytes encoding/json would
+// write for it, with Combinations rendered from the run's results.
 type queryResponse struct {
 	// Tenant and Tier echo the admission decision ("admit" or "degrade";
 	// rejections never reach execution).
@@ -106,6 +110,20 @@ const budgetGrace = 100 * time.Millisecond
 
 // maxBodyBytes bounds the POST /query body; larger bodies get 413.
 const maxBodyBytes = 1 << 20
+
+// checkOverride refuses an inputs override that could only fail the run:
+// a NULL, which binds nothing, or a value whose class differs from the
+// scenario binding it replaces, which no predicate on that input can
+// compare.
+func checkOverride(name string, v types.Value, scenario map[string]types.Value) error {
+	if v.IsNull() {
+		return fmt.Errorf("bad input %q: NULL binds nothing", name)
+	}
+	if was, ok := scenario[name]; ok && was.Class() != v.Class() {
+		return fmt.Errorf("bad input %q: %s (%s) does not compare with the scenario's %s (%s)", name, v, v.Kind(), was, was.Kind())
+	}
+	return nil
+}
 
 // handleQuery is POST /query: admission control, then a budgeted
 // degradable execution on the cached engine for the requested
@@ -184,8 +202,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		for name, v := range s.inputs {
 			inputs[name] = v
 		}
-		for name, lit := range req.Inputs {
-			inputs[name] = types.ParseValue(lit)
+		names := make([]string, 0, len(req.Inputs))
+		for name := range req.Inputs {
+			names = append(names, name)
+		}
+		sort.Strings(names) // the first bad input named is deterministic
+		for _, name := range names {
+			v := types.ParseValue(req.Inputs[name])
+			if err := checkOverride(name, v, s.inputs); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			inputs[name] = v
 		}
 	}
 
@@ -230,14 +258,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.inst.degraded.Add(1)
 		resp.CertifiedK = run.Degraded.CertifiedK
 	}
-	resp.Combinations = make([]queryCombination, 0, len(run.Combinations))
-	for _, c := range run.Combinations {
-		resp.Combinations = append(resp.Combinations, queryCombination{
-			Score: c.Score, Combo: c.String(),
-		})
+	buf := getRespBuf()
+	defer buf.put()
+	body, err := buf.appendResponse(&resp, run.Combinations)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	w.Write(body)
 }

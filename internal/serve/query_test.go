@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +239,26 @@ func TestQueryBadRequests(t *testing.T) {
 			t.Fatalf("bad queued header status %d, want 400", code)
 		}
 	})
+	// An inputs override that no predicate on it can compare is the
+	// client's error, named in the answer, not a failed execution.
+	travel, travelTS := startServerWith(t, Config{
+		Scenario: "conftravel", Seed: 7, K: 5, Parallelism: 2, CacheCalls: true,
+	})
+	for _, tc := range []struct{ name, body, input string }{
+		{"number for a string input", `{"inputs":{"INPUT1":"5"}}`, "INPUT1"},
+		{"string for a number input", `{"inputs":{"INPUT3":"\"July\""}}`, "INPUT3"},
+		{"NULL input", `{"inputs":{"INPUT1":"NULL"}}`, "INPUT1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, _, raw := postQuery(t, travelTS, tc.body, nil)
+			if code != http.StatusBadRequest || !strings.Contains(string(raw), `"`+tc.input+`"`) {
+				t.Fatalf("status %d (%s), want 400 naming %s", code, bytes.TrimSpace(raw), tc.input)
+			}
+			if n := travel.inst.http500.Value(); n != 0 {
+				t.Fatalf("seco.serve.http_500 = %d, want 0", n)
+			}
+		})
+	}
 }
 
 // TestConcurrentQueriesSharedEngineRace hammers /query from many

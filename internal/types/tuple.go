@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,73 +113,78 @@ func (t *Tuple) Clone() *Tuple {
 
 // String renders the tuple with attributes in sorted order, for stable
 // test output.
-func (t *Tuple) String() string {
-	var b strings.Builder
-	t.write(&b)
-	return b.String()
-}
+func (t *Tuple) String() string { return string(t.AppendTo(nil)) }
 
-// write renders the tuple into b. Rendering is on the serving path (every
-// /query response prints its combinations), so names and values go to the
-// builder directly rather than through fmt's reflection.
-func (t *Tuple) write(b *strings.Builder) {
-	var buf [32]byte // scratch for one value
+// maxStackKeys is how many attribute names AppendTo sorts without
+// allocating; a wider tuple or sub-tuple sorts in a heap slice.
+const maxStackKeys = 16
+
+// AppendTo appends the String rendering to dst and returns the extended
+// buffer. Rendering is on the serving path (every /query response prints
+// its combinations), so names are sorted in a stack array and values
+// appended directly rather than through fmt's reflection.
+func (t *Tuple) AppendTo(dst []byte) []byte {
 	if t == nil {
-		b.WriteString("<nil>") // as fmt renders a nil Stringer
-		return
+		return append(dst, "<nil>"...) // as fmt renders a nil Stringer
 	}
-	b.WriteByte('{')
-	keys := make([]string, 0, len(t.Attrs))
+	dst = append(dst, '{')
+	var keyBuf [maxStackKeys]string
+	keys := keyBuf[:0]
 	for k := range t.Attrs {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(k)
-		b.WriteByte(':')
-		b.Write(t.Attrs[k].AppendTo(buf[:0]))
+		dst = append(dst, k...)
+		dst = append(dst, ':')
+		dst = t.Attrs[k].AppendTo(dst)
 	}
-	groups := make([]string, 0, len(t.Groups))
+	sep := len(keys) > 0
+	var groupBuf [maxStackKeys]string
+	groups := groupBuf[:0]
 	for g := range t.Groups {
 		groups = append(groups, g)
 	}
-	sort.Strings(groups)
+	slices.Sort(groups)
 	for _, g := range groups {
-		if len(keys) > 0 || g != groups[0] {
-			b.WriteString(", ")
+		if sep {
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(g)
-		b.WriteString(":[")
+		sep = true
+		dst = append(dst, g...)
+		dst = append(dst, ":["...)
 		for i, st := range t.Groups[g] {
 			if i > 0 {
-				b.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
-			st.write(b, buf[:0])
+			dst = st.appendTo(dst)
 		}
-		b.WriteByte(']')
+		dst = append(dst, ']')
 	}
-	b.WriteByte('}')
+	return append(dst, '}')
 }
 
-func (st SubTuple) write(b *strings.Builder, buf []byte) {
-	keys := make([]string, 0, len(st))
+// appendTo appends the sub-tuple as <name=value,...>, names sorted.
+func (st SubTuple) appendTo(dst []byte) []byte {
+	var keyBuf [maxStackKeys]string
+	keys := keyBuf[:0]
 	for k := range st {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	b.WriteByte('<')
+	slices.Sort(keys)
+	dst = append(dst, '<')
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.Write(st[k].AppendTo(buf))
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = st[k].AppendTo(dst)
 	}
-	b.WriteByte('>')
+	return append(dst, '>')
 }
 
 // Combination is a composite tuple t1·…·tn formed by joining component
@@ -265,17 +271,18 @@ func (c *Combination) Aliases() []string {
 }
 
 // String renders the combination alias by alias in sorted order.
-func (c *Combination) String() string {
-	var b strings.Builder
-	var num [32]byte
-	b.WriteString("[score=")
-	b.Write(strconv.AppendFloat(num[:0], c.Score, 'f', 4, 64))
+func (c *Combination) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends the String rendering to dst and returns the extended
+// buffer.
+func (c *Combination) AppendTo(dst []byte) []byte {
+	dst = append(dst, "[score="...)
+	dst = strconv.AppendFloat(dst, c.Score, 'f', 4, 64)
 	for _, a := range c.Aliases() {
-		b.WriteByte(' ')
-		b.WriteString(a)
-		b.WriteByte('=')
-		c.Components[a].write(&b)
+		dst = append(dst, ' ')
+		dst = append(dst, a...)
+		dst = append(dst, '=')
+		dst = c.Components[a].AppendTo(dst)
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(dst, ']')
 }

@@ -218,6 +218,23 @@ const (
 	ClassDate
 )
 
+// Class returns the value's class: ClassNull for null, ClassNumeric for
+// either numeric kind. Unlike EqKey it never interns a string.
+func (v Value) Class() uint8 {
+	switch v.kind {
+	case KindInt, KindFloat:
+		return ClassNumeric
+	case KindString:
+		return ClassString
+	case KindBool:
+		return ClassBool
+	case KindDate:
+		return ClassDate
+	default:
+		return ClassNull
+	}
+}
+
 // EqKey is the canonical equality key of a value — the one key every
 // equality index (the multi-way join's posting lists, service.Table's)
 // files values under. Two keys are equal exactly when Compare reports the
