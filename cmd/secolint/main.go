@@ -21,8 +21,6 @@
 //	              calls on a context that provably carries no deadline,
 //	              which would break end-to-end deadline propagation and
 //	              sever the run's trace lane
-//	interneq    — no raw string ==/strings.Compare over interned
-//	              Value.Str()/String() in operator hot paths
 package main
 
 import (
@@ -37,7 +35,6 @@ import (
 	"seco/internal/lint"
 	"seco/internal/lint/ctxdeadline"
 	"seco/internal/lint/detrange"
-	"seco/internal/lint/interneq"
 	"seco/internal/lint/wallclock"
 )
 
@@ -46,7 +43,6 @@ var analyzers = []*lint.Analyzer{
 	wallclock.Analyzer,
 	detrange.Analyzer,
 	ctxdeadline.Analyzer,
-	interneq.Analyzer,
 }
 
 func main() {

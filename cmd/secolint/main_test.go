@@ -23,7 +23,7 @@ func TestListDescribesEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errw); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errw.String())
 	}
-	for _, name := range []string{"wallclock", "detrange", "ctxdeadline", "interneq"} {
+	for _, name := range []string{"wallclock", "detrange", "ctxdeadline"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}

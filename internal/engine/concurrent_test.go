@@ -195,7 +195,7 @@ func TestConcurrentRunsThroughOneEngine(t *testing.T) {
 
 // TestPooledBuffersHammer stresses the compact runtime's shared memory
 // machinery — the sync.Pool-backed arena blocks and chunk buffers, and the
-// engine-scoped interner feeding the Share memo — with 8 workers looping
+// Share memo — with 8 workers looping
 // runs through ONE engine. Run with -race. Every iteration recycles the
 // previous runs' buffers, so a pooled slice or arena block released while
 // still referenced shows up as a corrupted (or racy) combination: each

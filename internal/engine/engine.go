@@ -221,11 +221,6 @@ type Engine struct {
 	virtual bool
 	metrics *obs.Registry
 	inst    instruments
-	// intern is the engine's interning scope: one front cache over the
-	// process-global handle registry, shared by every run of this engine.
-	// The share layer canonicalizes memoized chunks through it, so a
-	// chunk cached by one query serves later queries without re-cloning.
-	intern *types.Interner
 }
 
 // Config configures an Engine beyond its bound services.
@@ -277,10 +272,8 @@ func NewWithConfig(services map[string]service.Service, cfg Config) *Engine {
 		// virtual-clock run charges them into simulated time.
 		service.InstallTimeSource(svc, clk)
 	}
-	intern := types.NewInterner()
 	inv := service.NewInvoker(services, service.InvokerOptions{
-		Delay: clk.Sleep, Share: cfg.Share, Metrics: cfg.Metrics, Interner: intern,
-		Hedge: cfg.Hedge,
+		Delay: clk.Sleep, Share: cfg.Share, Metrics: cfg.Metrics, Hedge: cfg.Hedge,
 	})
 	// The Invoker's own layers (Hedge above Share) also need the clock:
 	// walk each complete lane so every time-dependent layer — not just the
@@ -297,7 +290,6 @@ func NewWithConfig(services map[string]service.Service, cfg Config) *Engine {
 		virtual: virtual,
 		metrics: cfg.Metrics,
 		inst:    newInstruments(cfg.Metrics),
-		intern:  intern,
 	}
 }
 
@@ -318,11 +310,6 @@ func newInstruments(m *obs.Registry) instruments {
 		elapsedMS:    m.Histogram("seco.engine.elapsed_ms", obs.LatencyBucketsMS),
 	}
 }
-
-// Interner exposes the engine's interning scope; loaders can canonicalize
-// service data through it so runtime comparisons hit the handle fast
-// paths.
-func (e *Engine) Interner() *types.Interner { return e.intern }
 
 // Clock returns the clock driving this engine's latency charging and
 // elapsed-time reporting.

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"sort"
@@ -315,7 +316,10 @@ func TestNumericEdgeKeysMatchReference(t *testing.T) {
 				if _, err := fmt.Sscanf(tu.Atomic("Label").Str(), "Label-%d", &n); err != nil {
 					t.Fatal(err)
 				}
-				out.Add(tu.Clone().Set("Label", number(tu.Atomic("Name").Str(), n)))
+				c := types.NewTuple(tu.Score)
+				maps.Copy(c.Attrs, tu.Attrs)
+				maps.Copy(c.Groups, tu.Groups)
+				out.Add(c.Set("Label", number(tu.Atomic("Name").Str(), n)))
 			}
 		}
 	}

@@ -32,9 +32,9 @@ import (
 // Candidate enumeration is a leapfrog-style sorted intersection: every
 // hashable equality edge maintains, per endpoint branch, posting lists
 // from key to ascending row ids — the engine's one equality index. Keys
-// fold the columns' types.EqKey bits: interned handles for string values
-// (the engine's interner canonicalizes on the fly, so handle equality is
-// exact string equality process-wide), canonical float bits for numerics.
+// fold the columns' types.EqKey: an FNV-1a hash of the bytes for string
+// values, canonical float bits for numerics. Two rows on one key may still
+// differ, which the verification below discharges.
 // The remaining branches are bound most-constrained-first by intersecting
 // the posting lists their bound edges select, clipped to the branch's
 // window; a branch with no hashable bound edge scans its window. Every
@@ -267,7 +267,8 @@ func (s *multiJoinOp) index(bi, from int) error {
 // compares equal to every number) demotes the edge to a verified one for
 // the rest of the run, and err is the comparison error of a column whose
 // class differs from what the edge has indexed before. The class of a
-// column is fixed by that check, so the fold covers the key bits alone.
+// column is fixed by that check, so the fold covers the key bits (for a
+// string, the hash of its bytes) alone.
 func (s *multiJoinOp) edgeKey(e *multiEdge, left bool, c *comb) (key uint64, ok bool, err error) {
 	slot, cols := e.jp.rightSlot, e.jp.eqRight
 	if left {
@@ -277,18 +278,16 @@ func (s *multiJoinOp) edgeKey(e *multiEdge, left bool, c *comb) (key uint64, ok 
 	if t == nil {
 		return 0, false, nil
 	}
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for i, a := range cols {
-		// Canonicalize through the engine's interner, so a string keys on
-		// its handle without a trip to the global registry.
-		v := s.ex.engine.intern.Value(t.Atomic(a))
+		v := t.Atomic(a)
 		k, keyed := v.EqKey()
 		if k.Class == types.ClassNull {
 			return 0, false, nil
 		}
 		if w := e.classOf[i]; w.IsNull() {
 			e.classOf[i] = v
-		} else if wk, _ := w.EqKey(); wk.Class != k.Class {
+		} else if w.Class() != k.Class {
 			_, err := w.Compare(v)
 			return 0, false, err
 		}
@@ -296,10 +295,30 @@ func (s *multiJoinOp) edgeKey(e *multiEdge, left bool, c *comb) (key uint64, ok 
 			e.hashable = false
 			return 0, false, nil
 		}
-		h = (h ^ k.Bits) * 1099511628211
+		bits := k.Bits
+		if k.Class == types.ClassString {
+			bits = fnv1a(k.Str)
+		}
+		h = (h ^ bits) * fnvPrime
 		h ^= h >> 32
 	}
 	return h, true, nil
+}
+
+// The 64-bit FNV-1a parameters. A fixed hash keeps which rows share a
+// posting list, and so the verification work, the same on every run.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a hashes a string key part.
+func fnv1a(s string) uint64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // joinBox enumerates every combination of rows inside the branches'

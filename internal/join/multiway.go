@@ -10,9 +10,9 @@ import (
 // This file defines the legality rules of the third join topology: the
 // multi-way ranked join. Pipe and parallel joins accept any compilable
 // predicate; the n-ary operator instead intersects per-branch posting
-// lists built over interned value handles, so every cross-branch
-// predicate must fall into one of two classes the intersection engine
-// understands — atomic equality (handle-comparable) or bounded proximity
+// lists keyed by atomic values, so every cross-branch predicate must fall
+// into one of two classes the intersection engine understands — atomic
+// equality (keyable) or bounded proximity
 // (an order comparison verified on the sorted candidate frontier).
 // Dotted group paths, and any other operator, make a node illegal for
 // the multi-way topology; the optimizer then falls back to binary trees.
@@ -48,7 +48,7 @@ func (c ConditionClass) String() string {
 }
 
 // atomicPath reports whether a path addresses a top-level attribute (no
-// group traversal): only those values are interned as single handles.
+// group traversal): only those carry a single value to key on.
 func atomicPath(path string) bool {
 	for i := 0; i < len(path); i++ {
 		if path[i] == '.' {

@@ -3,6 +3,8 @@ package plan
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"seco/internal/join"
@@ -291,7 +293,7 @@ func decodeBinding(jb jsonBinding) (query.InputBinding, error) {
 	switch jb.Kind {
 	case "const":
 		b.Source.Kind = query.BindConst
-		b.Source.Const = types.ParseValue(jb.Const)
+		b.Source.Const = decodeConst(jb.Const)
 	case "input":
 		b.Source.Kind = query.BindInput
 		b.Source.Input = jb.Input
@@ -306,6 +308,19 @@ func decodeBinding(jb jsonBinding) (query.InputBinding, error) {
 		return query.InputBinding{}, fmt.Errorf("plan: unknown binding kind %q", jb.Kind)
 	}
 	return b, nil
+}
+
+// decodeConst inverts Value.String, which the encoder writes constants
+// with: a double-quoted string is unquoted with its escapes, so a constant
+// holding a quote, a backslash or a control character survives any number
+// of round trips. Everything else is a query literal.
+func decodeConst(s string) types.Value {
+	if strings.HasPrefix(s, `"`) {
+		if u, err := strconv.Unquote(s); err == nil {
+			return types.String(u)
+		}
+	}
+	return types.ParseValue(s)
 }
 
 func decodeStrategy(js jsonStrategy) (join.Strategy, error) {
@@ -368,7 +383,7 @@ func decodePreds(jps []jsonPred) ([]query.Predicate, error) {
 		}
 		switch jp.TermKind {
 		case "const":
-			p.Right = query.Term{Kind: query.TermConst, Const: types.ParseValue(jp.Const)}
+			p.Right = query.Term{Kind: query.TermConst, Const: decodeConst(jp.Const)}
 		case "input":
 			p.Right = query.Term{Kind: query.TermInput, Input: jp.Input}
 		case "path":

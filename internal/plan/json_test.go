@@ -3,6 +3,9 @@ package plan
 import (
 	"encoding/json"
 	"testing"
+
+	"seco/internal/query"
+	"seco/internal/types"
 )
 
 // Round trip: marshal the Fig. 10 plan, decode it against the same
@@ -57,6 +60,36 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 	if !r2.PipedFrom() {
 		t.Error("decoded R lost its piped bindings")
+	}
+	// String constants come back as they went in, escapes and all, both as
+	// a binding and as a predicate term.
+	for _, str := range []string{`a"b`, `back\slash`, "tab\there"} {
+		c := types.String(str)
+		var jb jsonBinding
+		roundTripJSON(t, encodeBinding(query.InputBinding{Path: "P", Source: query.BindingSource{Kind: query.BindConst, Const: c}}), &jb)
+		b, err := decodeBinding(jb)
+		if err != nil || !b.Source.Const.Equal(c) {
+			t.Errorf("binding constant %q decoded as %v (%v)", str, b.Source.Const, err)
+		}
+		var jps []jsonPred
+		roundTripJSON(t, encodePreds([]query.Predicate{{Left: query.PathRef{Alias: "A", Path: "P"}, Op: types.OpLike,
+			Right: query.Term{Kind: query.TermConst, Const: c}}}), &jps)
+		preds, err := decodePreds(jps)
+		if err != nil || len(preds) != 1 || !preds[0].Right.Const.Equal(c) {
+			t.Errorf("predicate constant %q decoded as %v (%v)", str, preds, err)
+		}
+	}
+}
+
+// roundTripJSON marshals v and unmarshals the bytes into out.
+func roundTripJSON(t *testing.T, v, out any) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"seco/internal/obs"
-	"seco/internal/types"
 )
 
 // Invoker is the single service-call choke point beneath the execution
@@ -46,11 +45,6 @@ type InvokerOptions struct {
 	// per-service share-layer counters. Nil keeps the hot path
 	// unmetered.
 	Metrics *obs.Registry
-	// Interner, when non-nil, canonicalizes the string values of every
-	// memoized chunk at wire-fetch time, so replayed chunks carry interned
-	// tuples whose equality checks are handle comparisons. The engine
-	// passes its per-engine interner here; nil leaves chunks as fetched.
-	Interner *types.Interner
 	// Hedge, when non-nil, mounts a hedging layer on every lane, above
 	// Share: hedgeable primary failures get one immediate second attempt,
 	// and slow successes are counted against the latency-percentile
@@ -78,7 +72,6 @@ func NewInvoker(services map[string]Service, opts InvokerOptions) *Invoker {
 			sh, ok := sharesBySvc[svc]
 			if !ok {
 				sh = NewShare(svc)
-				sh.intern = opts.Interner
 				sh.bindMetrics(opts.Metrics)
 				sharesBySvc[svc] = sh
 				inv.shares = append(inv.shares, sh)

@@ -7,7 +7,6 @@ import (
 
 	"seco/internal/mart"
 	"seco/internal/obs"
-	"seco/internal/types"
 )
 
 // Share is the cross-query call-sharing layer of the Invoker: a
@@ -31,7 +30,6 @@ import (
 // never poisons another run's result. Share is safe for concurrent use.
 type Share struct {
 	inner   Service
-	intern  *types.Interner // nil: memoize chunks as fetched
 	mu      sync.Mutex
 	entries map[string]*shareEntry
 
@@ -261,17 +259,6 @@ func (e *shareEntry) extend(ctx context.Context) (Chunk, error) {
 	}
 	e.share.wireFetches.Add(1)
 	e.share.mWire.Add(1)
-	// The memoized chunk is the canonical copy every later hit replays:
-	// intern its tuples once here, so the string values all sharing runs
-	// compare against are handles, not fresh per-hit copies. Interner.Tuple
-	// keeps the served pointer when the source already interned at load
-	// time and deep-copies otherwise, so rows shared with the service are
-	// never mutated.
-	if it := e.share.intern; it != nil {
-		for i, tu := range chunk.Tuples {
-			chunk.Tuples[i] = it.Tuple(tu)
-		}
-	}
 	e.chunks = append(e.chunks, chunk)
 	if !chunked {
 		e.done = true

@@ -55,15 +55,9 @@ func (t *Table) SetMatchOp(path string, op types.Op) {
 	t.idx.Store(nil)
 }
 
-// Add appends rows to the table, interning their string values in the
-// process-global scope. Load time is the one point the table exclusively
-// owns its rows, so the in-place rewrite is safe, and every value served
-// afterwards carries an intern handle — equality during matching and
-// joining is then a handle comparison.
+// Add appends rows to the table. The table keeps the tuples as given and
+// serves them without copying.
 func (t *Table) Add(rows ...*types.Tuple) {
-	for _, row := range rows {
-		types.InternTupleInPlace(row)
-	}
 	t.rows = append(t.rows, rows...)
 	t.idx.Store(nil)
 }

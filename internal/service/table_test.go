@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -772,6 +774,42 @@ func TestTableInvokeAllocationCeiling(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("equality Invoke + Fetch allocates %.0f times, ceiling 2", allocs)
+	}
+}
+
+// TestTableDistinctBindingsDoNotGrowHeap: an invocation keeps nothing of
+// the value it was bound to. 50 000 invocations on Genres.Genre values the
+// table never loaded must leave the heap where it was; a table that
+// recorded each probe value would keep megabytes. Not parallel: it reads
+// the process heap.
+func TestTableDistinctBindingsDoNotGrowHeap(t *testing.T) {
+	tab := newMovieTable(t, 2)
+	in := movieBinding()
+	ctx := context.Background()
+	invoke := func(genre string) {
+		in["Genres.Genre"] = types.String(genre)
+		inv, err := tab.Invoke(ctx, NewInput(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := inv.Fetch(ctx); len(c.Tuples) != 0 || (err != nil && !errors.Is(err, ErrExhausted)) {
+			t.Fatalf("genre %s: fetch = %d tuples, %v; want none", genre, len(c.Tuples), err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	invoke("Western") // builds the index before the baseline
+	before := heap()
+	for i := 0; i < 50_000; i++ {
+		invoke("Genre-" + strconv.Itoa(i))
+	}
+	if grown := int64(heap()) - int64(before); grown >= 1<<20 {
+		t.Errorf("50 000 distinct bindings grew the heap by %d KB, want < 1024 KB", grown>>10)
 	}
 }
 

@@ -68,10 +68,8 @@ func (op Op) Eval(a, b Value) (bool, error) {
 	if a.IsNull() || b.IsNull() {
 		return false, nil
 	}
-	if op == OpEq && a.iid != 0 && b.iid != 0 {
-		// Both interned: handles are globally coherent, so equality is
-		// one integer comparison (both sides are strings by construction).
-		return a.iid == b.iid, nil
+	if op == OpEq && a.kind == KindString && b.kind == KindString {
+		return a.s == b.s, nil
 	}
 	if op == OpLike {
 		return a.Like(b)

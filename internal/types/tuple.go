@@ -91,26 +91,6 @@ func (t *Tuple) AddGroup(group string, st SubTuple) *Tuple {
 	return t
 }
 
-// Clone returns a deep copy of the tuple.
-func (t *Tuple) Clone() *Tuple {
-	c := NewTuple(t.Score)
-	for k, v := range t.Attrs {
-		c.Attrs[k] = v
-	}
-	for g, subs := range t.Groups {
-		cs := make([]SubTuple, len(subs))
-		for i, st := range subs {
-			m := make(SubTuple, len(st))
-			for k, v := range st {
-				m[k] = v
-			}
-			cs[i] = m
-		}
-		c.Groups[g] = cs
-	}
-	return c
-}
-
 // String renders the tuple with attributes in sorted order, for stable
 // test output.
 func (t *Tuple) String() string { return string(t.AppendTo(nil)) }

@@ -44,22 +44,6 @@ func TestGroupValues(t *testing.T) {
 	}
 }
 
-func TestTupleClone(t *testing.T) {
-	tup := sampleTuple()
-	c := tup.Clone()
-	c.Set("Title", String("Other"))
-	c.Groups["Genres"][0]["Genre"] = String("Horror")
-	if !tup.Get("Title").Equal(String("Casablanca")) {
-		t.Error("clone shares Attrs map")
-	}
-	if !tup.Get("Genres.Genre").Equal(String("Drama")) {
-		t.Error("clone shares group sub-tuples")
-	}
-	if c.Score != tup.Score {
-		t.Error("clone lost score")
-	}
-}
-
 func TestTupleStringStable(t *testing.T) {
 	s1, s2 := sampleTuple().String(), sampleTuple().String()
 	if s1 != s2 {
@@ -198,8 +182,7 @@ func TestStringRendersAsFmtDid(t *testing.T) {
 	all := NewTuple(0.25)
 	all.Set("S", String("a \"quoted\"\tstring, long enough to outgrow the scratch buffer")).
 		Set("I", Int(-42)).Set("F", Float(1e21)).Set("G", Float(0.1)).Set("B", Bool(true)).
-		Set("D", Date(time.Date(2009, 7, 1, 12, 0, 0, 0, time.UTC))).Set("N", Null).
-		Set("H", Intern("interned"))
+		Set("D", Date(time.Date(2009, 7, 1, 12, 0, 0, 0, time.UTC))).Set("N", Null)
 	all.AddGroup("R", SubTuple{"X": Int(1), "Y": String("y")})
 	all.AddGroup("R", SubTuple{})
 	all.AddGroup("Q", SubTuple{"Z": Float(math.Inf(-1))})

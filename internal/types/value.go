@@ -63,11 +63,7 @@ type Value struct {
 	i    int64
 	f    float64
 	b    bool
-	// iid is the intern handle of a canonicalized string value (see
-	// intern.go); 0 means not interned. Handles are process-globally
-	// coherent: equal handles ⟺ equal strings.
-	iid uint32
-	t   time.Time
+	t    time.Time
 }
 
 // Null is the null value.
@@ -144,11 +140,11 @@ func (v Value) AppendTo(dst []byte) []byte {
 }
 
 // Equal reports deep equality of two values. Numeric values of different
-// kinds are equal when they denote the same number. Two interned values
-// compare by handle — one integer comparison instead of a string walk.
+// kinds are equal when they denote the same number; two strings are equal
+// when their bytes are.
 func (v Value) Equal(w Value) bool {
-	if v.iid != 0 && w.iid != 0 {
-		return v.iid == w.iid
+	if v.kind == KindString && w.kind == KindString {
+		return v.s == w.s
 	}
 	c, err := v.Compare(w)
 	return err == nil && c == 0
@@ -161,9 +157,6 @@ func (v Value) numeric() bool { return v.kind == KindInt || v.kind == KindFloat 
 // for incompatible kinds or null operands (three-valued logic is handled by
 // predicate evaluation, not by Compare).
 func (v Value) Compare(w Value) (int, error) {
-	if v.iid != 0 && v.iid == w.iid {
-		return 0, nil
-	}
 	if v.kind == KindNull || w.kind == KindNull {
 		return 0, fmt.Errorf("types: cannot compare null values")
 	}
@@ -219,7 +212,7 @@ const (
 )
 
 // Class returns the value's class: ClassNull for null, ClassNumeric for
-// either numeric kind. Unlike EqKey it never interns a string.
+// either numeric kind. It is EqKey's class without the key.
 func (v Value) Class() uint8 {
 	switch v.kind {
 	case KindInt, KindFloat:
@@ -238,10 +231,13 @@ func (v Value) Class() uint8 {
 // EqKey is the canonical equality key of a value — the one key every
 // equality index (the multi-way join's posting lists, service.Table's)
 // files values under. Two keys are equal exactly when Compare reports the
-// values equal, so an index lookup needs no verification.
+// values equal, so an index lookup needs no verification. A string keys on
+// the string itself: Str is set for ClassString and empty otherwise, Bits
+// the reverse.
 type EqKey struct {
 	Class uint8
 	Bits  uint64
+	Str   string
 }
 
 // maxKeySec bounds the dates whose UnixNano fits an int64.
@@ -252,8 +248,7 @@ const maxKeySec = math.MaxInt64 / int64(time.Second)
 // NaN (Compare reports it equal to every number) and a date outside
 // UnixNano's range. Such values must be matched by comparison instead.
 // Numerics key on their float bits with -0 normalised to +0, as Compare
-// widens ints to floats; a string keys on its intern handle and is
-// interned in the process-global scope if it carries none yet.
+// widens ints to floats; a string keys on its bytes.
 func (v Value) EqKey() (k EqKey, ok bool) {
 	switch v.kind {
 	case KindInt, KindFloat:
@@ -264,23 +259,19 @@ func (v Value) EqKey() (k EqKey, ok bool) {
 		if f == 0 {
 			f = 0 // -0 == +0
 		}
-		return EqKey{ClassNumeric, math.Float64bits(f)}, true
+		return EqKey{Class: ClassNumeric, Bits: math.Float64bits(f)}, true
 	case KindString:
-		h := v.iid
-		if h == 0 {
-			h = internGlobal(v.s).iid
-		}
-		return EqKey{ClassString, uint64(h)}, true
+		return EqKey{Class: ClassString, Str: v.s}, true
 	case KindBool:
 		if v.b {
-			return EqKey{ClassBool, 1}, true
+			return EqKey{Class: ClassBool, Bits: 1}, true
 		}
-		return EqKey{ClassBool, 0}, true
+		return EqKey{Class: ClassBool}, true
 	case KindDate:
 		if s := v.t.Unix(); s < -maxKeySec || s > maxKeySec {
 			return EqKey{Class: ClassDate}, false
 		}
-		return EqKey{ClassDate, uint64(v.t.UnixNano())}, true
+		return EqKey{Class: ClassDate, Bits: uint64(v.t.UnixNano())}, true
 	default:
 		return EqKey{}, false
 	}

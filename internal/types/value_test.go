@@ -200,31 +200,25 @@ func TestCompareStringTotalOrderProperty(t *testing.T) {
 	}
 }
 
-// TestEqKeyAgreesWithCompare: two values share an equality key exactly
-// when Compare reports them equal — across int and float, across the two
-// zeros — and the values Compare cannot settle by a key have none.
+// TestEqKeyAgreesWithCompare: the four spellings of equality agree — two
+// values share an equality key exactly when Compare reports them equal,
+// when Equal does and when OpEq holds — across int and float, across the
+// two zeros, across strings on separate backing arrays; and the values
+// Compare cannot settle by a key have none.
 func TestEqKeyAgreesWithCompare(t *testing.T) {
 	day := time.Date(2009, 7, 1, 0, 0, 0, 0, time.UTC)
 	vals := []Value{
 		Int(3), Float(3.0), Int(0), Float(0), Float(math.Copysign(0, -1)), Float(0.5), Int(-3),
 		Float(math.Inf(1)), Float(math.Inf(-1)), Int(1 << 60), Float(1 << 60),
-		String("a"), Intern("a"), String("b"), String(""), Bool(true), Bool(false),
+		String("a"), String(string([]byte("a"))), String("b"), String(""), Bool(true), Bool(false),
 		Date(day), Date(day.In(time.FixedZone("CET", 3600))), Date(day.Add(time.Nanosecond)),
 	}
 	for _, a := range vals {
-		ka, ok := a.EqKey()
-		if !ok {
+		if _, ok := a.EqKey(); !ok {
 			t.Errorf("%v has no key", a)
 		}
 		for _, b := range vals {
-			kb, _ := b.EqKey()
-			c, err := a.Compare(b)
-			if equal := err == nil && c == 0; equal != (ka == kb) {
-				t.Errorf("%v / %v: Compare equal = %v, keys %v %v", a, b, equal, ka, kb)
-			}
-			if (err != nil) != (ka.Class != kb.Class) {
-				t.Errorf("%v / %v: Compare error %v, classes %d %d", a, b, err, ka.Class, kb.Class)
-			}
+			checkEquality(t, a, b)
 		}
 	}
 	for _, c := range []struct {
@@ -240,4 +234,51 @@ func TestEqKeyAgreesWithCompare(t *testing.T) {
 			t.Errorf("%v: key %v ok=%v, want no key of class %d", c.v, k, ok, c.class)
 		}
 	}
+}
+
+// checkEquality asserts, for two keyed values, that key equality, a zero
+// Compare, Equal and OpEq agree, and that their classes differ exactly
+// when Compare fails.
+func checkEquality(t *testing.T, a, b Value) {
+	t.Helper()
+	ka, _ := a.EqKey()
+	kb, _ := b.EqKey()
+	c, err := a.Compare(b)
+	cmpEq := err == nil && c == 0
+	opEq, opErr := OpEq.Eval(a, b)
+	if cmpEq != (ka == kb) || cmpEq != a.Equal(b) || cmpEq != (opEq && opErr == nil) {
+		t.Errorf("%v / %v: keys equal %v, Compare equal %v, Equal %v, OpEq %v %v",
+			a, b, ka == kb, cmpEq, a.Equal(b), opEq, opErr)
+	}
+	if (err != nil) != (ka.Class != kb.Class) {
+		t.Errorf("%v / %v: Compare error %v, classes %d %d", a, b, err, ka.Class, kb.Class)
+	}
+}
+
+// FuzzValueEquality: for any two query literals, the four spellings of
+// equality agree on keyed values, and a class mismatch is exactly a
+// Compare error. A null operand equals nothing under any spelling.
+func FuzzValueEquality(f *testing.F) {
+	f.Fuzz(func(t *testing.T, x, y string) {
+		a, b := ParseValue(x), ParseValue(y)
+		if a.IsNull() || b.IsNull() {
+			if _, err := a.Compare(b); err == nil {
+				t.Errorf("%v / %v: Compare with null succeeded", a, b)
+			}
+			if ok, _ := OpEq.Eval(a, b); ok || a.Equal(b) {
+				t.Errorf("%v / %v: null compares equal", a, b)
+			}
+			return
+		}
+		_, okA := a.EqKey()
+		_, okB := b.EqKey()
+		if okA && okB {
+			checkEquality(t, a, b)
+			return
+		}
+		_, err := a.Compare(b)
+		if (err != nil) != (a.Class() != b.Class()) {
+			t.Errorf("%v / %v: Compare error %v, classes %d %d", a, b, err, a.Class(), b.Class())
+		}
+	})
 }
