@@ -49,14 +49,14 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	run()
 	run()
 	got := testing.AllocsPerRun(10, run)
-	// Measured 313 allocs/run steady-state (Go 1.24), with memo-hit
-	// fetches, recycled pipe readings and pooled-buffer puts allocating
-	// nothing; the
-	// map-backed runtime sat near 3800. The ceiling leaves ~1.25x headroom
-	// for toolchain drift, little enough that one allocation per fetch or
-	// per piped invocation trips it. Fidelity accounting is off here, and
-	// the nil-recorder fast path must keep it free.
-	const ceiling = 410
+	// Measured 291 allocs/run steady-state (Go 1.24), with memo-hit
+	// fetches, pooled pipe readings and pooled-buffer puts allocating
+	// nothing; the map-backed runtime sat near 3800. The ceiling leaves
+	// ~1.25x headroom for toolchain drift, little enough that one
+	// allocation per fetch or per piped invocation trips it. Fidelity
+	// accounting is off here, and the nil-recorder fast path must keep it
+	// free.
+	const ceiling = 365
 	if got > ceiling {
 		t.Errorf("steady-state pull run allocates %.0f objects, ceiling %d", got, ceiling)
 	}
@@ -96,8 +96,8 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	}
 	prepared()
 	gotRun := testing.AllocsPerRun(10, prepared)
-	// Measured 163 allocs/run; ~1.25x headroom, as above.
-	const runCeiling = 220
+	// Measured 141 allocs/run; ~1.25x headroom, as above.
+	const runCeiling = 180
 	if gotRun > runCeiling {
 		t.Errorf("steady-state Prepared.Run allocates %.0f objects, ceiling %d", gotRun, runCeiling)
 	}
@@ -107,15 +107,10 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	t.Logf("steady-state Prepared.Run: %.0f allocs (Execute %.0f)", gotRun, got)
 }
 
-// TestPullRunAllocBytes pins what the buffer pools buy. Allocation counts
-// do not see them: with every pool replaced by make, each buffer is still
-// one allocation, only a larger one. So a steady-state conftravel pull run
-// (pools warm, chunks memoized by the Share layer) must stay under a
-// bytes-per-run ceiling.
-func TestPullRunAllocBytes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; run without -race")
-	}
+// conftravelRun returns one top-5 Prepared.Run of the conftravel plan,
+// its services behind the Share layer or not.
+func conftravelRun(t *testing.T, share bool) func() {
+	t.Helper()
 	reg, err := mart.TravelScenario()
 	if err != nil {
 		t.Fatal(err)
@@ -132,12 +127,12 @@ func TestPullRunAllocBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := NewWithConfig(world.Services(), Config{Share: true}).Prepare(a,
+	prep, err := NewWithConfig(world.Services(), Config{Share: share}).Prepare(a,
 		PrepareOptions{Weights: q.Weights, TargetK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
+	return func() {
 		r, err := prep.Run(context.Background(), RunOptions{Inputs: world.Inputs})
 		if err != nil {
 			t.Fatal(err)
@@ -146,15 +141,46 @@ func TestPullRunAllocBytes(t *testing.T) {
 			t.Fatalf("%d results, want 5", len(r.Combinations))
 		}
 	}
-	kb := steadyRunKB(run)
-	// Measured 24.3 KB per run (Go 1.24). With the chunk-buffer pools
-	// replaced by make it measured 46.5 KB, and with the arena block pools
-	// replaced too, 250 KB; the ceiling leaves ~1.3x headroom.
-	const ceiling = 32
+}
+
+// TestPullRunAllocBytes pins what the buffer pools buy. Allocation counts
+// do not see them: with every pool replaced by make, each buffer is still
+// one allocation, only a larger one. So a steady-state conftravel pull run
+// (pools warm, chunks memoized by the Share layer) must stay under a
+// bytes-per-run ceiling.
+func TestPullRunAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	kb := steadyRunKB(conftravelRun(t, true))
+	// Measured 17.7 KB per run (Go 1.24), 24.3 KB before pipe readings
+	// were pooled. With the chunk-buffer pools replaced by make it measured
+	// 46.5 KB, and with the arena block pools replaced too, 250 KB; the
+	// ceiling leaves ~1.3x headroom.
+	const ceiling = 23
 	if kb > ceiling {
 		t.Errorf("steady-state conftravel pull run allocates %.1f KB, ceiling %d KB", kb, ceiling)
 	}
 	t.Logf("steady-state conftravel pull run: %.1f KB", kb)
+}
+
+// TestShareOffRunAllocBytes is TestPullRunAllocBytes without the Share
+// layer, the path a server with sharing off serves: every piped call
+// reaches service.Table, so what an invocation allocates there counts on
+// every run.
+func TestShareOffRunAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	kb := steadyRunKB(conftravelRun(t, false))
+	// Measured 18.7 KB per run (Go 1.24); 31.8 KB while each Table
+	// invocation copied its match list and pipe readings were not pooled.
+	// The ceiling leaves ~1.3x headroom.
+	const ceiling = 24
+	if kb > ceiling {
+		t.Errorf("steady-state Share-off conftravel run allocates %.1f KB, ceiling %d KB", kb, ceiling)
+	}
+	t.Logf("steady-state Share-off conftravel run: %.1f KB", kb)
 }
 
 // TestTriangleRunAllocBytes is TestPullRunAllocBytes on the triangle's

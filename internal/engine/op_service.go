@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 
 	"seco/internal/fidelity"
@@ -30,8 +31,9 @@ import (
 // invoked when the consumer reaches it. Composition happens on the
 // consumer goroutine into the operator's one arena, in upstream (ranking)
 // order. Every call goes through the run's Counter, the one choke point
-// for budget probing, latency charging and call counting. Prefixes live
-// in pooled buffers pre-sized from the fetch budget and chunk size.
+// for budget probing, latency charging and call counting. Readings, with
+// their input buffers, come from a pool, and their prefixes live in pooled
+// buffers pre-sized from the fetch budget and chunk size.
 
 // serviceOp is the demand-paged reader of a service node. Enumeration
 // order is upstream-outer, tuple-inner.
@@ -60,10 +62,8 @@ type serviceOp struct {
 	// invocation for the whole run, a pipe's own per combination.
 	rd *reading
 	// ahead holds a pipe's readings pulled ahead and not yet reached, in
-	// upstream order; spare holds its spent ones, reused with their input
-	// buffers for the next combinations.
+	// upstream order.
 	ahead  []*reading
-	spare  []*reading
 	cur    *comb
 	j      int
 	upDone bool
@@ -78,11 +78,13 @@ type serviceOp struct {
 }
 
 // reading is one invocation of the service and the ranked prefix it has
-// fetched so far.
+// fetched so far. Readings are pooled: run stamps the graph holding one
+// (nil while pooled), as pooled does for a buffer handle.
 type reading struct {
+	run *graph
 	src *comb // the upstream combination a pipe binds from; nil for a scan
-	// in is a pipe reading's own input buffer, refilled from src on each
-	// reuse; services do not retain it past Invoke.
+	// in is a pipe reading's own input buffer, kept through the pool and
+	// refilled from src on each use; services do not retain it past Invoke.
 	in  service.Input
 	inv service.Invocation
 	// tuples is the fetched prefix, in the pooled buffer buf holds once
@@ -99,12 +101,31 @@ type reading struct {
 	err   error
 }
 
-// release returns the reading's prefix buffer to the pool.
-func (s *serviceOp) release(r *reading) {
-	if r.buf != nil {
-		tupleSlices.put(s.g, r.buf, r.tuples)
-		r.buf, r.tuples = nil, nil
+var readingPool = sync.Pool{New: func() any { return new(reading) }}
+
+// getReading takes a reading of the upstream combination src for run g,
+// with the input buffer it kept from its last use. It counts on held, so
+// graph.shutdown catches a reading never put back.
+func (g *graph) getReading(src *comb) *reading {
+	r := readingPool.Get().(*reading)
+	g.held.Add(1)
+	*r = reading{run: g, src: src, in: r.in}
+	return r
+}
+
+// putReading returns run g's reading, and its prefix buffer, to the pools.
+// The reading must be settled: no look-ahead goroutine owns it.
+func (g *graph) putReading(r *reading) {
+	if r.run != g {
+		panic("engine: put of a reading the run does not hold")
 	}
+	if r.buf != nil {
+		tupleSlices.put(g, r.buf, r.tuples)
+	}
+	g.held.Add(-1)
+	clear(r.in)
+	*r = reading{in: r.in[:0]}
+	readingPool.Put(r)
 }
 
 func (s *serviceOp) Open(ctx context.Context) error {
@@ -309,7 +330,7 @@ func (s *serviceOp) advance(ctx context.Context) error {
 			return nil
 		}
 		if s.rd == nil {
-			s.rd = &reading{}
+			s.rd = s.g.getReading(nil)
 		}
 		s.cur, s.j = c, 0
 		return nil
@@ -323,7 +344,7 @@ func (s *serviceOp) advance(ctx context.Context) error {
 			s.upDone = true
 			break
 		}
-		r := s.newReading(c)
+		r := s.g.getReading(c)
 		if len(s.ahead) > 0 && !s.ex.engine.virtual {
 			s.launch(ctx, r)
 		}
@@ -340,19 +361,6 @@ func (s *serviceOp) advance(ctx context.Context) error {
 		<-r.ready
 	}
 	return r.err
-}
-
-// newReading returns a fresh reading of the upstream combination c, reusing
-// a spent one (and its input buffer) when there is one.
-func (s *serviceOp) newReading(c *comb) *reading {
-	n := len(s.spare)
-	if n == 0 {
-		return &reading{src: c}
-	}
-	r := s.spare[n-1]
-	s.spare = s.spare[:n-1]
-	*r = reading{src: c, in: r.in}
-	return r
 }
 
 // launch issues a look-ahead reading's Invoke and first Fetch on its own
@@ -381,17 +389,16 @@ func (s *serviceOp) launch(ctx context.Context, r *reading) {
 // spent retires the current upstream combination once its inner loop has
 // run out of tuples. A scan keeps its prefix for the next combination —
 // unless the service yielded nothing, when no combination can ever
-// compose and the remaining upstream pulls are skipped. A pipe drops the
-// invocation, keeping the reading for reuse: the next combination pipes a
-// different input and may still yield.
+// compose and the remaining upstream pulls are skipped. A pipe puts the
+// reading back: the next combination pipes a different input and may
+// still yield.
 func (s *serviceOp) spent() {
 	s.cur = nil
 	if len(s.pipes) == 0 {
 		s.done = len(s.rd.tuples) == 0
 		return
 	}
-	s.release(s.rd)
-	s.spare = append(s.spare, s.rd)
+	s.g.putReading(s.rd)
 	s.rd = nil
 }
 
@@ -445,15 +452,15 @@ func (s *serviceOp) Close() {
 	s.done = true
 	s.cur = nil
 	if s.rd != nil {
-		s.release(s.rd)
+		s.g.putReading(s.rd)
 	}
 	for _, r := range s.ahead {
 		if r.ready != nil {
 			<-r.ready
 		}
-		s.release(r)
+		s.g.putReading(r)
 	}
-	s.rd, s.ahead, s.spare = nil, nil, nil
+	s.rd, s.ahead = nil, nil
 	s.arena.release()
 }
 

@@ -66,7 +66,10 @@ type Chunk struct {
 	// Index is the 0-based sequence number of the chunk within its
 	// invocation (the chapter's "i-th call").
 	Index int
-	// Tuples are the chunk's results.
+	// Tuples are the chunk's results. They are read-only: the slice may
+	// share the service's own storage (a Table serves slices of its
+	// frozen rows), so a caller that needs to grow or reorder it copies
+	// it first.
 	Tuples []*types.Tuple
 }
 

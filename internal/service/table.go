@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -71,8 +72,9 @@ func (t *Table) Interface() *mart.Interface { return t.si }
 // Stats implements Service.
 func (t *Table) Stats() Stats { return t.stats }
 
-// tableIndex is a table frozen for serving: the rows ranked once, and one
-// compiled column per input path of the interface.
+// tableIndex is a table frozen for serving: the rows ranked once, one
+// compiled column per input path of the interface, and the composite list
+// of the keyed atomic equality columns.
 type tableIndex struct {
 	t *Table
 	// order holds the rows by decreasing score, load order breaking ties;
@@ -83,6 +85,24 @@ type tableIndex struct {
 	// cols are the interface's input paths in InputPaths order (sorted,
 	// which keeps the paths of one repeating group adjacent).
 	cols []*column
+	// comp is the composite list of the comp columns; nil when there are
+	// none.
+	comp *composite
+}
+
+// composite files every row under the tuple of its keys on the comp
+// columns, in cols order: an all-equality invocation is one lookup, and
+// when nothing else filters, the rows it finds are its answer. A row with a
+// null on some comp column equals no binding and is filed nowhere. Each row
+// has one key tuple, so the lists are segments of one array.
+type composite struct {
+	// seg numbers each key tuple (encoded by appendEqKey); its rows are
+	// rows[start[n]:start[n+1]], in rank order, at positions
+	// at[start[n]:start[n+1]] of order.
+	seg   map[string]int32
+	start []int32
+	rows  []*types.Tuple
+	at    []int32
 }
 
 // column is one matched path, pre-cut and with its operator resolved.
@@ -96,16 +116,20 @@ type column struct {
 	// row is looked at, and with the error the first offending row would
 	// raise — whether a bound value is comparable with the whole column.
 	kinds []types.Value
+	// comp marks an atomic equality input column whose every non-null
+	// value has an equality key: its keys make up the composite list, and
+	// it has no list of its own. An atomic column without it is matched by
+	// comparison.
+	comp bool
 	// span delimits, for a group path, the sub-tuples of each row in the
 	// group's flat numbering: row i owns span[i] ≤ s < span[i+1]. The
 	// columns of one group share it.
 	span []int32
-	// post, on an equality column whose every non-null value has an
-	// equality key, lists per key the rows carrying it (for a group path:
-	// in some sub-tuple). keys holds the same keys positionally — per row
-	// for an atomic path, per sub-tuple for a group path, the zero key for
-	// null — so that a candidate from one column's list is checked against
-	// another column without touching the row's maps.
+	// post, on a group equality column whose every non-null value has an
+	// equality key, lists per key the rows carrying it in some sub-tuple.
+	// keys holds the same keys per sub-tuple, the zero key for null, so
+	// that a candidate from one column's list is checked against another
+	// column without touching the row's maps.
 	post map[types.EqKey][]int32
 	keys []types.EqKey
 }
@@ -128,6 +152,7 @@ func (t *Table) index() *tableIndex {
 func (t *Table) buildIndex() *tableIndex {
 	ix := &tableIndex{t: t, order: append([]*types.Tuple(nil), t.rows...)}
 	sort.SliceStable(ix.order, func(i, j int) bool { return ix.order[i].Score > ix.order[j].Score })
+	var comp []*column
 	for _, p := range t.si.InputPaths() {
 		c := t.newColumn(p)
 		if n := len(ix.cols); c.group != "" && n > 0 && ix.cols[n-1].group == c.group {
@@ -135,12 +160,100 @@ func (t *Table) buildIndex() *tableIndex {
 		} else if c.group != "" {
 			c.span = groupSpan(ix.order, c.group)
 		}
-		if c.op == types.OpEq {
+		if c.comp {
+			comp = append(comp, c)
+		} else if c.group != "" && c.op == types.OpEq {
 			c.fill(ix.order)
 		}
 		ix.cols = append(ix.cols, c)
 	}
+	if len(comp) > 0 {
+		ix.comp = newComposite(ix.order, comp)
+	}
 	return ix
+}
+
+// newComposite builds the composite list of the comp columns cols over the
+// ranked rows: a first pass numbers each row's key tuple and counts the
+// rows per tuple, a second places the rows.
+func newComposite(order []*types.Tuple, cols []*column) *composite {
+	x := &composite{seg: make(map[string]int32)}
+	seg := make([]int32, len(order)) // per row, its key tuple's number or -1
+	var count []int32
+	var buf [64]byte
+rows:
+	for pos, row := range order {
+		key := buf[:0]
+		for _, c := range cols {
+			k, ok := row.Atomic(c.path).EqKey()
+			if !ok { // null: comp columns hold no other unkeyed value
+				seg[pos] = -1
+				continue rows
+			}
+			key = appendEqKey(key, k)
+		}
+		n, ok := x.seg[string(key)]
+		if !ok {
+			n = int32(len(count))
+			x.seg[string(key)] = n
+			count = append(count, 0)
+		}
+		seg[pos] = n
+		count[n]++
+	}
+	x.start = make([]int32, len(count)+1)
+	for n, c := range count {
+		x.start[n+1] = x.start[n] + c
+		count[n] = x.start[n] // from here on, the next free slot of tuple n
+	}
+	x.rows = make([]*types.Tuple, x.start[len(count)])
+	x.at = make([]int32, len(x.rows))
+	for pos, n := range seg {
+		if n >= 0 {
+			x.rows[count[n]], x.at[count[n]] = order[pos], int32(pos)
+			count[n]++
+		}
+	}
+	return x
+}
+
+// appendEqKey appends an unambiguous encoding of k: its class, then a
+// length-prefixed string or the eight bytes of its bits.
+func appendEqKey(b []byte, k types.EqKey) []byte {
+	b = append(b, k.Class)
+	if k.Class == types.ClassString {
+		b = binary.AppendUvarint(b, uint64(len(k.Str)))
+		return append(b, k.Str...)
+	}
+	return binary.LittleEndian.AppendUint64(b, k.Bits)
+}
+
+// lookup returns the composite list of the rows whose keys on the comp
+// columns are the ones bs binds them to, clipped so that an append to it
+// cannot reach the next list, and their positions in order. ok is false
+// when the table has no comp column or some comp binding has no key (a
+// NaN); the comp columns then filter by comparison.
+func (ix *tableIndex) lookup(bs []bound) (rows []*types.Tuple, at []int32, ok bool) {
+	if ix.comp == nil {
+		return nil, nil, false
+	}
+	var buf [64]byte
+	key := buf[:0]
+	for i := range bs {
+		if b := &bs[i]; b.comp {
+			if !b.keyed {
+				return nil, nil, false
+			}
+			key = appendEqKey(key, b.key)
+		}
+	}
+	x := ix.comp
+	n, found := x.seg[string(key)]
+	if !found {
+		return nil, nil, true
+	}
+	lo, hi := x.start[n], x.start[n+1]
+	return x.rows[lo:hi:hi], x.at[lo:hi], true
 }
 
 // groupSpan numbers the sub-tuples of a repeating group across the rows.
@@ -153,7 +266,7 @@ func groupSpan(order []*types.Tuple, group string) []int32 {
 }
 
 // newColumn cuts a path, resolves its operator and, for an atomic path,
-// collects the kind witnesses.
+// collects the kind witnesses and decides comp.
 func (t *Table) newColumn(path string) *column {
 	c := &column{path: path, op: types.OpEq}
 	if op, ok := t.matchOps[path]; ok {
@@ -163,12 +276,16 @@ func (t *Table) newColumn(path string) *column {
 		c.group, c.sub = g, sub
 		return c
 	}
+	c.comp = c.op == types.OpEq
 	// Load order, so the witness is the row a scan would trip on first.
 next:
 	for _, row := range t.rows {
 		v := row.Atomic(path)
 		if v.IsNull() {
 			continue
+		}
+		if c.comp {
+			_, c.comp = v.EqKey()
 		}
 		for _, w := range c.kinds {
 			if w.Kind() == v.Kind() {
@@ -180,34 +297,27 @@ next:
 	return c
 }
 
-// fill builds the posting lists and positional keys of an equality column.
-// A value without an equality key (a NaN equals every number) leaves the
-// column unkeyed: it is then matched by comparison like a range column.
+// fill builds the posting lists and per-sub-tuple keys of a group
+// equality column. A value without an equality key (a NaN equals every
+// number) leaves the column unkeyed: it is then matched by comparison like
+// a range column.
 func (c *column) fill(order []*types.Tuple) {
 	post := make(map[types.EqKey][]int32)
 	var keys []types.EqKey
-	add := func(pos int, v types.Value) bool {
-		k, ok := v.EqKey()
-		if !ok {
-			keys = append(keys, types.EqKey{})
-			return v.IsNull()
-		}
-		keys = append(keys, k)
-		if l := post[k]; len(l) == 0 || l[len(l)-1] != int32(pos) {
-			post[k] = append(l, int32(pos))
-		}
-		return true
-	}
 	for pos, row := range order {
-		if c.group == "" {
-			if !add(pos, row.Atomic(c.path)) {
-				return
-			}
-			continue
-		}
 		for _, st := range row.Groups[c.group] {
-			if !add(pos, st[c.sub]) {
-				return
+			v := st[c.sub]
+			k, ok := v.EqKey()
+			if !ok {
+				if !v.IsNull() {
+					return
+				}
+				keys = append(keys, types.EqKey{})
+				continue
+			}
+			keys = append(keys, k)
+			if l := post[k]; len(l) == 0 || l[len(l)-1] != int32(pos) {
+				post[k] = append(l, int32(pos))
 			}
 		}
 	}
@@ -218,8 +328,9 @@ func (c *column) fill(order []*types.Tuple) {
 type bound struct {
 	*column
 	v types.Value
-	// keyed selects the key comparison (the column is keyed and so is v);
-	// otherwise the operator is evaluated on the values.
+	// keyed reports that v has an equality key on a comp column or on a
+	// group column with posting lists, which then compare keys; otherwise
+	// the operator is evaluated on the values.
 	keyed bool
 	key   types.EqKey
 	// run is, on the first column of a repeating group, the number of
@@ -242,7 +353,7 @@ func (ix *tableIndex) bind(in Input, bs []bound) ([]bound, error) {
 		}
 		b := bound{column: c, v: in[j].Value}
 		j++
-		if c.post != nil {
+		if c.comp || c.post != nil {
 			b.key, b.keyed = b.v.EqKey()
 		}
 		bs = append(bs, b)
@@ -282,6 +393,7 @@ func (ix *tableIndex) bindExtras(in Input, bs []bound) []bound {
 			continue // an input path, bound already
 		}
 		c := ix.t.newColumn(e.Path)
+		c.comp = false // filed under no key: an extra binding filters
 		for _, ic := range ix.cols {
 			if ic.group == c.group {
 				c.span = ic.span // nil between atomic paths
@@ -292,10 +404,13 @@ func (ix *tableIndex) bindExtras(in Input, bs []bound) []bound {
 	return append(out, bs[i:]...)
 }
 
-// Invoke implements Service: the candidates are the shortest posting list
-// an equality binding selects (every row when none does), in rank order;
-// the remaining bindings filter them. The invocation serves the matches in
-// chunks of Stats().ChunkSize.
+// Invoke implements Service. When every comp column is bound to a keyed
+// value, the candidates are the composite list those keys select; when
+// nothing else is bound, that list is the answer, served as it is.
+// Otherwise the candidates are the shortest posting list a group binding
+// selects (every row when none does), in rank order. The remaining
+// bindings filter them. The invocation serves the matches in chunks of
+// Stats().ChunkSize.
 func (t *Table) Invoke(ctx context.Context, in Input) (Invocation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -306,29 +421,46 @@ func (t *Table) Invoke(ctx context.Context, in Input) (Invocation, error) {
 	if err != nil {
 		return nil, err
 	}
-	drive, n := -1, len(ix.order)
+	inv := &tableInvocation{table: t}
+	// The candidates are every row, or the ascending positions cand lists.
+	all, drive := true, -1
 	var cand []int32
-	for i := range bs {
-		if b := &bs[i]; b.keyed {
-			if l := b.post[b.key]; len(l) < n || drive < 0 {
-				drive, cand, n = i, l, len(l)
+	if rows, at, ok := ix.lookup(bs); ok {
+		rest := bs[:0]
+		for _, b := range bs {
+			if !b.comp {
+				rest = append(rest, b)
+			}
+		}
+		if len(rest) == 0 {
+			inv.matches = rows
+			return inv, nil
+		}
+		all, cand, bs = false, at, rest
+	} else {
+		for i := range bs {
+			if b := &bs[i]; b.keyed && b.post != nil {
+				if l := b.post[b.key]; all || len(l) < len(cand) {
+					all, drive, cand = false, i, l
+				}
 			}
 		}
 	}
-	var matches []*types.Tuple
-	if drive >= 0 {
-		matches = make([]*types.Tuple, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		pos := i
-		if drive >= 0 {
-			pos = int(cand[i])
+	if all {
+		for pos, row := range ix.order {
+			if ix.matches(pos, bs, -1) {
+				inv.matches = append(inv.matches, row)
+			}
 		}
-		if ix.matches(pos, bs, drive) {
-			matches = append(matches, ix.order[pos])
+		return inv, nil
+	}
+	inv.matches = make([]*types.Tuple, 0, len(cand))
+	for _, pos := range cand {
+		if ix.matches(int(pos), bs, drive) {
+			inv.matches = append(inv.matches, ix.order[pos])
 		}
 	}
-	return &tableInvocation{table: t, matches: matches}, nil
+	return inv, nil
 }
 
 // matches evaluates the bound columns against the row at pos. Atomic
@@ -345,10 +477,6 @@ func (ix *tableIndex) matches(pos int, bs []bound, drive int) bool {
 		case i == drive && b.run == 1:
 		case b.group != "":
 			if !groupMatches(row, pos, bs[i:i+b.run]) {
-				return false
-			}
-		case b.keyed:
-			if b.keys[pos] != b.key {
 				return false
 			}
 		default:
@@ -423,7 +551,7 @@ func (inv *tableInvocation) Fetch(ctx context.Context) (Chunk, error) {
 	if hi > len(inv.matches) {
 		hi = len(inv.matches)
 	}
-	c := Chunk{Index: inv.next, Tuples: inv.matches[lo:hi]}
+	c := Chunk{Index: inv.next, Tuples: inv.matches[lo:hi:hi]}
 	inv.next++
 	return c, nil
 }

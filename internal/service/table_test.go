@@ -446,6 +446,8 @@ func fetchAll(t *testing.T, inv Invocation) []Chunk {
 // operators on some of them, small value domains so that keys, scores and
 // nulls collide, and bindings that now and then carry a key beyond the
 // interface's inputs, a negative zero, a NaN or a value of the wrong kind.
+// A quarter of the worlds adorn only atomic equality paths, whose
+// invocations the composite list answers.
 type randomWorld struct {
 	rng *rand.Rand
 	tab *Table
@@ -456,6 +458,7 @@ var worldPaths = []string{"A", "B", "C", "D", "G.X", "G.Y", "H.Z"}
 func newRandomWorld(t *testing.T, seed int64) *randomWorld {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	allEq := rng.Intn(4) == 0
 	m := &mart.Mart{Name: "W", Attributes: []mart.Attribute{
 		{Name: "A", Kind: types.KindString},
 		{Name: "B", Kind: types.KindFloat},
@@ -466,7 +469,12 @@ func newRandomWorld(t *testing.T, seed int64) *randomWorld {
 		{Name: "H", Sub: []mart.Attribute{{Name: "Z", Kind: types.KindString}}},
 	}}
 	ad := map[string]mart.Adornment{}
-	for _, p := range worldPaths {
+	paths := worldPaths
+	if allEq {
+		paths = []string{"A", "B", "C"}
+		ad["A"] = mart.Input
+	}
+	for _, p := range paths {
 		if rng.Intn(2) == 0 {
 			ad[p] = mart.Input
 		}
@@ -479,7 +487,7 @@ func newRandomWorld(t *testing.T, seed int64) *randomWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rng.Intn(3) > 0 {
+	if !allEq && rng.Intn(3) > 0 {
 		tab.SetMatchOp("C", types.OpGe)
 	}
 	tab.SetMatchOp("D", types.OpLike)
@@ -570,51 +578,150 @@ func (w *randomWorld) binding() Input {
 	return NewInput(in)
 }
 
+// chunkDiff describes the first way got differs from want — chunk count,
+// chunk index, length or tuple identity — or returns "" when it does not.
+func chunkDiff(got, want []Chunk) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d chunks, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Index != want[i].Index || len(got[i].Tuples) != len(want[i].Tuples) {
+			return fmt.Sprintf("chunk %d = #%d with %d tuples, reference #%d with %d",
+				i, got[i].Index, len(got[i].Tuples), want[i].Index, len(want[i].Tuples))
+		}
+		for j := range got[i].Tuples {
+			if got[i].Tuples[j] != want[i].Tuples[j] {
+				return fmt.Sprintf("chunk %d tuple %d = %v, reference %v", i, j, got[i].Tuples[j], want[i].Tuples[j])
+			}
+		}
+	}
+	return ""
+}
+
+// fromList reports whether inv serves a segment of the table's composite
+// list as it is, with no match list of its own.
+func fromList(tab *Table, inv Invocation) bool {
+	m, x := inv.(*tableInvocation).matches, tab.index().comp
+	if len(m) == 0 || x == nil {
+		return false
+	}
+	for i := range x.rows {
+		if &x.rows[i] == &m[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// diffWorld runs the differential check on one random world: two rounds of
+// twelve bindings, rows added between them. It counts the tuples served,
+// those of them served straight from the composite list, and the bindings
+// refused.
+func diffWorld(t *testing.T, seed int64) (served, listed, failed int) {
+	w := newRandomWorld(t, seed)
+	for round := 0; round < 2; round++ {
+		for q := 0; q < 12; q++ {
+			in := w.binding()
+			want, wantErr := referenceChunks(w.tab, in)
+			inv, err := w.tab.Invoke(context.Background(), in)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("seed %d %v: Invoke error %v, reference %v", seed, in, err, wantErr)
+			}
+			if err != nil {
+				failed++
+				continue
+			}
+			got := fetchAll(t, inv)
+			if d := chunkDiff(got, want); d != "" {
+				t.Fatalf("seed %d %v: %s", seed, in, d)
+			}
+			n := 0
+			for _, c := range got {
+				n += len(c.Tuples)
+			}
+			served += n
+			if fromList(w.tab, inv) {
+				listed += n
+			}
+		}
+		w.tab.Add(w.rows(1 + w.rng.Intn(10))...)
+	}
+	return served, listed, failed
+}
+
 // TestTableMatchesReferenceScan is the differential test of the indexed
 // substrate: Invoke must serve exactly the chunk sequence the reference
 // scan-and-sort computes — chunk indexes, tuple identity and order — or
 // fail with the same error, also after rows are added behind a first
 // Invoke.
 func TestTableMatchesReferenceScan(t *testing.T) {
-	served, failed := 0, 0
+	served, listed, failed := 0, 0, 0
+	for seed := int64(1); seed <= 300; seed++ {
+		s, l, f := diffWorld(t, seed)
+		served, listed, failed = served+s, listed+l, failed+f
+	}
+	// The generator must reach every outcome, the composite list served as
+	// it is among them, or the test shows nothing.
+	if served < 1000 || listed < 2000 || failed < 10 {
+		t.Errorf("differential test too thin: %d tuples served, %d of them from the composite list, %d bindings refused",
+			served, listed, failed)
+	}
+	t.Logf("%d tuples served, %d of them from the composite list, %d bindings refused", served, listed, failed)
+}
+
+// FuzzTableMatchesReferenceScan is the differential test on worlds drawn
+// from any seed.
+func FuzzTableMatchesReferenceScan(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 4} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { diffWorld(t, seed) })
+}
+
+// TestTableChunksDoNotAlias appends to every chunk it fetches, as a caller
+// treating chunks as its own would. The appends must reach neither a later
+// chunk of the invocation nor the table's storage, which a re-invocation
+// and the bindings after it read.
+func TestTableChunksDoNotAlias(t *testing.T) {
+	poison := types.NewTuple(-1)
+	ctx := context.Background()
+	multi := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		w := newRandomWorld(t, seed)
-		for round := 0; round < 2; round++ {
-			for q := 0; q < 12; q++ {
-				in := w.binding()
-				want, wantErr := referenceChunks(w.tab, in)
-				inv, err := w.tab.Invoke(context.Background(), in)
-				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-					t.Fatalf("seed %d %v: Invoke error %v, reference %v", seed, in, err, wantErr)
-				}
+		for q := 0; q < 12; q++ {
+			in := w.binding()
+			want, err := referenceChunks(w.tab, in)
+			if err != nil {
+				continue
+			}
+			if len(want) > 1 {
+				multi++
+			}
+			for pass := 0; pass < 2; pass++ {
+				inv, err := w.tab.Invoke(ctx, in)
 				if err != nil {
-					failed++
-					continue
+					t.Fatal(err)
 				}
-				got := fetchAll(t, inv)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d %v: %d chunks, reference %d", seed, in, len(got), len(want))
+				var got []Chunk
+				for {
+					c, err := inv.Fetch(ctx)
+					if errors.Is(err, ErrExhausted) {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, c)
+					_ = append(c.Tuples, poison)
 				}
-				for i := range got {
-					if got[i].Index != want[i].Index || len(got[i].Tuples) != len(want[i].Tuples) {
-						t.Fatalf("seed %d %v: chunk %d = #%d with %d tuples, reference #%d with %d",
-							seed, in, i, got[i].Index, len(got[i].Tuples), want[i].Index, len(want[i].Tuples))
-					}
-					for j := range got[i].Tuples {
-						if got[i].Tuples[j] != want[i].Tuples[j] {
-							t.Fatalf("seed %d %v: chunk %d tuple %d = %v, reference %v",
-								seed, in, i, j, got[i].Tuples[j], want[i].Tuples[j])
-						}
-						served++
-					}
+				if d := chunkDiff(got, want); d != "" {
+					t.Fatalf("seed %d %v, pass %d, after appending to each fetched chunk: %s", seed, in, pass, d)
 				}
 			}
-			w.tab.Add(w.rows(1 + w.rng.Intn(10))...)
 		}
 	}
-	// The generator must reach both outcomes, or the test shows nothing.
-	if served < 1000 || failed < 10 {
-		t.Errorf("differential test too thin: %d tuples served, %d bindings refused", served, failed)
+	if multi < 100 {
+		t.Errorf("only %d multi-chunk invocations: the test shows nothing", multi)
 	}
 }
 
@@ -756,24 +863,38 @@ func BenchmarkTableInvoke(b *testing.B) {
 	}
 }
 
-// TestTableInvokeAllocationCeiling bounds what an equality invocation and
-// its first fetch allocate once the index exists: the invocation and its
-// match list, nothing per row or per bound path.
+// TestTableInvokeAllocationCeiling bounds what an invocation and its first
+// fetch allocate once the index exists. An all-equality binding is served
+// its composite list as it is: the invocation alone. A binding with a group
+// path filters its candidates into one match list. Nothing is allocated
+// per row or per bound path.
 func TestTableInvokeAllocationCeiling(t *testing.T) {
-	tab := flightTable(t, "From", "To", "Day")
-	in := flightInput()
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(200, func() {
-		inv, err := tab.Invoke(ctx, in)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		inputs  []string
+		in      Input
+		ceiling float64
+	}{
+		{"equality3", []string{"From", "To", "Day"}, flightInput(), 1},
+		{"equality+group", []string{"From", "Legs.Carrier"}, Input{
+			{Path: "From", Value: types.String("city03")}, {Path: "Legs.Carrier", Value: types.String("c2")}}, 2},
+		{"group", []string{"Legs.Via", "Legs.Carrier"}, Input{
+			{Path: "Legs.Carrier", Value: types.String("c2")}, {Path: "Legs.Via", Value: types.String("city07")}}, 2},
+	} {
+		tab := flightTable(t, c.inputs...)
+		ctx := context.Background()
+		allocs := testing.AllocsPerRun(200, func() {
+			inv, err := tab.Invoke(ctx, c.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inv.Fetch(ctx); err != nil && !errors.Is(err, ErrExhausted) {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.ceiling {
+			t.Errorf("%s Invoke + Fetch allocates %.0f times, ceiling %.0f", c.name, allocs, c.ceiling)
 		}
-		if _, err := inv.Fetch(ctx); err != nil && !errors.Is(err, ErrExhausted) {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 2 {
-		t.Errorf("equality Invoke + Fetch allocates %.0f times, ceiling 2", allocs)
 	}
 }
 
@@ -845,5 +966,28 @@ func TestInvocationBindingAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(200, c.f); got != c.want {
 			t.Errorf("%s allocates %.0f objects, want %.0f", c.name, got, c.want)
 		}
+	}
+}
+
+var benchIndex *tableIndex
+
+// BenchmarkTableFreeze is the cost the first Invoke after a load pays:
+// ranking the 800 flight rows and building every input column's index.
+func BenchmarkTableFreeze(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		inputs []string
+	}{
+		{"equality3", []string{"From", "To", "Day"}},
+		{"group", []string{"Legs.Via", "Legs.Carrier"}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tab := flightTable(b, c.inputs...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchIndex = tab.buildIndex()
+			}
+		})
 	}
 }
