@@ -107,9 +107,10 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	t.Logf("steady-state Prepared.Run: %.0f allocs (Execute %.0f)", gotRun, got)
 }
 
-// conftravelRun returns one top-5 Prepared.Run of the conftravel plan,
-// its services behind the Share layer or not.
-func conftravelRun(t *testing.T, share bool) func() {
+// conftravelRun returns one top-5 Prepared.Run of the hand-built
+// conftravel plan, whose F‖H join runs under the explorer, its services
+// behind the Share layer or not.
+func conftravelRun(t testing.TB, share bool) func() {
 	t.Helper()
 	reg, err := mart.TravelScenario()
 	if err != nil {
@@ -127,19 +128,59 @@ func conftravelRun(t *testing.T, share bool) func() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := NewWithConfig(world.Services(), Config{Share: share}).Prepare(a,
-		PrepareOptions{Weights: q.Weights, TargetK: 5})
+	return top5Run(t, NewWithConfig(world.Services(), Config{Share: share}), a, q.Weights, world.Inputs)
+}
+
+// servedConftravelRun is conftravelRun on the plan a server chooses, the
+// chain C → W → F → H, with call sharing off.
+func servedConftravelRun(t testing.TB) func() {
+	t.Helper()
+	res, world := servedConftravel(t, 5)
+	return top5Run(t, NewWithConfig(world.Services(), Config{}), res.Annotated, res.Query.Weights, world.Inputs)
+}
+
+// top5Run prepares a for a top-5 pull on e and returns one Run of it,
+// which must deliver 5 combinations.
+func top5Run(t testing.TB, e *Engine, a *plan.Annotated, weights map[string]float64, inputs map[string]types.Value) func() {
+	t.Helper()
+	prep, err := e.Prepare(a, PrepareOptions{Weights: weights, TargetK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return func() {
-		r, err := prep.Run(context.Background(), RunOptions{Inputs: world.Inputs})
+		r, err := prep.Run(context.Background(), RunOptions{Inputs: inputs})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(r.Combinations) != 5 {
 			t.Fatalf("%d results, want 5", len(r.Combinations))
 		}
+	}
+}
+
+// BenchmarkPreparedRunConftravel is one steady-state top-5 Prepared.Run
+// of conftravel with call sharing off, so every call reaches
+// service.Table: the operator loops, invoker stack and substrate a
+// Share-off server runs per request, without HTTP, admission or planning.
+// chain is the served plan C → W → F → H, three pipes; parallel is the
+// hand-built plan, whose F‖H join runs under the explorer.
+func BenchmarkPreparedRunConftravel(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		run  func(testing.TB) func()
+	}{
+		{"chain", servedConftravelRun},
+		{"parallel", func(tb testing.TB) func() { return conftravelRun(tb, false) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			run := c.run(b)
+			run() // freezes the tables and warms the pools
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }
 
@@ -153,11 +194,12 @@ func TestPullRunAllocBytes(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	kb := steadyRunKB(conftravelRun(t, true))
-	// Measured 17.7 KB per run (Go 1.24), 24.3 KB before pipe readings
-	// were pooled. With the chunk-buffer pools replaced by make it measured
+	// Measured 11.3 KB per run (Go 1.24); 17.7 KB while the explorer kept
+	// its processed tiles in a map, 24.3 KB before pipe readings were
+	// pooled. With the chunk-buffer pools replaced by make it measured
 	// 46.5 KB, and with the arena block pools replaced too, 250 KB; the
 	// ceiling leaves ~1.3x headroom.
-	const ceiling = 23
+	const ceiling = 15
 	if kb > ceiling {
 		t.Errorf("steady-state conftravel pull run allocates %.1f KB, ceiling %d KB", kb, ceiling)
 	}
@@ -173,10 +215,11 @@ func TestShareOffRunAllocBytes(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	kb := steadyRunKB(conftravelRun(t, false))
-	// Measured 18.7 KB per run (Go 1.24); 31.8 KB while each Table
-	// invocation copied its match list and pipe readings were not pooled.
-	// The ceiling leaves ~1.3x headroom.
-	const ceiling = 24
+	// Measured 12.5 KB per run (Go 1.24); 18.7 KB while the explorer kept
+	// its processed tiles in a map, 31.8 KB while each Table invocation
+	// copied its match list and pipe readings were not pooled. The ceiling
+	// leaves ~1.3x headroom.
+	const ceiling = 16
 	if kb > ceiling {
 		t.Errorf("steady-state Share-off conftravel run allocates %.1f KB, ceiling %d KB", kb, ceiling)
 	}

@@ -102,7 +102,7 @@ func TestGroupJoinPredsPairsAndSkips(t *testing.T) {
 		{Left: query.PathRef{Alias: "T", Path: "City"}, Op: types.OpEq,
 			Right: query.Term{Kind: query.TermConst, Const: types.String("Rome")}},
 	}}
-	preds := groupJoinPreds(n)
+	preds := groupJoinPreds(n.JoinPreds)
 	if len(preds) != 2 {
 		t.Fatalf("grouped %d pairs, want 2: %v", len(preds), preds)
 	}

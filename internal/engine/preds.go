@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,12 +28,12 @@ type pairPred struct {
 	pred                  join.Predicate
 }
 
-// groupJoinPreds groups a node's join predicates by alias pair, in
-// deterministic (left, right) alias order.
-func groupJoinPreds(n *plan.Node) []pairPred {
+// groupJoinPreds groups join predicates by alias pair, in deterministic
+// (left, right) alias order.
+func groupJoinPreds(preds []query.Predicate) []pairPred {
 	byKey := map[string]int{}
 	var out []pairPred
-	for _, p := range n.JoinPreds {
+	for _, p := range preds {
 		if p.Right.Kind != query.TermPath {
 			continue
 		}
@@ -67,9 +68,16 @@ type svcPred struct {
 }
 
 // compileSvcPreds compiles a service node's pair predicates against the
-// layout.
+// layout, leaving out every condition the node's own pipe bindings
+// realize: the invocation bound the input to the peer's value, and a
+// service answers only with tuples satisfying its bindings (see
+// service.Service), so the condition holds for every tuple the node
+// reads. A pair with no condition left compiles to nothing.
 func compileSvcPreds(n *plan.Node, layout *aliasLayout) ([]svcPred, error) {
-	pps := groupJoinPreds(n)
+	residue := slices.DeleteFunc(slices.Clone(n.JoinPreds), func(p query.Predicate) bool {
+		return pipeRealizes(n, p)
+	})
+	pps := groupJoinPreds(residue)
 	out := make([]svcPred, 0, len(pps))
 	for _, pp := range pps {
 		sp := svcPred{cp: join.Compile(pp.pred), selfLeft: n.Alias == pp.leftAlias}
@@ -85,6 +93,33 @@ func compileSvcPreds(n *plan.Node, layout *aliasLayout) ([]svcPred, error) {
 		out = append(out, sp)
 	}
 	return out, nil
+}
+
+// pipeRealizes reports whether the node's pipe bindings realize the join
+// predicate, in either orientation: it is an equality between a path of
+// the node and a peer's path, the node's input at that path is piped from
+// the peer's path under equality, and both paths are atomic. A
+// repeating-group path stays checked: the pipe binds one value, while the
+// predicate maps one sub-tuple per group consistently across its pair's
+// conditions (Section 3.1).
+func pipeRealizes(n *plan.Node, p query.Predicate) bool {
+	if p.Op != types.OpEq || p.Right.Kind != query.TermPath {
+		return false
+	}
+	self, peer := p.Left, p.Right.Path
+	if peer.Alias == n.Alias {
+		self, peer = peer, self
+	}
+	if self.Alias != n.Alias || strings.Contains(self.Path, ".") || strings.Contains(peer.Path, ".") {
+		return false
+	}
+	for _, b := range n.Bindings {
+		if b.Path == self.Path && b.Source.Kind == query.BindJoin &&
+			b.Source.Op == types.OpEq && b.Source.From == peer {
+			return true
+		}
+	}
+	return false
 }
 
 // match evaluates the predicate with the node's own tuple on whichever
@@ -111,7 +146,7 @@ type joinPred struct {
 // compileJoinPreds compiles a join node's pair predicates against the
 // layout.
 func compileJoinPreds(n *plan.Node, layout *aliasLayout) ([]joinPred, error) {
-	pps := groupJoinPreds(n)
+	pps := groupJoinPreds(n.JoinPreds)
 	out := make([]joinPred, 0, len(pps))
 	for _, pp := range pps {
 		jp := joinPred{cp: join.Compile(pp.pred)}

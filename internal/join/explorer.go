@@ -24,11 +24,14 @@ import "fmt"
 // diagonal index so that consecutive extractions keep the index sum
 // non-decreasing (extraction-optimality at the tile level, Section 4.1).
 type Explorer struct {
-	strat            Strategy
-	limitX, limitY   int // 0 = unbounded
-	nx, ny           int // successful fetches per side
-	exhausted        [2]bool
-	processed        map[Tile]bool
+	strat          Strategy
+	limitX, limitY int // 0 = unbounded
+	nx, ny         int // successful fetches per side
+	exhausted      [2]bool
+	// processed is a bitset over the tiles emitted, one row of stride
+	// words per X chunk: tile (x, y) is bit y%64 of word x·stride + y/64.
+	processed        []uint64
+	stride           int
 	flushing         bool
 	lastFetch        Side
 	fetchesOutstand  bool // a fetch event was emitted but not yet confirmed
@@ -53,7 +56,8 @@ func NewExplorer(s Strategy, limitX, limitY int) (*Explorer, error) {
 		strat:     s.withDefaults(),
 		limitX:    limitX,
 		limitY:    limitY,
-		processed: make(map[Tile]bool),
+		processed: make([]uint64, 0, 8),
+		stride:    1,
 	}, nil
 }
 
@@ -76,7 +80,30 @@ func (e *Explorer) FetchOrder() []Side { return e.fetchSequence }
 func (e *Explorer) Fetched() (nx, ny int) { return e.nx, e.ny }
 
 // Processed reports whether the tile has been emitted as a tile event.
-func (e *Explorer) Processed(t Tile) bool { return e.processed[t] }
+func (e *Explorer) Processed(t Tile) bool {
+	if t.X < 0 || t.Y < 0 || t.Y >= 64*e.stride {
+		return false
+	}
+	i := t.X*e.stride + t.Y/64
+	return i < len(e.processed) && e.processed[i]&(1<<(t.Y%64)) != 0
+}
+
+// markProcessed records the tile as emitted, widening the rows when Y
+// passes their last word and adding rows up to X.
+func (e *Explorer) markProcessed(t Tile) {
+	if w := t.Y/64 + 1; w > e.stride {
+		rows := len(e.processed) / e.stride
+		wide := make([]uint64, rows*w, max(rows, t.X+1)*w)
+		for x := 0; x < rows; x++ {
+			copy(wide[x*w:], e.processed[x*e.stride:(x+1)*e.stride])
+		}
+		e.processed, e.stride = wide, w
+	}
+	if n := (t.X + 1) * e.stride; n > len(e.processed) {
+		e.processed = append(e.processed, make([]uint64, n-len(e.processed))...)
+	}
+	e.processed[t.X*e.stride+t.Y/64] |= 1 << (t.Y % 64)
+}
 
 // Tiles returns the number of tile events emitted.
 func (e *Explorer) Tiles() int { return e.totalTiles }
@@ -106,7 +133,7 @@ func (e *Explorer) Next() (Event, bool) {
 	e.fetchesOutstand = false
 	for {
 		if t, ok := e.bestTile(); ok {
-			e.processed[t] = true
+			e.markProcessed(t)
 			e.totalTiles++
 			return Event{Kind: EventTile, Tile: t}, true
 		}
@@ -146,7 +173,7 @@ func (e *Explorer) bestTile() (Tile, bool) {
 	for x := 0; x < e.nx; x++ {
 		for y := 0; y < e.ny; y++ {
 			t := Tile{X: x, Y: y}
-			if e.processed[t] || !e.admitted(t) {
+			if e.Processed(t) || !e.admitted(t) {
 				continue
 			}
 			rank := 0.0

@@ -374,3 +374,53 @@ func TestReportExhaustedRollsBack(t *testing.T) {
 		t.Error("explorer continued after both sides exhausted")
 	}
 }
+
+// TestExplorerProcessedTracksEmittedTiles checks the processed-tile bitset
+// against the set of tiles emitted so far, at every fetch, and that no
+// tile is emitted twice (a lost bit gets its tile re-emitted before the
+// next check). Y runs past one and two words per row: under nested loop
+// every X row exists before the rows widen; under a 1:3 merge-scan rows
+// keep being added after.
+func TestExplorerProcessedTracksEmittedTiles(t *testing.T) {
+	for _, c := range []struct {
+		s          Strategy
+		limX, limY int
+	}{
+		{Strategy{Invocation: NestedLoop, Completion: Rectangular, H: 3}, 0, 150},
+		{Strategy{Invocation: MergeScan, Completion: Triangular, RatioX: 1, RatioY: 3}, 50, 150},
+	} {
+		ex, err := NewExplorer(c.s, c.limX, c.limY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[Tile]bool{}
+		check := func() {
+			nx, ny := ex.Fetched()
+			for x := -1; x <= nx+1; x++ {
+				for y := -1; y <= ny+65; y++ {
+					if tile := (Tile{X: x, Y: y}); ex.Processed(tile) != seen[tile] {
+						t.Fatalf("%v: Processed(%v) = %v after %d tiles", c.s, tile, !seen[tile], len(seen))
+					}
+				}
+			}
+		}
+		for {
+			ev, ok := ex.Next()
+			if !ok {
+				break
+			}
+			if ev.Kind == EventTile {
+				if seen[ev.Tile] {
+					t.Fatalf("%v: tile %v emitted twice", c.s, ev.Tile)
+				}
+				seen[ev.Tile] = true
+				continue
+			}
+			check()
+		}
+		check()
+		if _, ny := ex.Fetched(); ny != c.limY {
+			t.Errorf("%v: fetched %d Y chunks, want %d", c.s, ny, c.limY)
+		}
+	}
+}

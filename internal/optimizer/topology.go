@@ -494,11 +494,12 @@ func (f *facts) addServiceChain(p *plan.Plan, alias, from string, included alias
 		Interface: ref.Interface, Stats: st,
 		Bindings:        c.bindings,
 		PipeSelectivity: c.pipeSel,
-		// The connecting join predicates are evaluated by the engine
-		// when composing this service's tuples with the upstream stream
-		// (they hold trivially for equalities realized by the pipe
-		// bindings, and do the actual filtering work for sequential
-		// compositions of independent services).
+		// The connecting join predicates stay on the node. The engine
+		// compiles out each atomic equality a pipe binding realizes (the
+		// service answered the invocation bound to the upstream value)
+		// and checks the rest per tuple when composing with the upstream
+		// stream: other operators, repeating-group paths and the
+		// conditions of sequential compositions of independent services.
 		JoinPreds: c.connPreds,
 	}
 	if err := p.AddNode(n); err != nil {

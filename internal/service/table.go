@@ -50,7 +50,9 @@ func NewTable(si *mart.Interface, stats Stats) (*Table, error) {
 
 // SetMatchOp overrides the comparison operator used when matching the
 // given input path against its bound value. The operator is evaluated as
-// "row value op bound value".
+// "row value op bound value", and must be the comparator of the query
+// predicates that cover the path (see Service): a path a pipe binds keeps
+// the default, equality.
 func (t *Table) SetMatchOp(path string, op types.Op) {
 	t.matchOps[path] = op
 	t.idx.Store(nil)
@@ -446,19 +448,25 @@ func (t *Table) Invoke(ctx context.Context, in Input) (Invocation, error) {
 			}
 		}
 	}
+	// Filter into a stack buffer, which append moves to the heap only past
+	// 64 matches, then copy the matches out at their size.
+	var stack [64]*types.Tuple
+	m := stack[:0]
 	if all {
 		for pos, row := range ix.order {
 			if ix.matches(pos, bs, -1) {
-				inv.matches = append(inv.matches, row)
+				m = append(m, row)
 			}
 		}
-		return inv, nil
-	}
-	inv.matches = make([]*types.Tuple, 0, len(cand))
-	for _, pos := range cand {
-		if ix.matches(int(pos), bs, drive) {
-			inv.matches = append(inv.matches, ix.order[pos])
+	} else {
+		for _, pos := range cand {
+			if ix.matches(int(pos), bs, drive) {
+				m = append(m, ix.order[pos])
+			}
 		}
+	}
+	if len(m) > 0 {
+		inv.matches = append(make([]*types.Tuple, 0, len(m)), m...)
 	}
 	return inv, nil
 }

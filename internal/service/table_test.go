@@ -866,8 +866,9 @@ func BenchmarkTableInvoke(b *testing.B) {
 // TestTableInvokeAllocationCeiling bounds what an invocation and its first
 // fetch allocate once the index exists. An all-equality binding is served
 // its composite list as it is: the invocation alone. A binding with a group
-// path filters its candidates into one match list. Nothing is allocated
-// per row or per bound path.
+// path or a range filters its candidates, every row for a range, into a
+// stack buffer copied out once at its size. Nothing is allocated per row
+// or per bound path.
 func TestTableInvokeAllocationCeiling(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -876,6 +877,7 @@ func TestTableInvokeAllocationCeiling(t *testing.T) {
 		ceiling float64
 	}{
 		{"equality3", []string{"From", "To", "Day"}, flightInput(), 1},
+		{"range", []string{"Price"}, Input{{Path: "Price", Value: types.Float(390)}}, 2},
 		{"equality+group", []string{"From", "Legs.Carrier"}, Input{
 			{Path: "From", Value: types.String("city03")}, {Path: "Legs.Carrier", Value: types.String("c2")}}, 2},
 		{"group", []string{"Legs.Via", "Legs.Carrier"}, Input{
