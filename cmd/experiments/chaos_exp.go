@@ -11,8 +11,8 @@ import (
 // runE16 sweeps the movienight and conftravel scenarios under seeded
 // fault schedules — transient rates with latency spikes, transient
 // bursts, fail-forever outages, execution-budget expiries — with the
-// full resilience stack (circuit breaker over jittered retry over the
-// fault injector) and reports, per schedule family, how the runs held
+// call policy (jittered retries inside a circuit breaker) over the
+// fault injector and reports, per schedule family, how the runs held
 // up. Transient-only schedules must reproduce the fault-free top-k
 // exactly; lossy schedules must degrade to a partial result whose
 // certified prefix matches the fault-free ranking. Any invariant

@@ -200,11 +200,10 @@ func calibrate(cfg sweepConfig) (time.Duration, error) {
 // transientEvery is a sequence-keyed chaos rule: every Every-th call
 // fails transiently (1-based, like chaos.LatencySpike). Keying on the
 // call sequence rather than a random draw fixes how many calls fault
-// per sweep. Which logical call draws which seq still races with the
-// pipeline goroutines, so per-request outcomes (the Full/Degraded
-// split, hedge wins) may shift between replays; the admission-level
-// ledger — arrivals, queued lags, tiers, response counts — is a pure
-// function of the virtual timeline and replays exactly.
+// per sweep. On the virtual clock every call is made on demand, on the
+// goroutine that needs it, so which logical call draws which seq — and
+// with it the whole sweep — replays exactly
+// (TestCommittedSweepMatchesLOADGEN).
 type transientEvery struct{ every int }
 
 func (r transientEvery) Decide(c chaos.Call) chaos.Verdict {
@@ -233,7 +232,7 @@ func runPoint(cfg sweepConfig, svcTime time.Duration, mult float64) (point, erro
 		// pressure to exercise the hedging layer without a schedule where
 		// retries dominate the service time.
 		scfg.Wrap = func(alias string, svc service.Service) service.Service {
-			return chaos.NewInjector(svc, cfg.seed,
+			return chaos.NewInjector(svc, clk, cfg.seed,
 				chaos.LatencySpike{Every: 9, Delay: svcTime / 4},
 				transientEvery{every: 17})
 		}

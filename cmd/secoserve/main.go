@@ -5,7 +5,8 @@
 // trace (structured JSON and Chrome trace_event), and the standard
 // net/http/pprof profiling endpoints. A background loop re-executes the
 // scenario's canonical query on an interval, so every endpoint has live
-// data to show.
+// data to show. SIGINT or SIGTERM stops the loop and shuts the server
+// down, letting in-flight requests finish.
 //
 // Usage:
 //
@@ -28,11 +29,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"seco/internal/admission"
@@ -89,11 +94,52 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	go srv.Loop(ctx, *interval)
 
 	fmt.Fprintf(out, "secoserve: scenario %s on http://%s (query, metrics, runs/last, trace/last, debug/pprof)\n",
-		*scenario, *addr)
-	return http.ListenAndServe(*addr, srv.Handler())
+		*scenario, ln.Addr())
+	return serveUntil(ctx, newHTTPServer(srv.Handler()), ln)
+}
+
+// The HTTP server's limits. They are constants, not flags: a client gets
+// readHeaderTimeout to send its request headers, an idle keep-alive
+// connection is closed after idleTimeout, and a shutdown waits up to
+// shutdownGrace for in-flight requests to finish.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 30 * time.Second
+)
+
+// newHTTPServer builds the server secoserve listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
+// serveUntil serves hs on ln until ctx is done, then shuts it down:
+// hs stops accepting connections and in-flight requests drain, for at
+// most shutdownGrace.
+func serveUntil(ctx context.Context, hs *http.Server, ln net.Listener) error {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		return err
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }

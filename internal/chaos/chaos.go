@@ -60,8 +60,8 @@ type Call struct {
 type Verdict struct {
 	// Fault is the injected failure, if any.
 	Fault Fault
-	// Delay is extra latency to charge through the installed TimeSource
-	// before the call proceeds (only meaningful with FaultNone).
+	// Delay is extra latency to charge to the injector's clock before the
+	// call proceeds (only meaningful with FaultNone).
 	Delay time.Duration
 }
 
@@ -145,9 +145,9 @@ func (r BindingFault) String() string {
 }
 
 // LatencySpike charges Delay extra latency on every Every-th call
-// (1-based: Every=3 delays calls 2, 5, 8, …). The delay flows through
-// the installed TimeSource, so virtual-clock runs account it into the
-// simulated Elapsed without real waiting.
+// (1-based: Every=3 delays calls 2, 5, 8, …). The delay is slept on the
+// injector's clock, so on the engine's virtual clock a run accounts it
+// into the simulated Elapsed without real waiting.
 type LatencySpike struct {
 	Every int
 	Delay time.Duration
@@ -171,9 +171,8 @@ func (r LatencySpike) String() string {
 // require the engine's serialized execution (Parallelism 1).
 type Injector struct {
 	inner service.Service
+	clock service.TimeSource
 	rules []Rule
-
-	clock atomic.Pointer[clockBox]
 
 	mu  sync.Mutex
 	seq int
@@ -184,12 +183,13 @@ type Injector struct {
 	spikes    atomic.Int64
 }
 
-// clockBox wraps the TimeSource interface for atomic storage.
-type clockBox struct{ ts service.TimeSource }
-
-// NewInjector wraps svc with the given seeded rule set.
-func NewInjector(svc service.Service, seed int64, rules ...Rule) *Injector {
-	return &Injector{inner: svc, rules: rules, rng: rand.New(rand.NewSource(seed))}
+// NewInjector wraps svc with the given seeded rule set. Latency spikes
+// are slept on clock, which must not be nil: hand it the engine's clock.
+func NewInjector(svc service.Service, clock service.TimeSource, seed int64, rules ...Rule) *Injector {
+	if clock == nil {
+		panic("chaos: NewInjector needs a clock")
+	}
+	return &Injector{inner: svc, clock: clock, rules: rules, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Injected reports the transient faults injected so far.
@@ -212,10 +212,6 @@ func (j *Injector) Resilience() service.ResilienceStats {
 
 // Unwrap implements service.Wrapper.
 func (j *Injector) Unwrap() service.Service { return j.inner }
-
-// SetTimeSource implements service.TimeSourceSetter: latency spikes are
-// charged to ts (the engine installs its Clock).
-func (j *Injector) SetTimeSource(ts service.TimeSource) { j.clock.Store(&clockBox{ts: ts}) }
 
 // Interface implements service.Service.
 func (j *Injector) Interface() *mart.Interface { return j.inner.Interface() }
@@ -243,9 +239,7 @@ func (j *Injector) intercept(ctx context.Context, op string, in service.Input) e
 	if verdict.Delay > 0 {
 		j.spikes.Add(1)
 		obs.ScopeFrom(ctx).Event("chaos-spike", obs.KV("op", op), obs.KD("delay", verdict.Delay))
-		if box := j.clock.Load(); box != nil && box.ts != nil {
-			box.ts.Sleep(verdict.Delay)
-		}
+		j.clock.Sleep(verdict.Delay)
 	}
 	switch verdict.Fault {
 	case FaultTransient:
@@ -307,8 +301,9 @@ func (p FaultPlan) aliasSeed(alias string) int64 {
 }
 
 // Wrap applies the plan to a service set, returning the wrapped set and
-// the injector handles for counter inspection.
-func (p FaultPlan) Wrap(services map[string]service.Service) (map[string]service.Service, map[string]*Injector) {
+// the injector handles for counter inspection. Latency spikes are slept
+// on clock: pass the clock of the engine that will run the set.
+func (p FaultPlan) Wrap(services map[string]service.Service, clock service.TimeSource) (map[string]service.Service, map[string]*Injector) {
 	wrapped := make(map[string]service.Service, len(services))
 	injectors := map[string]*Injector{}
 	for alias, svc := range services {
@@ -317,7 +312,7 @@ func (p FaultPlan) Wrap(services map[string]service.Service) (map[string]service
 			wrapped[alias] = svc
 			continue
 		}
-		j := NewInjector(svc, p.aliasSeed(alias), rules...)
+		j := NewInjector(svc, clock, p.aliasSeed(alias), rules...)
 		injectors[alias] = j
 		wrapped[alias] = j
 	}

@@ -59,7 +59,7 @@ func TestFaultPlanWrapScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := FaultPlan{Seed: 1, Rules: map[string][]Rule{"M": {FailAfter{N: 0}}}}
-	wrapped, injectors := fp.Wrap(sc.Services)
+	wrapped, injectors := fp.Wrap(sc.Services, engine.NewVirtualClock())
 	if len(injectors) != 1 || injectors["M"] == nil {
 		t.Fatalf("want exactly injector for M, got %v", injectors)
 	}
@@ -215,8 +215,9 @@ func TestLatencySpikesChargeClock(t *testing.T) {
 	for _, a := range sc.aliases() {
 		rules[a] = []Rule{LatencySpike{Every: 2, Delay: 40 * time.Millisecond}}
 	}
-	wrapped, injectors := FaultPlan{Seed: 5, Rules: rules}.Wrap(sc.Services)
-	run, err := engine.New(wrapped, nil).Execute(ctx, sc.Ann, sc.Opts)
+	clk := engine.NewVirtualClock()
+	wrapped, injectors := FaultPlan{Seed: 5, Rules: rules}.Wrap(sc.Services, clk)
+	run, err := engine.New(wrapped, clk).Execute(ctx, sc.Ann, sc.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +259,9 @@ func TestBindingFaultPoisonsOneKey(t *testing.T) {
 	miss := FaultPlan{Seed: 3, Rules: map[string][]Rule{
 		alias: {BindingFault{Path: path, Value: "no-such-topic", Fault: FaultPermanent}},
 	}}
-	wrapped, _ := miss.Wrap(sc.Services)
-	run, err := engine.New(wrapped, nil).Execute(ctx, sc.Ann, sc.Opts)
+	clk := engine.NewVirtualClock()
+	wrapped, _ := miss.Wrap(sc.Services, clk)
+	run, err := engine.New(wrapped, clk).Execute(ctx, sc.Ann, sc.Opts)
 	if err != nil {
 		t.Fatalf("unpoisoned key still failed: %v", err)
 	}
@@ -270,10 +272,11 @@ func TestBindingFaultPoisonsOneKey(t *testing.T) {
 	hit := FaultPlan{Seed: 3, Rules: map[string][]Rule{
 		alias: {BindingFault{Path: path, Value: bound, Fault: FaultPermanent}},
 	}}
-	wrapped, _ = hit.Wrap(sc.Services)
+	clk = engine.NewVirtualClock()
+	wrapped, _ = hit.Wrap(sc.Services, clk)
 	opts := sc.Opts
 	opts.Degrade = true
-	run, err = engine.New(wrapped, nil).Execute(ctx, sc.Ann, opts)
+	run, err = engine.New(wrapped, clk).Execute(ctx, sc.Ann, opts)
 	if err != nil {
 		t.Fatalf("degrade mode still surfaced the failure as an error: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"seco/internal/engine"
 	"seco/internal/mart"
@@ -154,7 +153,7 @@ func TestTriangleChaosCertifiedPrefix(t *testing.T) {
 }
 
 // TestTriangleChaosTransientsTransparent wraps every triangle service in
-// Retry(Flaky(svc)): injected transient faults must be invisible in the
+// Policy(Flaky(svc)): injected transient faults must be invisible in the
 // result — the n-ary run returns the identical certified top-5.
 func TestTriangleChaosTransientsTransparent(t *testing.T) {
 	const seed = 23
@@ -172,10 +171,10 @@ func TestTriangleChaosTransientsTransparent(t *testing.T) {
 	flakies := map[string]*service.Flaky{}
 	sys, w := triangleWith(t, seed, func(alias string, svc service.Service) service.Service {
 		f := service.NewFlaky(svc, 3)
-		r := service.NewRetry(f)
-		r.Sleep = func(time.Duration) {}
 		flakies[alias] = f
-		return r
+		// The test compares results, not elapsed time, so the backoff
+		// sleeps on a clock of its own.
+		return service.NewPolicy(f, engine.NewVirtualClock(), 1)
 	})
 	run, err := sys.Run(context.Background(), fullBudget(t, res),
 		RunOptions{Inputs: w.Inputs})

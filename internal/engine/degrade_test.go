@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"seco/internal/mart"
 	"seco/internal/optimizer"
@@ -367,7 +366,7 @@ func TestCancellationStopsCalls(t *testing.T) {
 
 // TestStreamingParallelJoinsSurviveTransients extends the transient-
 // equivalence guarantee to the streaming executor with parallel pipe
-// joins: Retry(Flaky(svc)) at Parallelism 4 must reproduce the clean
+// joins: Policy(Flaky(svc)) at Parallelism 4 must reproduce the clean
 // top-k even though the fault schedule itself is racy.
 func TestStreamingParallelJoinsSurviveTransients(t *testing.T) {
 	for _, materialize := range []bool{false, true} {
@@ -380,16 +379,15 @@ func TestStreamingParallelJoinsSurviveTransients(t *testing.T) {
 		}
 
 		services, _, _ = movienightOpts(t)
+		clk := NewVirtualClock()
 		flakies := map[string]*service.Flaky{}
 		wrapped := map[string]service.Service{}
 		for alias, svc := range services {
 			f := service.NewFlaky(svc, 3)
-			r := service.NewRetry(f)
-			r.Sleep = func(time.Duration) {}
 			flakies[alias] = f
-			wrapped[alias] = r
+			wrapped[alias] = service.NewPolicy(f, clk, 1)
 		}
-		faulty, err := New(wrapped, nil).Execute(context.Background(), a, opts)
+		faulty, err := New(wrapped, clk).Execute(context.Background(), a, opts)
 		if err != nil {
 			t.Fatalf("materialize=%v: parallel run failed despite retries: %v", materialize, err)
 		}
@@ -416,17 +414,15 @@ func TestStreamingParallelJoinsSurviveTransients(t *testing.T) {
 }
 
 // TestRunReportsResilienceStats checks the per-alias stats aggregation
-// across a Breaker(Retry(Flaky)) chain.
+// across a Policy(Flaky) chain.
 func TestRunReportsResilienceStats(t *testing.T) {
 	services, a, opts := movienightOpts(t)
+	clk := NewVirtualClock()
 	wrapped := map[string]service.Service{}
 	for alias, svc := range services {
-		f := service.NewFlaky(svc, 4)
-		r := service.NewRetry(f)
-		r.Sleep = func(time.Duration) {}
-		wrapped[alias] = service.NewBreaker(r)
+		wrapped[alias] = service.NewPolicy(service.NewFlaky(svc, 4), clk, 1)
 	}
-	run, err := New(wrapped, nil).Execute(context.Background(), a, opts)
+	run, err := New(wrapped, clk).Execute(context.Background(), a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,9 +243,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// Hedge, when non-nil, mounts the Invoker's hedging layer on every
 	// lane (above Share): hedgeable failures get one immediate second
-	// attempt, and slow successes are counted against a latency-percentile
-	// trigger fed by the per-alias invoker histograms. See
-	// service.HedgePolicy.
+	// attempt. service.HedgePolicy has no fields.
 	Hedge *service.HedgePolicy
 }
 
@@ -266,23 +264,9 @@ func NewWithConfig(services map[string]service.Service, cfg Config) *Engine {
 	if clk == nil {
 		clk = NewVirtualClock()
 	}
-	for _, svc := range services {
-		// Route all resilience timing (retry backoff, breaker cooldowns,
-		// injected latency spikes) through this engine's clock, so a
-		// virtual-clock run charges them into simulated time.
-		service.InstallTimeSource(svc, clk)
-	}
 	inv := service.NewInvoker(services, service.InvokerOptions{
-		Delay: clk.Sleep, Share: cfg.Share, Metrics: cfg.Metrics, Hedge: cfg.Hedge,
+		Delay: clk.Sleep, Share: cfg.Share, Metrics: cfg.Metrics, Hedge: cfg.Hedge != nil,
 	})
-	// The Invoker's own layers (Hedge above Share) also need the clock:
-	// walk each complete lane so every time-dependent layer — not just the
-	// user chain walked above — measures on this engine's clock.
-	for _, alias := range inv.Aliases() {
-		if lane, ok := inv.Lane(alias); ok {
-			service.InstallTimeSource(lane, clk)
-		}
-	}
 	_, virtual := clk.(*VirtualClock)
 	return &Engine{
 		invoker: inv,

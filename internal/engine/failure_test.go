@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"testing"
-	"time"
 
 	"seco/internal/mart"
 	"seco/internal/plan"
@@ -12,7 +11,7 @@ import (
 	"seco/internal/synth"
 )
 
-// Failure injection: wrapping every service in Retry(Flaky(...)) must
+// Failure injection: wrapping every service in Policy(Flaky(...)) must
 // produce exactly the same combinations as the clean run, despite
 // injected transient failures on the wire.
 func TestExecuteSurvivesTransientFailures(t *testing.T) {
@@ -39,16 +38,15 @@ func TestExecuteSurvivesTransientFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	clk := NewVirtualClock()
 	flakies := map[string]*service.Flaky{}
 	wrapped := map[string]service.Service{}
 	for alias, svc := range world.Services() {
 		f := service.NewFlaky(svc, 4) // every 4th call fails transiently
-		r := service.NewRetry(f)
-		r.Sleep = func(time.Duration) {}
 		flakies[alias] = f
-		wrapped[alias] = r
+		wrapped[alias] = service.NewPolicy(f, clk, 1)
 	}
-	faulty, err := New(wrapped, nil).Execute(context.Background(), a, opts)
+	faulty, err := New(wrapped, clk).Execute(context.Background(), a, opts)
 	if err != nil {
 		t.Fatalf("execution failed despite retries: %v", err)
 	}

@@ -131,8 +131,8 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Run, error) {
 	ex.budget = ex.budgetCheck(start)
 	var remaining func() time.Duration
 	if ex.budget != nil {
-		// Retry's backoff, below the Counter, reads the probe from the
-		// context.
+		// The call policy's backoff, below the Counter, reads the probe
+		// from the context.
 		ctx = service.WithBudget(ctx, ex.budget)
 		// Under a wall clock the budget also yields per-call deadlines:
 		// every Invoke/Fetch gets a context.WithTimeout bounded by what is

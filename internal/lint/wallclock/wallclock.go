@@ -6,9 +6,9 @@
 // itself, the live service estimator, and the measurement harness.
 // Referencing a function as a value (delay = time.Sleep) is normally
 // fine — that is exactly how a caller injects real time — only calls are
-// flagged. Strict paths are the exception: inside them (the resilience
-// middleware of internal/service, whose backoff and cooldown timing must
-// flow through the installed TimeSource) even a value reference is
+// flagged. Strict paths are the exception: inside them (the call policy
+// of internal/service, whose backoff and cooldown timing must flow
+// through the TimeSource it is built with) even a value reference is
 // flagged, because stashing time.Sleep in a field is just a deferred
 // call. Test files are exempt.
 //
@@ -37,9 +37,9 @@ var Allowlist = []string{
 }
 
 // Strict holds slash-separated path fragments under which even a value
-// reference to a banned function is flagged. The resilience middleware
-// lives here: retry backoff and breaker cooldowns must route through the
-// injected TimeSource, so holding time.Sleep as a value is as much of a
+// reference to a banned function is flagged. The call policy lives here:
+// retry backoff and breaker cooldowns must route through the TimeSource
+// it is built with, so holding time.Sleep as a value is as much of a
 // leak as calling it. The engine and the observability layer are strict
 // for the same reason — operator deadlines and span timestamps must come
 // from the injected Clock, or replayed runs diverge from live ones.
@@ -141,7 +141,7 @@ func run(pass *lint.Pass) error {
 					fn.Name())
 			case strict:
 				pass.Reportf(sel.Pos(),
-					"reference to time.%s in a strict path smuggles the wall clock; route timing through the installed TimeSource",
+					"reference to time.%s in a strict path smuggles the wall clock; route timing through the TimeSource the layer is built with",
 					fn.Name())
 			}
 			return true

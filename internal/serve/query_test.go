@@ -268,19 +268,17 @@ func TestQueryBadRequests(t *testing.T) {
 // breaker state machine and the cumulative registry. Overload must
 // surface as 200s (full or certified partial) and 429s — never a 500.
 func TestConcurrentQueriesSharedEngineRace(t *testing.T) {
+	clk := engine.NewVirtualClock()
 	s, err := New(Config{
 		Scenario: "movienight", Seed: 7, K: 10, Parallelism: 2, CacheCalls: true,
-		Hedge: true,
+		Hedge: true, Clock: clk,
 		Admission: admission.Config{Capacity: 4, TenantRate: 1000, TenantBurst: 1000,
 			MaxDeadline: time.Hour},
 		Wrap: func(alias string, svc service.Service) service.Service {
-			inj := chaos.NewInjector(svc, 7,
+			inj := chaos.NewInjector(svc, clk, 7,
 				chaos.TransientRate{P: 0.05},
 				chaos.LatencySpike{Every: 7, Delay: 20 * time.Millisecond})
-			b := service.NewBreaker(service.NewRetry(inj))
-			b.Threshold = 50
-			b.Cooldown = 100 * time.Millisecond
-			return b
+			return service.NewPolicy(inj, clk, 7)
 		},
 	})
 	if err != nil {

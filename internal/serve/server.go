@@ -67,8 +67,7 @@ type Config struct {
 	DisableMultiway bool
 	// CacheCalls enables the engines' cross-query call-sharing layer.
 	CacheCalls bool
-	// Hedge mounts the hedged-call layer, under the default
-	// service.HedgePolicy, on every service lane.
+	// Hedge mounts the hedged-call layer on every service lane.
 	Hedge bool
 	// Admission tunes the admission controller. Its Metrics field is
 	// overwritten with the server's registry.
@@ -78,7 +77,8 @@ type Config struct {
 	MaxBudget time.Duration
 	// Wrap, when non-nil, decorates each bound service per plan alias
 	// before the engine is built — the hook the loadgen harness uses to
-	// inject chaos faults and resilience middleware.
+	// inject chaos faults. A layer it adds that charges time must be
+	// built with Clock, so set Clock too.
 	Wrap func(alias string, svc service.Service) service.Service
 	// Clock is the engine clock. Nil selects a fresh VirtualClock:
 	// fetches complete instantly while charging their published latency

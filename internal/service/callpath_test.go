@@ -10,15 +10,13 @@ import (
 )
 
 // memoLane builds an engine-shaped invoker over one chunked table —
-// Counter → Hedge → Share, metered, with a time source on the lane — and
-// memoizes the movie binding's first chunk.
+// Counter → Hedge → Share, metered — and memoizes the movie binding's
+// first chunk.
 func memoLane(t *testing.T) (*Invoker, *RunScope) {
 	t.Helper()
 	inv := NewInvoker(map[string]Service{"M": newMovieTable(t, 1)}, InvokerOptions{
-		Share: true, Hedge: &HedgePolicy{}, Metrics: obs.NewRegistry(),
+		Share: true, Hedge: true, Metrics: obs.NewRegistry(),
 	})
-	lane, _ := inv.Lane("M")
-	InstallTimeSource(lane, &fakeClock{now: time.Unix(0, 0)})
 	drainShared(t, inv.NewRun().Counter("M"), movieInput())
 	return inv, inv.NewRun()
 }

@@ -35,16 +35,12 @@ func (s *oddInvokeFails) Invoke(ctx context.Context, in Input) (Invocation, erro
 }
 
 func TestHedgeRecoversTransientInvoke(t *testing.T) {
-	h := NewHedge(&oddInvokeFails{inner: newMovieTable(t, 0)}, HedgePolicy{})
+	h := NewHedge(&oddInvokeFails{inner: newMovieTable(t, 0)})
 	if _, err := h.Invoke(context.Background(), movieInput()); err != nil {
 		t.Fatalf("hedged invoke failed: %v", err)
 	}
-	if h.Hedged() != 1 || h.Wins() != 1 {
-		t.Fatalf("attempts %d wins %d, want 1/1", h.Hedged(), h.Wins())
-	}
-	rs := h.Resilience()
-	if rs.Hedges != 1 || rs.HedgeWins != 1 {
-		t.Fatalf("resilience stats %+v", rs)
+	if rs := h.Resilience(); rs.Hedges != 1 || rs.HedgeWins != 1 {
+		t.Fatalf("attempts %d wins %d, want 1/1", rs.Hedges, rs.HedgeWins)
 	}
 }
 
@@ -57,12 +53,12 @@ func TestHedgeSkipsUnhedgeableErrors(t *testing.T) {
 		{"open circuit", ErrOpen},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := NewHedge(&errService{inner: newMovieTable(t, 0), err: tc.err}, HedgePolicy{})
+			h := NewHedge(&errService{inner: newMovieTable(t, 0), err: tc.err})
 			if _, err := h.Invoke(context.Background(), movieInput()); !errors.Is(err, tc.err) {
 				t.Fatalf("err = %v, want %v", err, tc.err)
 			}
-			if h.Hedged() != 0 {
-				t.Fatalf("unhedgeable error was hedged %d times", h.Hedged())
+			if n := h.Resilience().Hedges; n != 0 {
+				t.Fatalf("unhedgeable error was hedged %d times", n)
 			}
 		})
 	}
@@ -144,15 +140,15 @@ func TestHedgeShareOneUpstreamFetchPerChunk(t *testing.T) {
 
 	wire := NewCounter(&failFirstPerChunk{inner: newMovieTable(t, 1), n: chunks}, nil)
 	sh := NewShare(wire)
-	h := NewHedge(sh, HedgePolicy{})
+	h := NewHedge(sh)
 
 	got, tuples := drainShared(t, h, movieInput())
 	if got != chunks || tuples == 0 {
 		t.Fatalf("hedged drain returned %d chunks (%d tuples), want %d", got, tuples, chunks)
 	}
-	if h.Hedged() != chunks || h.Wins() != chunks {
+	if rs := h.Resilience(); rs.Hedges != int64(chunks) || rs.HedgeWins != int64(chunks) {
 		t.Fatalf("hedge attempts %d wins %d, want %d each (one per chunk)",
-			h.Hedged(), h.Wins(), chunks)
+			rs.Hedges, rs.HedgeWins, chunks)
 	}
 	if st := sh.Counters(); st.WireFetches != int64(chunks) {
 		t.Fatalf("share saw %d wire fetches for %d chunks — hedging duplicated upstream traffic: %+v",
@@ -167,96 +163,20 @@ func TestHedgeShareOneUpstreamFetchPerChunk(t *testing.T) {
 	if st := sh.Counters(); st.WireFetches != int64(chunks) || st.MemoHits != int64(chunks) {
 		t.Fatalf("replay hit the wire: %+v", st)
 	}
-	if h.Hedged() != chunks {
-		t.Fatalf("replay issued new hedges: %d", h.Hedged())
+	if n := h.Resilience().Hedges; n != int64(chunks) {
+		t.Fatalf("replay issued new hedges: %d", n)
 	}
 }
 
-// withLatency overrides the published latency of a fixture service.
-type withLatency struct {
-	Service
-	lat time.Duration
-}
-
-func (s *withLatency) Stats() Stats {
-	st := s.Service.Stats()
-	st.Latency = s.lat
-	return st
-}
-
-func (s *withLatency) Unwrap() Service { return s.Service }
-
-// slowFetch charges extra latency to the shared clock below the hedge on
-// every fetch — a simulated slow backend.
-type slowFetch struct {
-	inner Service
-	clk   *fakeClock
-	delay time.Duration
-}
-
-func (s *slowFetch) Interface() *mart.Interface { return s.inner.Interface() }
-func (s *slowFetch) Stats() Stats               { return s.inner.Stats() }
-func (s *slowFetch) Unwrap() Service            { return s.inner }
-
-func (s *slowFetch) Invoke(ctx context.Context, in Input) (Invocation, error) {
-	inv, err := s.inner.Invoke(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	return &slowInvocation{inner: inv, svc: s}, nil
-}
-
-type slowInvocation struct {
-	inner Invocation
-	svc   *slowFetch
-}
-
-func (si *slowInvocation) Fetch(ctx context.Context) (Chunk, error) {
-	si.svc.clk.Sleep(si.svc.delay)
-	return si.inner.Fetch(ctx)
-}
-
-func TestHedgeLateTriggerCountsSlowCalls(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(0, 0)}
-	published := 40 * time.Millisecond
-	tab := &withLatency{Service: newMovieTable(t, 1), lat: published}
-	// The trigger falls back to published latency × multiplier while the
-	// histogram is cold; a fetch that sleeps 2× the published latency on
-	// the clock is measured at 3× (slept + charged) and must count late.
-	h := NewHedge(&slowFetch{inner: tab, clk: clk, delay: 2 * published}, HedgePolicy{Multiplier: 1.5})
-	h.SetTimeSource(clk)
-	if _, n := drainShared(t, h, movieInput()); n == 0 {
-		t.Fatal("no tuples")
-	}
-	if h.Late() == 0 {
-		t.Fatal("no late fetches counted despite a 3x-trigger backend")
-	}
-	if h.Hedged() != 0 {
-		t.Fatalf("late counting issued %d real hedges; under Share a raced hedge is a no-op and none must be sent",
-			h.Hedged())
-	}
-
-	// Fast fetches stay under the trigger.
-	h2 := NewHedge(newMovieTable(t, 1), HedgePolicy{Multiplier: 1.5})
-	h2.SetTimeSource(&fakeClock{now: time.Unix(0, 0)})
-	drainShared(t, h2, movieInput())
-	if h2.Late() != 0 {
-		t.Fatalf("fast backend counted %d late fetches", h2.Late())
-	}
-}
-
-// TestBreakerHalfOpenHammerRace drives one Breaker from many goroutines
+// TestBreakerHalfOpenHammerRace drives one Policy from many goroutines
 // across a trip/cooldown/recovery cycle. Under -race this exercises the
 // half-open single-probe gate (the probing flag) against concurrent
 // Invokes — the exact contention pattern of concurrent runs sharing one
-// engine, whose lanes funnel into a single breaker instance.
+// engine, whose lanes funnel into a single policy instance.
 func TestBreakerHalfOpenHammerRace(t *testing.T) {
 	sw := &switchSvc{inner: newMovieTable(t, 0)}
-	b := NewBreaker(sw)
-	b.Threshold = 3
-	b.Cooldown = 250 * time.Millisecond
 	clk := &fakeClock{now: time.Unix(0, 0)}
-	b.SetTimeSource(clk)
+	b := NewPolicy(sw, clk, 1)
 	ctx := context.Background()
 
 	hammer := func(workers, calls int) {
@@ -279,31 +199,31 @@ func TestBreakerHalfOpenHammerRace(t *testing.T) {
 	// circuit and keep rejecting without touching the service.
 	sw.failing.Store(true)
 	hammer(8, 25)
-	if b.State() != "open" {
-		t.Fatalf("after failing hammer: state %s, want open", b.State())
+	if st := circuitState(b); st != "open" {
+		t.Fatalf("after failing hammer: state %s, want open", st)
 	}
-	if b.Tripped() == 0 || b.Rejected() == 0 {
-		t.Fatalf("hammer tripped %d, rejected %d — vacuous", b.Tripped(), b.Rejected())
+	if rs := b.Resilience(); rs.Tripped == 0 || rs.Rejected == 0 {
+		t.Fatalf("hammer tripped %d, rejected %d — vacuous", rs.Tripped, rs.Rejected)
 	}
 
 	// Phase 2: backend recovers; concurrent goroutines race for the
 	// single half-open probe after each cooldown. Exactly one wins it and
 	// its success must close the circuit for everyone.
 	sw.failing.Store(false)
-	for round := 0; round < 50 && b.State() != "closed"; round++ {
-		clk.advance(b.Cooldown)
+	for round := 0; round < 50 && circuitState(b) != "closed"; round++ {
+		clk.advance(policyCooldown)
 		hammer(8, 5)
 	}
-	if b.State() != "closed" {
-		t.Fatalf("breaker never recovered through half-open: state %s", b.State())
+	if st := circuitState(b); st != "closed" {
+		t.Fatalf("breaker never recovered through half-open: state %s", st)
 	}
 
 	// Phase 3: a recovered circuit under concurrent load stays closed and
 	// admits everything.
-	rejectedBefore := b.Rejected()
+	rejectedBefore := b.Resilience().Rejected
 	hammer(8, 25)
-	if b.State() != "closed" || b.Rejected() != rejectedBefore {
+	if st, rs := circuitState(b), b.Resilience(); st != "closed" || rs.Rejected != rejectedBefore {
 		t.Fatalf("closed circuit rejected calls: state %s, rejected %d -> %d",
-			b.State(), rejectedBefore, b.Rejected())
+			st, rejectedBefore, rs.Rejected)
 	}
 }

@@ -14,7 +14,7 @@ import (
 //     latency charge, logical call counting) over the optional Hedge
 //     (one second attempt for a hedgeable failure) over the optional
 //     Share layer (cross-query singleflight + memo) over the
-//     user-supplied chain (Retry/Breaker/chaos injectors) over the base
+//     user-supplied chain (call Policy, chaos injectors) over the base
 //     service;
 //   - per-run counter isolation: every execution gets a fresh RunScope
 //     with its own Counters, so N concurrent queries through one engine
@@ -45,13 +45,11 @@ type InvokerOptions struct {
 	// per-service share-layer counters. Nil keeps the hot path
 	// unmetered.
 	Metrics *obs.Registry
-	// Hedge, when non-nil, mounts a hedging layer on every lane, above
-	// Share: hedgeable primary failures get one immediate second attempt,
-	// and slow successes are counted against the latency-percentile
-	// trigger fed by the lane's latency histogram. Mounting above Share
-	// keeps hedges exempt from duplicate upstream load — a hedged pair
-	// coalesces on Share's singleflight/memo.
-	Hedge *HedgePolicy
+	// Hedge mounts a hedging layer on every lane, above Share: hedgeable
+	// primary failures get one immediate second attempt. Mounting above
+	// Share keeps hedges exempt from duplicate upstream load — a hedged
+	// pair coalesces on Share's singleflight/memo.
+	Hedge bool
 }
 
 // NewInvoker builds the choke point over the bound services. The map
@@ -78,11 +76,8 @@ func NewInvoker(services map[string]Service, opts InvokerOptions) *Invoker {
 			}
 			lane = sh
 		}
-		if opts.Hedge != nil {
-			h := NewHedge(lane, *opts.Hedge)
-			if inst := inv.inst[alias]; inst != nil {
-				h.SetLatencySource(inst.latencyMS)
-			}
+		if opts.Hedge {
+			h := NewHedge(lane)
 			h.bindMetrics(opts.Metrics, alias)
 			lane = h
 		}
@@ -91,18 +86,8 @@ func NewInvoker(services map[string]Service, opts InvokerOptions) *Invoker {
 	return inv
 }
 
-// Aliases lists the bound aliases.
-func (inv *Invoker) Aliases() []string {
-	out := make([]string, 0, len(inv.lanes))
-	for alias := range inv.lanes {
-		out = append(out, alias)
-	}
-	return out
-}
-
 // Lane returns the alias's service chain as seen by a run's Counter
-// (including the Share layer when sharing is on). It is the anchor for
-// chain-walking helpers like InstallTimeSource and CollectResilience.
+// (including the Share layer when sharing is on).
 func (inv *Invoker) Lane(alias string) (Service, bool) {
 	lane, ok := inv.lanes[alias]
 	return lane, ok

@@ -6,32 +6,31 @@ import (
 	"time"
 )
 
-// This file is the shared substrate of the resilience middleware (Retry,
-// Breaker, Flaky and the chaos injectors): the failure taxonomy, the
-// injected time source that keeps all backoff and cooldown timing on the
-// engine's Clock, the Unwrap convention for walking middleware chains,
-// and the execution-budget context hook the engine threads through every
-// Invoke/Fetch.
+// This file is the shared substrate of the call policy, the Hedge and the
+// fault injectors (Flaky, internal/chaos): the failure taxonomy, the
+// TimeSource each layer that charges time takes at construction, the
+// Unwrap convention CollectResilience walks, and the execution-budget
+// context hook the engine threads through every Invoke/Fetch.
 
 // ErrPermanent marks a non-retryable failure of a remote service: the
 // service is gone for the remainder of the run (crashed, revoked,
-// decommissioned). Retry passes it through untouched; the engine's
-// Degrade mode turns it into a partial result instead of a failed run.
+// decommissioned). Policy passes it through without a retry; the
+// engine's Degrade mode turns it into a partial result instead of a
+// failed run.
 var ErrPermanent = errors.New("service: permanent failure")
 
-// ErrOpen is returned by a tripped Breaker while its cooldown has not
-// elapsed. It is deliberately neither transient nor permanent: Retry does
-// not hammer an open circuit, and the engine treats it as a service
-// failure for degradation purposes.
+// ErrOpen is returned by a Policy whose circuit is open. It is
+// deliberately neither transient nor permanent: nothing retries or
+// hedges an open circuit, and the engine treats it as a service failure
+// for degradation purposes.
 var ErrOpen = errors.New("service: circuit open")
 
-// TimeSource provides the two clock primitives the resilience middleware
-// needs: Now anchors cooldown windows and Sleep charges backoff delays.
-// The engine's Clock (internal/engine) satisfies it, so virtual-clock
-// runs charge retry backoff and breaker cooldowns into simulated time
-// deterministically. The zero state (no time source installed) is
-// timeless: Retry skips its backoff sleeps and Breaker stays open until
-// reset, so no middleware ever falls back to the wall clock on its own.
+// TimeSource provides the two clock primitives of the layers that charge
+// time: Now anchors cooldown windows and Sleep charges backoff delays and
+// injected latency. Each such layer takes one at construction. The
+// engine's Clock (internal/engine) satisfies it, so handing a layer the
+// engine's VirtualClock charges its timing into simulated time
+// deterministically.
 type TimeSource interface {
 	Now() time.Time
 	Sleep(d time.Duration)
@@ -39,41 +38,18 @@ type TimeSource interface {
 
 // Wrapper is implemented by middleware services that decorate another
 // Service. Unwrap returns the decorated service, exposing the chain for
-// InstallTimeSource and CollectResilience.
+// CollectResilience.
 type Wrapper interface {
 	Unwrap() Service
-}
-
-// TimeSourceSetter is implemented by middleware whose behavior depends on
-// time (Retry backoff, Breaker cooldown, chaos latency spikes).
-type TimeSourceSetter interface {
-	SetTimeSource(ts TimeSource)
-}
-
-// InstallTimeSource walks the middleware chain of svc (via Wrapper) and
-// installs ts into every layer that accepts one. The engine calls it for
-// each bound service at construction, so all resilience timing flows
-// through the engine Clock without the middleware importing the engine.
-func InstallTimeSource(svc Service, ts TimeSource) {
-	for s := svc; s != nil; {
-		if setter, ok := s.(TimeSourceSetter); ok {
-			setter.SetTimeSource(ts)
-		}
-		w, ok := s.(Wrapper)
-		if !ok {
-			break
-		}
-		s = w.Unwrap()
-	}
 }
 
 // ResilienceStats aggregates the counters of a service's resilience
 // middleware chain for the run report.
 type ResilienceStats struct {
-	// Retries counts backoff-and-retry attempts performed by Retry.
+	// Retries counts backoff-and-retry attempts performed by Policy.
 	Retries int64
-	// GiveUps counts operations Retry abandoned after exhausting the
-	// retry budget.
+	// GiveUps counts operations Policy abandoned after exhausting its
+	// retries.
 	GiveUps int64
 	// Injected counts transient faults injected by Flaky or a chaos
 	// injector.
@@ -144,7 +120,7 @@ func WithBudget(ctx context.Context, check func() error) context.Context {
 }
 
 // CheckBudget returns the budget-exhaustion error when the context
-// carries a spent execution budget, nil otherwise. Retry consults it
+// carries a spent execution budget, nil otherwise. Policy consults it
 // before each backoff so a spent budget is never slept against; the
 // run's Counters hold the same probe in a field (RunScope.Bind), so the
 // per-call check at the choke point needs no context lookup.

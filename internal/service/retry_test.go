@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -45,10 +46,9 @@ func TestFlakyDisabled(t *testing.T) {
 func TestRetryRecoversFromTransientFailures(t *testing.T) {
 	tab := newMovieTable(t, 1)
 	f := NewFlaky(tab, 3)
-	var slept []time.Duration
-	r := NewRetry(f)
-	r.Sleep = func(d time.Duration) { slept = append(slept, d) }
-	inv, err := r.Invoke(context.Background(), movieInput())
+	clk := &schedClock{now: time.Unix(0, 0)}
+	p := NewPolicy(f, clk, 1)
+	inv, err := p.Invoke(context.Background(), movieInput())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,42 +66,40 @@ func TestRetryRecoversFromTransientFailures(t *testing.T) {
 	if got != 2 {
 		t.Errorf("tuples = %d, want 2", got)
 	}
-	if r.Retried() == 0 || len(slept) == 0 {
-		t.Error("no retries recorded despite injected failures")
+	slept := clk.takeSlept()
+	if p.Resilience().Retries == 0 || len(slept) == 0 {
+		t.Fatal("no retries recorded despite injected failures")
 	}
-	// Exponential backoff: each sleep doubles within one attempt run.
-	if len(slept) >= 2 && slept[0] != 10*time.Millisecond {
-		t.Errorf("first backoff = %v, want 10ms", slept[0])
+	// A first retry waits the base backoff, less at most half of it.
+	if slept[0] <= policyBackoff/2 || slept[0] > policyBackoff {
+		t.Errorf("first backoff = %v, want in (%v, %v]", slept[0], policyBackoff/2, policyBackoff)
 	}
 }
 
 func TestRetryGivesUpAfterMax(t *testing.T) {
 	tab := newMovieTable(t, 1)
 	f := NewFlaky(tab, 1) // every call fails
-	r := NewRetry(f)
-	r.MaxRetries = 2
-	r.Sleep = func(time.Duration) {}
-	if _, err := r.Invoke(context.Background(), movieInput()); !errors.Is(err, ErrTransient) {
+	p := NewPolicy(f, &fakeClock{now: time.Unix(0, 0)}, 1)
+	if _, err := p.Invoke(context.Background(), movieInput()); !errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v, want wrapped transient after give-up", err)
 	}
-	if r.Retried() != 2 {
-		t.Errorf("Retried = %d, want 2", r.Retried())
+	if rs := p.Resilience(); rs.Retries != policyRetries || rs.GiveUps != 1 {
+		t.Errorf("retries %d, give-ups %d, want %d and 1", rs.Retries, rs.GiveUps, policyRetries)
 	}
 }
 
 func TestRetryPassesThroughHardErrors(t *testing.T) {
 	tab := newMovieTable(t, 1)
-	r := NewRetry(tab)
-	r.Sleep = func(time.Duration) {}
+	p := NewPolicy(tab, &fakeClock{now: time.Unix(0, 0)}, 1)
 	// Missing input is a hard error: no retries.
-	if _, err := r.Invoke(context.Background(), Input{}); err == nil {
+	if _, err := p.Invoke(context.Background(), Input{}); err == nil {
 		t.Fatal("hard error swallowed")
 	}
-	if r.Retried() != 0 {
-		t.Errorf("hard error retried %d times", r.Retried())
+	if n := p.Resilience().Retries; n != 0 {
+		t.Errorf("hard error retried %d times", n)
 	}
 	// Exhaustion passes through untouched.
-	inv, err := r.Invoke(context.Background(), movieInput())
+	inv, err := p.Invoke(context.Background(), movieInput())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,24 +111,74 @@ func TestRetryPassesThroughHardErrors(t *testing.T) {
 	t.Error("exhaustion never surfaced")
 }
 
+// cancelClock cancels a context on its first Sleep.
+type cancelClock struct {
+	fakeClock
+	cancel context.CancelFunc
+}
+
+func (c *cancelClock) Sleep(d time.Duration) {
+	c.cancel()
+	c.fakeClock.Sleep(d)
+}
+
 func TestRetryRespectsContext(t *testing.T) {
 	tab := newMovieTable(t, 1)
 	f := NewFlaky(tab, 1)
-	r := NewRetry(f)
 	ctx, cancel := context.WithCancel(context.Background())
-	r.Sleep = func(time.Duration) { cancel() }
-	if _, err := r.Invoke(ctx, movieInput()); err == nil {
+	p := NewPolicy(f, &cancelClock{fakeClock: fakeClock{now: time.Unix(0, 0)}, cancel: cancel}, 1)
+	if _, err := p.Invoke(ctx, movieInput()); err == nil {
 		t.Fatal("cancelled retry succeeded")
 	}
-	if r.Retried() > 1 {
-		t.Errorf("kept retrying after cancel: %d", r.Retried())
+	if n := p.Resilience().Retries; n > 1 {
+		t.Errorf("kept retrying after cancel: %d", n)
 	}
 }
 
 func TestRetryForwarding(t *testing.T) {
 	tab := newMovieTable(t, 1)
-	r := NewRetry(tab)
-	if r.Interface() != tab.Interface() || r.Stats().ChunkSize != 1 {
-		t.Error("Retry does not forward Interface/Stats")
+	p := NewPolicy(tab, &fakeClock{now: time.Unix(0, 0)}, 1)
+	if p.Interface() != tab.Interface() || p.Stats().ChunkSize != 1 || p.Unwrap() != Service(tab) {
+		t.Error("Policy does not forward Interface/Stats/Unwrap")
+	}
+}
+
+// giveUpSleeps records the backoffs of one operation that fails every
+// attempt, under the policy seeded with seed.
+func giveUpSleeps(t *testing.T, seed int64) []time.Duration {
+	clk := &schedClock{now: time.Unix(0, 0)}
+	p := NewPolicy(NewFlaky(newMovieTable(t, 0), 1), clk, seed)
+	p.Invoke(context.Background(), movieInput())
+	return clk.takeSlept()
+}
+
+func TestRetryJitterDeterministic(t *testing.T) {
+	a, b := giveUpSleeps(t, 7), giveUpSleeps(t, 7)
+	if len(a) == 0 {
+		t.Fatal("no backoffs recorded")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed, different backoff schedule: %v vs %v", a, b)
+	}
+	if c := giveUpSleeps(t, 8); reflect.DeepEqual(a, c) {
+		t.Errorf("different seeds produced the identical jittered schedule %v", a)
+	}
+}
+
+// The backoff doubles per attempt up to its cap, the eighth and last
+// retry's 128 ms; each delay keeps at least half of its doubled base.
+func TestRetryBackoffGrowsToCap(t *testing.T) {
+	slept := giveUpSleeps(t, 7)
+	if len(slept) != policyRetries {
+		t.Fatalf("%d backoffs, want %d", len(slept), policyRetries)
+	}
+	for i, d := range slept {
+		top := policyBackoff << i
+		if d <= top/2 || d > top {
+			t.Errorf("backoff %d = %v, want in (%v, %v]", i+1, d, top/2, top)
+		}
+	}
+	if top := policyBackoff << (policyRetries - 1); top != 128*time.Millisecond {
+		t.Errorf("largest backoff bound %v, want 128ms", top)
 	}
 }

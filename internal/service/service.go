@@ -132,7 +132,7 @@ type Invocation interface {
 // under the comparator of the query predicate covering it: equality for an
 // input piped from another service's output. The engine relies on it and
 // does not re-check a pipe's atomic equalities per tuple. Middleware
-// (Counter, Share, Retry, Breaker, Hedge, fault injection) passes tuples
+// (Counter, Share, Policy, Hedge, fault injection) passes tuples
 // through unaltered.
 type Service interface {
 	// Interface returns the design-time interface the service implements.

@@ -264,8 +264,8 @@ func TestInvokerRunScopeIsolation(t *testing.T) {
 	if a.Counter("Z") != nil {
 		t.Error("unbound alias returned a counter")
 	}
-	if len(inv.Aliases()) != 2 {
-		t.Errorf("aliases: %v", inv.Aliases())
+	if len(a.Counters()) != 2 {
+		t.Errorf("counters: %v", a.Counters())
 	}
 }
 
