@@ -4,9 +4,13 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
+	"seco/internal/cost"
 	"seco/internal/join"
 	"seco/internal/mart"
+	"seco/internal/obs"
+	"seco/internal/optimizer"
 	"seco/internal/plan"
 	"seco/internal/plancheck"
 	"seco/internal/query"
@@ -49,7 +53,7 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	run()
 	run()
 	got := testing.AllocsPerRun(10, run)
-	// Measured 291 allocs/run steady-state (Go 1.24), with memo-hit
+	// Measured 295 allocs/run steady-state (Go 1.24), with memo-hit
 	// fetches, pooled pipe readings and pooled-buffer puts allocating
 	// nothing; the map-backed runtime sat near 3800. The ceiling leaves
 	// ~1.25x headroom for toolchain drift, little enough that one
@@ -76,11 +80,12 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	}
 	t.Logf("fidelity-scored pull run: %.0f allocs (+%.0f)", gotScored, gotScored-got)
 
-	// A Run of an already prepared plan builds only per-run state, so it
-	// must allocate strictly less than an Execute of the same plan — the
-	// difference is the verification and compilation Prepare does once —
-	// and stay under its own ceiling, so compile work cannot drift back
-	// into the run path unnoticed.
+	// A Run of an already prepared plan reuses the operator graph an
+	// earlier Run left, so it must allocate strictly less than an Execute
+	// of the same plan — the difference is the verification, compilation
+	// and graph building done once — and stay under its own ceiling, so
+	// neither compile work nor graph building can drift back into the run
+	// path unnoticed.
 	prep, err := e.Prepare(a, PrepareOptions{Weights: q.Weights, TargetK: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +101,9 @@ func TestPullDriverAllocsBounded(t *testing.T) {
 	}
 	prepared()
 	gotRun := testing.AllocsPerRun(10, prepared)
-	// Measured 141 allocs/run; ~1.25x headroom, as above.
-	const runCeiling = 180
+	// Measured 83 allocs/run; 137 while every Run built its own graph,
+	// counting scope and bound inputs. ~1.25x headroom, as above.
+	const runCeiling = 104
 	if gotRun > runCeiling {
 		t.Errorf("steady-state Prepared.Run allocates %.0f objects, ceiling %d", gotRun, runCeiling)
 	}
@@ -194,14 +200,15 @@ func TestPullRunAllocBytes(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	kb := steadyRunKB(conftravelRun(t, true))
-	// Measured 11.3 KB per run (Go 1.24); 17.7 KB while the explorer kept
-	// its processed tiles in a map, 24.3 KB before pipe readings were
-	// pooled. With the chunk-buffer pools replaced by make it measured
-	// 46.5 KB, and with the arena block pools replaced too, 250 KB; the
-	// ceiling leaves ~1.3x headroom.
-	const ceiling = 15
+	// Measured 5.1 KB per run (Go 1.24); 11.4 KB while every run built
+	// its own operator graph, 17.7 KB while the explorer kept its
+	// processed tiles in a map, 24.3 KB before pipe readings were pooled.
+	// With the chunk-buffer pools replaced by make it measured 46.5 KB,
+	// and with the arena block pools replaced too, 250 KB; the ceiling
+	// leaves ~1.3x headroom.
+	const ceiling = 6.6
 	if kb > ceiling {
-		t.Errorf("steady-state conftravel pull run allocates %.1f KB, ceiling %d KB", kb, ceiling)
+		t.Errorf("steady-state conftravel pull run allocates %.1f KB, ceiling %.1f KB", kb, ceiling)
 	}
 	t.Logf("steady-state conftravel pull run: %.1f KB", kb)
 }
@@ -215,21 +222,22 @@ func TestShareOffRunAllocBytes(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	kb := steadyRunKB(conftravelRun(t, false))
-	// Measured 12.5 KB per run (Go 1.24); 18.7 KB while the explorer kept
-	// its processed tiles in a map, 31.8 KB while each Table invocation
-	// copied its match list and pipe readings were not pooled. The ceiling
-	// leaves ~1.3x headroom.
-	const ceiling = 16
+	// Measured 6.0 KB per run (Go 1.24); 12.3 KB while every run built its
+	// own operator graph, 18.7 KB while the explorer kept its processed
+	// tiles in a map, 31.8 KB while each Table invocation copied its match
+	// list and pipe readings were not pooled. The ceiling leaves ~1.3x
+	// headroom.
+	const ceiling = 7.8
 	if kb > ceiling {
-		t.Errorf("steady-state Share-off conftravel run allocates %.1f KB, ceiling %d KB", kb, ceiling)
+		t.Errorf("steady-state Share-off conftravel run allocates %.1f KB, ceiling %.1f KB", kb, ceiling)
 	}
 	t.Logf("steady-state Share-off conftravel run: %.1f KB", kb)
 }
 
 // TestTriangleRunAllocBytes is TestPullRunAllocBytes on the triangle's
-// multi-way join, whose per-run state is its edges' posting maps: a
-// branch holds 15–20 rows, so a map pre-sized for more costs bytes on
-// every run and no time.
+// multi-way join, whose edges' posting maps a reused graph keeps: a
+// branch holds 15–20 rows, so a map pre-sized for more costs bytes and no
+// time.
 func TestTriangleRunAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
@@ -250,12 +258,13 @@ func TestTriangleRunAllocBytes(t *testing.T) {
 		}
 	}
 	kb := steadyRunKB(run)
-	// Measured 11.1 KB per run (Go 1.24); with each hashable edge's two
-	// posting maps pre-sized for 64 keys, as they once were, 29.2 KB.
+	// Measured 3.9 KB per run (Go 1.24); 10.2 KB while every run built
+	// its own operator graph and posting maps; with each hashable edge's
+	// two posting maps pre-sized for 64 keys, as they once were, 29.2 KB.
 	// The ceiling leaves ~1.3x headroom.
-	const ceiling = 15
+	const ceiling = 5.1
 	if kb > ceiling {
-		t.Errorf("steady-state triangle run allocates %.1f KB, ceiling %d KB", kb, ceiling)
+		t.Errorf("steady-state triangle run allocates %.1f KB, ceiling %.1f KB", kb, ceiling)
 	}
 	t.Logf("steady-state triangle run: %.1f KB", kb)
 }
@@ -414,29 +423,38 @@ func TestOperatorAllocsPerComb(t *testing.T) {
 
 var inputSink service.Input
 
-// TestInvocationInputAllocs guards the per-invocation input assembly: a
-// node without INPUT variables shares its template, a pipe reading's
-// first input costs one copy of the template, nothing per bound path, and
-// refilling a reused reading's buffer costs nothing.
+// TestInvocationInputAllocs guards the per-invocation input assembly:
+// binding a run's INPUT values into the operator's own copy of the
+// template costs nothing, a pipe reading's first input costs one copy of
+// the fixed input, nothing per bound path, and refilling a reused
+// reading's buffer costs nothing.
 func TestInvocationInputAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	sp := &svcProg{
-		n:     &plan.Node{ID: "X", Alias: "X"},
-		in:    service.Input{{Path: "A", Value: types.Int(1)}, {Path: "Key"}},
-		pipes: []pipeBind{{pos: 1, slot: 0, from: query.PathRef{Alias: "U", Path: "Id"}}},
+		n:      &plan.Node{ID: "X", Alias: "X"},
+		in:     service.Input{{Path: "A"}, {Path: "Key"}},
+		inputs: []inputBind{{pos: 0, input: "INPUT1"}},
+		pipes:  []pipeBind{{pos: 1, slot: 0, from: query.PathRef{Alias: "U", Path: "Id"}}},
 	}
+	inputs := map[string]types.Value{"INPUT1": types.Int(1)}
 	up := types.NewTuple(0.5)
 	up.Set("Id", types.Int(7))
 	src := &comb{score: 0.5, comps: []*types.Tuple{up, nil}}
 
-	fixed, err := sp.bind(nil)
-	if err != nil {
+	fixed := sp.in.Clone()
+	if err := sp.bind(fixed, inputs); err != nil {
 		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(100, func() { inputSink, _ = sp.bind(nil) }); got != 0 {
-		t.Errorf("bind without INPUT variables allocates %.0f objects, want 0", got)
+	if got := testing.AllocsPerRun(100, func() { _ = sp.bind(fixed, inputs) }); got != 0 {
+		t.Errorf("binding INPUT values allocates %.0f objects, want 0", got)
+	}
+	if v, _ := fixed.Get("A"); v.IntVal() != 1 {
+		t.Errorf("bound A = %v, want 1", v)
+	}
+	if v, _ := sp.in.Get("A"); !v.IsNull() {
+		t.Errorf("bind wrote into the template: A = %v", v)
 	}
 	if got := testing.AllocsPerRun(100, func() { inputSink, _ = sp.pipeInput(nil, fixed, src) }); got != 1 {
 		t.Errorf("pipeInput into a new reading allocates %.0f objects, want 1", got)
@@ -445,7 +463,7 @@ func TestInvocationInputAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { in, _ = sp.pipeInput(in, fixed, src) }); got != 0 {
 		t.Errorf("pipeInput into a reused reading's buffer allocates %.0f objects, want 0", got)
 	}
-	in, err = sp.pipeInput(in, fixed, src)
+	in, err := sp.pipeInput(in, fixed, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,6 +471,74 @@ func TestInvocationInputAllocs(t *testing.T) {
 		t.Errorf("piped Key = %v, want 7", v)
 	}
 	if v, _ := fixed.Get("Key"); !v.IsNull() {
-		t.Errorf("pipeInput wrote into the template: Key = %v", v)
+		t.Errorf("pipeInput wrote into the fixed input: Key = %v", v)
 	}
+}
+
+// servedMovienightRun returns one Prepared.Run of the running example as
+// a server answers it: the plan the optimizer chooses for a top-10, on an
+// engine with call sharing, hedging and metrics, prepared to degrade, and
+// run under a budget that never binds.
+func servedMovienightRun(t testing.TB) func() {
+	t.Helper()
+	reg, err := mart.MovieScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := query.RunningExample(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := synth.NewMovieWorld(reg, synth.MovieConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := map[string]service.Stats{}
+	for alias, svc := range world.Services() {
+		stats[alias] = svc.Stats()
+	}
+	res, err := optimizer.Optimize(q, reg, optimizer.Options{
+		K: 10, Metric: cost.RequestResponse{}, Stats: stats, FixedInterfaces: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewWithConfig(world.Services(), Config{Share: true, Metrics: obs.NewRegistry(), Hedge: &service.HedgePolicy{}})
+	prep, err := e.Prepare(res.Annotated, PrepareOptions{
+		Weights: res.Query.Weights, TargetK: 10, Parallelism: 4, Degrade: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		r, err := prep.Run(context.Background(), RunOptions{
+			Inputs: world.Inputs, Budget: time.Hour, BudgetReason: DegradeDeadline,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Combinations) == 0 || r.Degraded != nil {
+			t.Fatalf("%d results, degraded %v", len(r.Combinations), r.Degraded)
+		}
+	}
+}
+
+// TestMovienightRunAllocBytes is TestPullRunAllocBytes on the request a
+// movienight server answers most: a top-10 of the running example whose
+// every chunk the Share layer has memoized, so what a run allocates is
+// almost all per-run state.
+func TestMovienightRunAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run without -race")
+	}
+	kb := steadyRunKB(servedMovienightRun(t))
+	// Measured 2.4 KB per run (Go 1.24), most of it the Run handed back
+	// (its counter maps and the materialized combinations); 7.5 KB while
+	// every run built its own operator graph, counting scope and bound
+	// inputs. The ceiling leaves ~1.3x headroom.
+	const ceiling = 3.1
+	if kb > ceiling {
+		t.Errorf("steady-state movienight run allocates %.1f KB, ceiling %.1f KB", kb, ceiling)
+	}
+	t.Logf("steady-state movienight run: %.1f KB", kb)
 }

@@ -101,22 +101,36 @@ func withAlias(alias string, err error) error {
 	return &aliasError{alias: alias, err: err}
 }
 
-// budgetCheck returns the budget-expiry probe for a run, or nil when no
-// budget is set. The probe reads the engine clock, so wall and virtual
-// runs expire identically relative to their own time.
-func (ex *executor) budgetCheck(start time.Time) func() error {
+// bindBudget arms the run's budget-expiry probe (nil without a budget)
+// and returns the remaining-time probe the Counters bound each call by:
+// nil unless the clock waits. Virtual runs skip per-call deadlines —
+// their time only advances through charged latency, so the deterministic
+// expiry probe is the sole authority. Both probes are method values made
+// once per graph; a run only moves the deadline they read.
+func (ex *executor) bindBudget(start time.Time) func() time.Duration {
+	ex.budget = nil
 	if ex.run.Budget <= 0 {
 		return nil
 	}
-	deadline := start.Add(ex.run.Budget)
-	clock := ex.engine.clock
-	return func() error {
-		if clock.Now().Before(deadline) {
-			return nil
-		}
-		return ErrBudget
+	ex.deadline = start.Add(ex.run.Budget)
+	ex.budget = ex.expiredFn
+	if _, wall := ex.engine.clock.(WallClock); wall {
+		return ex.remainingFn
 	}
+	return nil
 }
+
+// expired is the budget-expiry probe: ErrBudget once the engine clock
+// has reached the run's deadline.
+func (ex *executor) expired() error {
+	if ex.engine.clock.Now().Before(ex.deadline) {
+		return nil
+	}
+	return ErrBudget
+}
+
+// remaining is what is left of the run's budget on the engine clock.
+func (ex *executor) remaining() time.Duration { return ex.deadline.Sub(ex.engine.clock.Now()) }
 
 // classifyDegrade decides whether err ends the run as a degraded partial
 // result. User cancellation is never degraded — the caller asked the run

@@ -48,7 +48,7 @@ func (ex *executor) runDrain(ctx context.Context, g *graph, start time.Time) (*R
 	if err := g.root.Open(pullCtx); err != nil {
 		return nil, err
 	}
-	best := newTopK(ex.opts.TargetK, ex.outHint)
+	best := ex.best
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -95,9 +95,7 @@ func (ex *executor) runPull(ctx context.Context, g *graph, start time.Time) (*Ru
 		return nil, err
 	}
 
-	budget := ex.budget
-	best := newTopK(ex.opts.TargetK, ex.outHint)
-	ex.best = &best
+	budget, best := ex.budget, ex.best
 	var deg *Degradation
 	for {
 		if err := ctx.Err(); err != nil {
@@ -284,6 +282,12 @@ func (t *topK) push(c *comb) {
 			i = worst
 		}
 	}
+}
+
+// reset empties the top-K for the next run, keeping its buffer.
+func (t *topK) reset() {
+	clear(t.h)
+	t.h, t.pulled = t.h[:0], 0
 }
 
 // ranked sorts the kept combs into rank order. Arrival numbers make the

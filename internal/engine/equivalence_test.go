@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"seco/internal/join"
@@ -172,7 +173,10 @@ func TestMatchAcrossOrientation(t *testing.T) {
 		g := &graph{
 			ex: &executor{Prepared: &Prepared{engine: New(nil, nil), layout: layout,
 				nodes: []progNode{{id: inputs[0]}, {id: inputs[1]}}}},
-			ops:    []Operator{&sliceOp{combs: rows[:1]}, &sliceOp{combs: rows[1:]}},
+			ops: []*countedOp{
+				{inner: &sliceOp{combs: rows[:1]}, n: new(atomic.Int64)},
+				{inner: &sliceOp{combs: rows[1:]}, n: new(atomic.Int64)},
+			},
 			shared: make([]*sharedOp, 2),
 		}
 		op2, err := g.newMultiJoinOp(&progNode{id: "J", n: n, inputs: []int{0, 1}, multi: mp})

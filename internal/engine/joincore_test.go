@@ -138,11 +138,7 @@ func TestEqualityJoinRunsAtFanInTwo(t *testing.T) {
 	for _, d := range prep.describe().Ops {
 		kinds[d.Node] = d.Kind
 	}
-	ex := &executor{Prepared: prep, run: RunOptions{Inputs: world.Inputs}, scope: e.Invoker().NewRun()}
-	g, err := prep.instantiate(ex)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := boundGraph(t, prep, RunOptions{Inputs: world.Inputs})
 	defer g.shutdown()
 	joins := 0
 	for i := range prep.nodes {
@@ -158,7 +154,7 @@ func TestEqualityJoinRunsAtFanInTwo(t *testing.T) {
 		for _, jp := range pn.n.JoinPreds {
 			allEq = allEq && jp.Op == types.OpEq
 		}
-		inner := g.ops[i].(*countedOp).inner
+		inner := g.ops[i].inner
 		m, ok := inner.(*multiJoinOp)
 		if !ok || len(m.branches) != 2 {
 			t.Errorf("%s %v: operator %T, want the join operator at fan-in 2", pn.id, pn.n.JoinPreds, inner)
@@ -227,10 +223,10 @@ func TestNonEqualityJoinKeepsExplorer(t *testing.T) {
 			continue
 		}
 		found = true
-		j, ok := g.ops[i].(*countedOp).inner.(*multiJoinOp)
+		j, ok := g.ops[i].inner.(*multiJoinOp)
 		if !ok || pn.multi == nil || !pn.multi.explore {
 			t.Fatalf("%s: operator %T (program %+v), want the join operator marked for the explorer",
-				pn.id, g.ops[i].(*countedOp).inner, pn.multi)
+				pn.id, g.ops[i].inner, pn.multi)
 		}
 		if j.explorer == nil {
 			t.Errorf("%s: join operator without an explorer", pn.id)
@@ -295,7 +291,10 @@ func TestMixedClassKeyColumnIsAnError(t *testing.T) {
 // artists, the equal floats on the promoters, label 0 as 0 against -0.0 —
 // and the engine must still find every combination the brute force finds,
 // at fan-in 2 and 3. A NaN label has no key at all (it compares equal to
-// every number): the edge then falls back to verifying candidates.
+// every number): the edge then falls back to verifying candidates, for
+// the rest of that run only — each plan runs twice on one Prepared, and
+// the second run, on the first one's graph, must examine the same
+// candidates.
 func TestNumericEdgeKeysMatchReference(t *testing.T) {
 	relabel := func(tab *service.Table, number func(name string, n int) types.Value) *service.Table {
 		out, err := service.NewTable(tab.Interface(), tab.Stats())
@@ -344,15 +343,28 @@ func TestNumericEdgeKeysMatchReference(t *testing.T) {
 			t.Fatalf("%+v: reference has only %d combinations", tc, len(want))
 		}
 		for _, materialize := range []bool{false, true} {
-			run, err := New(world.Services(), nil).Execute(context.Background(), fullFetches(t, res.Plan), Options{
-				Inputs: world.Inputs, Weights: res.Query.Weights, Materialize: materialize,
+			prep, err := New(world.Services(), nil).Prepare(fullFetches(t, res.Plan), PrepareOptions{
+				Weights: res.Query.Weights, Materialize: materialize,
 			})
 			if err != nil {
-				t.Fatalf("%+v materialize=%v: %v", tc, materialize, err)
+				t.Fatal(err)
 			}
-			if got := runNameScores(run); !reflect.DeepEqual(got, want) {
-				t.Errorf("%+v materialize=%v: %d combinations, the reference has %d",
-					tc, materialize, len(got), len(want))
+			var first *Run
+			for i := 0; i < 2; i++ {
+				run, err := prep.Run(context.Background(), RunOptions{Inputs: world.Inputs, Fidelity: true})
+				if err != nil {
+					t.Fatalf("%+v materialize=%v: %v", tc, materialize, err)
+				}
+				if got := runNameScores(run); !reflect.DeepEqual(got, want) {
+					t.Errorf("%+v materialize=%v run %d: %d combinations, the reference has %d",
+						tc, materialize, i, len(got), len(want))
+				}
+				if first == nil {
+					first = run
+				} else if !reflect.DeepEqual(run.Fidelity, first.Fidelity) {
+					t.Errorf("%+v materialize=%v: the second run examined other candidates than the first:\n%+v\n%+v",
+						tc, materialize, run.Fidelity, first.Fidelity)
+				}
 			}
 		}
 	}
@@ -376,6 +388,7 @@ func (s *sliceOp) Next(context.Context) (*comb, error) {
 }
 func (s *sliceOp) Bound() float64 { return 0 }
 func (s *sliceOp) Close()         {}
+func (s *sliceOp) reset()         {}
 
 // TestServiceReaderModes drives the one demand-paged reader over a keyed
 // service (6 tuples per key, chunks of 2, budget 3). A scan invokes once

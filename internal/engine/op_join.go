@@ -29,10 +29,12 @@ import (
 type joinBranch struct {
 	g      *graph
 	reader Operator
-	// id names the branch's input plan node — the pprof label of the
-	// prefetch goroutine when the run is observed.
-	id   string
-	size int
+	// labels names the branch's input plan node — the seco.operator
+	// profiler label of its pulls when the run is observed; labeled is the
+	// run context carrying it, built at the run's first labelled pull.
+	labels  pprof.LabelSet
+	labeled context.Context
+	size    int
 	// ch hands prefetched chunks over; nil under a VirtualClock.
 	ch chan branchPull
 	// outstanding marks a prefetch in flight whose result has not been
@@ -84,7 +86,7 @@ type branchPull struct {
 func (g *graph) newBranch(in, size int) joinBranch {
 	reader := g.reader(in)
 	b := joinBranch{
-		g: g, reader: reader, id: g.ex.nodes[in].id, size: size,
+		g: g, reader: reader, labels: pprof.Labels("seco.operator", g.ex.nodes[in].id), size: size,
 		bestSeen: math.Inf(-1), bound: reader.Bound(),
 	}
 	if !g.ex.engine.virtual {
@@ -110,15 +112,19 @@ func (b *joinBranch) start(ctx context.Context) {
 }
 
 // labeledPull runs pull, labelled with the branch's input node when the
-// run is observed, so profiles split the join branches.
-func (b *joinBranch) labeledPull(ctx context.Context, buf *pooled[*comb], rows []*comb) (res branchPull) {
+// run is observed, so profiles split the join branches. The labelled
+// context is built once per run: every pull of a run has the same
+// context, and only one pull of a branch runs at a time.
+func (b *joinBranch) labeledPull(ctx context.Context, buf *pooled[*comb], rows []*comb) branchPull {
 	if b.g.ex.run.Trace == nil && b.g.ex.engine.metrics == nil {
 		return b.pull(ctx, buf, rows)
 	}
-	pprof.Do(ctx, pprof.Labels("seco.operator", b.id), func(ctx context.Context) {
-		res = b.pull(ctx, buf, rows)
-	})
-	return res
+	if b.labeled == nil {
+		b.labeled = pprof.WithLabels(ctx, b.labels)
+	}
+	pprof.SetGoroutineLabels(b.labeled)
+	defer pprof.SetGoroutineLabels(ctx)
+	return b.pull(b.labeled, buf, rows)
 }
 
 // pull appends the branch's next chunk from its reader to rows, taking
@@ -209,7 +215,15 @@ func (b *joinBranch) release() {
 	if b.buf != nil {
 		combSlices.put(b.g, b.buf, b.rows)
 	}
-	b.buf, b.rows, b.chunks = nil, nil, nil
+	b.buf, b.rows, b.chunks = nil, nil, b.chunks[:0]
+}
+
+// reset readies the released branch for the next run. Its reader resets
+// first (inputs reset before their consumers), so the initial bound is the
+// one newBranch read.
+func (b *joinBranch) reset() {
+	b.labeled, b.noMore, b.bestSeen, b.bound = nil, false, math.Inf(-1), b.reader.Bound()
+	b.assign, b.lo, b.hi, b.cands = nil, 0, 0, b.cands[:0]
 }
 
 // explore runs one step of the explorer's schedule: a fetch event takes

@@ -73,13 +73,12 @@ type multiJoinOp struct {
 	ex       *executor
 	g        *graph
 	branches []joinBranch
-	// edges is the program's edge table, or this run's copy of it with
-	// the posting lists the run fills when some edge is hashable;
-	// incident (edge indexes touching each branch) and ones are the
-	// program's, read-only.
-	edges    []multiEdge
-	incident [][]int
-	ones     []float64
+	// edges is the program's edge table, or the graph's copy of it with
+	// the posting lists a run fills when some edge is hashable; prog is
+	// the program's, whose incident (edge indexes touching each branch)
+	// and ones the operator reads.
+	edges []multiEdge
+	prog  *multiProg
 	// explorer schedules a binary join by the node's strategy; nil for a
 	// round-robin delta join.
 	explorer *join.Explorer
@@ -105,15 +104,15 @@ type multiJoinOp struct {
 	frontier []float64
 }
 
-func (g *graph) newMultiJoinOp(pn *progNode) (Operator, error) {
+func (g *graph) newMultiJoinOp(pn *progNode) (*multiJoinOp, error) {
 	mp := pn.multi
 	nb := len(pn.inputs)
 	s := &multiJoinOp{
 		ex:       g.ex,
 		g:        g,
-		cand:     g.fid.Counter(pn.id),
 		branches: make([]joinBranch, nb),
-		edges:    mp.edges, incident: mp.incident, ones: mp.ones,
+		edges:    mp.edges,
+		prog:     mp,
 		arena:    g.newArena(),
 		frontier: make([]float64, 2*nb),
 	}
@@ -237,7 +236,7 @@ func (s *multiJoinOp) arrive(ctx context.Context, bi int) ([]*comb, error) {
 // is also where a key column mixing value classes is caught.
 func (s *multiJoinOp) index(bi, from int) error {
 	rows := s.branches[bi].rows
-	for _, ei := range s.incident[bi] {
+	for _, ei := range s.prog.incident[bi] {
 		e := &s.edges[ei]
 		if !e.hashable {
 			continue
@@ -362,7 +361,7 @@ func (s *multiJoinOp) expand(nBound int) error {
 	j := s.chooseNext()
 	bj := &s.branches[j]
 	s.lists = s.lists[:0]
-	for _, ei := range s.incident[j] {
+	for _, ei := range s.prog.incident[j] {
 		e := &s.edges[ei]
 		other := e.bl
 		if other == j {
@@ -434,7 +433,7 @@ func (s *multiJoinOp) chooseNext() int {
 			continue
 		}
 		n := 0
-		for _, ei := range s.incident[j] {
+		for _, ei := range s.prog.incident[j] {
 			e := &s.edges[ei]
 			other := e.bl
 			if other == j {
@@ -456,7 +455,7 @@ func (s *multiJoinOp) chooseNext() int {
 // (discharging hash collisions) plus the conditions posting lists cannot
 // key.
 func (s *multiJoinOp) verify(j int) (bool, error) {
-	for _, ei := range s.incident[j] {
+	for _, ei := range s.prog.incident[j] {
 		e := &s.edges[ei]
 		l, r := s.branches[e.bl].assign, s.branches[e.br].assign
 		if l == nil || r == nil {
@@ -565,7 +564,7 @@ func (s *multiJoinOp) Bound() float64 {
 	for i := range s.branches {
 		best[i], cur[i] = s.branches[i].best(), s.branches[i].bound
 	}
-	if v := weightedThreshold(s.ones, best, cur); v > b {
+	if v := weightedThreshold(s.prog.ones, best, cur); v > b {
 		b = v
 	}
 	if s.explorer != nil {
@@ -623,4 +622,29 @@ func (s *multiJoinOp) Close() {
 		s.pendingBuf, s.pending = nil, nil
 	}
 	s.arena.release()
+}
+
+// reset readies the closed join for the next run: its branches, the
+// graph's copy of the edge table (posting lists emptied, their maps'
+// capacity kept, and every edge hashable again as compiled) and the
+// explorer go back to empty.
+func (s *multiJoinOp) reset() {
+	for i := range s.branches {
+		s.branches[i].reset()
+	}
+	if s.prog.indexed {
+		for i := range s.edges {
+			e := &s.edges[i]
+			if e.hashable = s.prog.edges[i].hashable; e.hashable {
+				clear(e.postL)
+				clear(e.postR)
+				clear(e.classOf)
+			}
+		}
+	}
+	if s.explorer != nil {
+		s.explorer.Reset()
+	}
+	clear(s.lists[:cap(s.lists)])
+	s.pendingIdx, s.rr, s.started, s.done, s.cand = 0, 0, false, false, nil
 }

@@ -55,8 +55,10 @@ type serviceOp struct {
 	// emitted is the root reader's emission counter (nil on every other
 	// reader): only the root skips what cannot rank, see skip.
 	emitted *atomic.Int64
-	// labeled is the run context with this node's seco.operator label; one
+	// labels is this node's seco.operator profiler label; labeled is the
+	// run context carrying it, built at the run's first launch — one
 	// serves all launches, as every Next of a run has the same context.
+	labels  pprof.LabelSet
 	labeled context.Context
 	// rd is the invocation the current combination reads: a scan's one
 	// invocation for the whole run, a pipe's own per combination.
@@ -371,7 +373,7 @@ func (s *serviceOp) launch(ctx context.Context, r *reading) {
 	labeled := s.sc != nil || s.ex.engine.metrics != nil
 	if labeled {
 		if s.labeled == nil {
-			s.labeled = pprof.WithLabels(ctx, pprof.Labels("seco.operator", s.n.ID))
+			s.labeled = pprof.WithLabels(ctx, s.labels)
 		}
 		ctx = s.labeled
 	}
@@ -460,8 +462,19 @@ func (s *serviceOp) Close() {
 		}
 		s.g.putReading(r)
 	}
-	s.rd, s.ahead = nil, nil
+	clear(s.ahead[:cap(s.ahead)])
+	s.rd, s.ahead = nil, s.ahead[:0]
 	s.arena.release()
+}
+
+// reset readies the closed reader for the next run: Close has put its
+// readings back and released its arena; the run's context and inputs go.
+func (s *serviceOp) reset() {
+	s.cur, s.j, s.upDone, s.done, s.skipping, s.rest = nil, 0, false, false, false, 0
+	s.labeled, s.cancel, s.sc, s.cand = nil, nil, nil, nil
+	if len(s.inputs) > 0 {
+		copy(s.fixed, s.in)
+	}
 }
 
 // nextCap bounds the score of tuple j of a reading: the fetched tuple

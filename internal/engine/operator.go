@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"seco/internal/obs"
-	"seco/internal/types"
 )
 
 // Operator is the pull-based face of one plan node in the compiled
@@ -55,7 +54,7 @@ var ErrClosed = errors.New("engine: operator closed")
 // a shared node marked it done first, so the count is schedule-dependent
 // even under the drain policy.
 type countedOp struct {
-	inner  Operator
+	inner  runOp
 	n      *atomic.Int64
 	sc     *obs.Scope // nil when the run is untraced
 	endSp  func(...obs.Attr)
@@ -117,10 +116,17 @@ func (c *countedOp) Close() {
 	c.inner.Close()
 }
 
+func (c *countedOp) reset() {
+	c.sc, c.endSp, c.opened, c.closed = nil, nil, false, false
+	c.nexts.Store(0)
+	c.inner.reset()
+}
+
 // inputOp emits the single empty combination every plan starts from.
+// Nothing writes a comb it did not allocate, so one seed serves every run.
 type inputOp struct {
-	width int
-	done  bool
+	seed comb
+	done bool
 }
 
 func (s *inputOp) Open(context.Context) error { return nil }
@@ -130,7 +136,7 @@ func (s *inputOp) Next(context.Context) (*comb, error) {
 		return nil, nil
 	}
 	s.done = true
-	return &comb{comps: make([]*types.Tuple, s.width)}, nil
+	return &s.seed, nil
 }
 
 func (s *inputOp) Bound() float64 {
@@ -141,6 +147,8 @@ func (s *inputOp) Bound() float64 {
 }
 
 func (s *inputOp) Close() { s.done = true }
+
+func (s *inputOp) reset() { s.done = false }
 
 // selectionOp filters its input; selections never change scores, so the
 // input bound carries over.
@@ -179,6 +187,8 @@ func (s *selectionOp) Bound() float64 { return s.up.Bound() }
 
 func (s *selectionOp) Close() {}
 
+func (s *selectionOp) reset() {}
+
 // sharedOp buffers a fan-out node's output so several consumers can
 // replay it independently; comb (and component tuple) identity is
 // preserved, which the join's shared-ancestor glue relies on.
@@ -202,6 +212,12 @@ func (s *sharedOp) open(ctx context.Context) error {
 	}
 	s.opened = true
 	return nil
+}
+
+// reset empties the buffer for the next run, keeping its capacity.
+func (s *sharedOp) reset() {
+	clear(s.buf)
+	s.buf, s.opened, s.done, s.err = s.buf[:0], false, false, nil
 }
 
 // teeOp is one consumer's cursor over a sharedOp.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"seco/internal/mart"
 	"seco/internal/plan"
@@ -13,9 +14,9 @@ import (
 	"seco/internal/types"
 )
 
-// compileFixture prepares the running-example plan and instantiates one
-// run's operator graph without running a driver, so tests can exercise the operator lifecycle
-// directly.
+// compileFixture prepares the running-example plan and binds one
+// operator graph to a run without running a driver, so tests can exercise
+// the operator lifecycle directly.
 func compileFixture(t *testing.T) *graph {
 	t.Helper()
 	e, p, q, world := fixture(t)
@@ -27,8 +28,17 @@ func compileFixture(t *testing.T) *graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &executor{Prepared: prep, run: RunOptions{Inputs: world.Inputs}, scope: e.Invoker().NewRun()}
-	g, err := prep.instantiate(ex)
+	return boundGraph(t, prep, RunOptions{Inputs: world.Inputs})
+}
+
+// boundGraph builds an operator graph of prep and binds it to a run
+// under opts, started at the zero time.
+func boundGraph(t *testing.T, prep *Prepared, opts RunOptions) *graph {
+	t.Helper()
+	g, err := prep.newGraph()
+	if err == nil {
+		err = g.bind(opts, time.Time{})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/pprof"
+	"sync"
 	"time"
 
 	"seco/internal/plan"
@@ -14,9 +14,12 @@ import (
 )
 
 // Prepared is a verified, compiled plan bound to an engine: the result of
-// everything that depends only on the plan and the PrepareOptions. It is
-// immutable, so any number of goroutines may Run it at once; each Run
-// builds only the mutable state of one execution.
+// everything that depends only on the plan and the PrepareOptions. Any
+// number of goroutines may Run it at once. Each Run takes an idle
+// operator graph of the program from the Prepared's free list, or builds
+// one when none is idle, binds only what is per run to it, and puts it
+// back once the run has ended and the graph is reset; the list holds at
+// most as many graphs as have run at once.
 type Prepared struct {
 	engine *Engine
 	ann    *plan.Annotated
@@ -35,6 +38,12 @@ type Prepared struct {
 	outHint   int
 	earlyStop bool
 	estCalls  float64
+	// labels is the seco.query profiler label of every run: the root
+	// node's ID.
+	labels pprof.LabelSet
+
+	mu   sync.Mutex
+	free []*graph // idle graphs, reset
 }
 
 // Prepare verifies the annotated plan and compiles it into a program.
@@ -91,6 +100,7 @@ func (e *Engine) Prepare(a *plan.Annotated, opts PrepareOptions) (*Prepared, err
 		outHint:   outHint(a.Ann[preds[0]].TOut),
 		earlyStop: opts.TargetK > 0 && nonNegative(opts.Weights),
 		estCalls:  a.TotalCalls(),
+		labels:    pprof.Labels("seco.query", c.nodes[root].id),
 	}
 	if !opts.SkipValidate {
 		if err := p.verify(); err != nil {
@@ -101,7 +111,8 @@ func (e *Engine) Prepare(a *plan.Annotated, opts PrepareOptions) (*Prepared, err
 }
 
 // verify checks the program against its plan. The description comes from
-// the same nodes Run instantiates, so what passes here is what executes.
+// the same nodes newGraph builds operators from, so what passes here is
+// what executes.
 func (p *Prepared) verify() error {
 	if err := plancheck.CheckOpGraph(p.ann.Plan, p.describe()).Err(); err != nil {
 		return fmt.Errorf("engine: refusing mis-compiled operator graph: %w", err)
@@ -111,8 +122,9 @@ func (p *Prepared) verify() error {
 
 // Run executes the prepared plan once under the driver policy it was
 // prepared for (see PrepareOptions.Materialize) and returns the ranked
-// combinations. Run is safe for concurrent use; every call gets its own
-// counting scope from the Invoker.
+// combinations. Run is safe for concurrent use: every call runs on an
+// operator graph of its own, with its own counting scope. A run that
+// fails drops its graph instead of returning it to the free list.
 func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Run, error) {
 	e := p.engine
 	// Bind the tracer to this engine's clock before any span can be
@@ -123,51 +135,68 @@ func (p *Prepared) Run(ctx context.Context, opts RunOptions) (*Run, error) {
 		opts.Trace.Bind(e.clock, e.virtual)
 	}
 	start := e.clock.Now()
-	ex := &executor{Prepared: p, run: opts, scope: e.invoker.NewRun(), floor: math.Inf(-1)}
-	// Bind the run's fixed call state into its Counters, the choke point
-	// every Invoke and Fetch passes: the budget probe refuses calls once
-	// it reports expiry — on this engine's clock, so virtual runs expire
-	// in simulated time — and an untraced run skips the scope lookup.
-	ex.budget = ex.budgetCheck(start)
-	var remaining func() time.Duration
-	if ex.budget != nil {
-		// The call policy's backoff, below the Counter, reads the probe
-		// from the context.
-		ctx = service.WithBudget(ctx, ex.budget)
-		// Under a wall clock the budget also yields per-call deadlines:
-		// every Invoke/Fetch gets a context.WithTimeout bounded by what is
-		// left, so a stalled wire call cannot outlive the run's deadline.
-		// Virtual runs skip this — their time only advances through charged
-		// latency, so the deterministic budget probe is the sole authority.
-		if _, wall := e.clock.(WallClock); wall {
-			deadline := start.Add(opts.Budget)
-			clk := e.clock
-			remaining = func() time.Duration { return deadline.Sub(clk.Now()) }
-		}
-	}
-	ex.scope.Bind(ex.budget, remaining, opts.Trace != nil)
-	g, err := p.instantiate(ex)
+	g, err := p.take()
 	if err != nil {
 		return nil, err
+	}
+	if err := g.bind(opts, start); err != nil {
+		return nil, err
+	}
+	if g.ex.budget != nil {
+		// The call policy's backoff, below the Counter, reads the probe
+		// from the context.
+		ctx = service.WithBudget(ctx, g.ex.budget)
 	}
 	// Label the run's goroutines for profiling: children (join-branch
 	// prefetchers, pipe look-ahead fetches) inherit the label, so a pprof
 	// profile partitions CPU/heap by query root.
 	var run *Run
-	var runErr error
-	pprof.Do(ctx, pprof.Labels("seco.query", p.nodes[p.root].id), func(ctx context.Context) {
+	pprof.Do(ctx, p.labels, func(ctx context.Context) {
 		if p.opts.Materialize {
-			run, runErr = ex.runDrain(ctx, g, start)
+			run, err = g.ex.runDrain(ctx, g, start)
 		} else {
-			run, runErr = ex.runPull(ctx, g, start)
+			run, err = g.ex.runPull(ctx, g, start)
 		}
 	})
-	return run, runErr
+	if err != nil {
+		return nil, err
+	}
+	p.put(g)
+	return run, nil
 }
 
-// executor is the per-run context shared by one run's operators: the
+// take returns an idle graph of the program, or a new one when none is.
+func (p *Prepared) take() (*graph, error) {
+	p.mu.Lock()
+	n := len(p.free)
+	if n == 0 {
+		p.mu.Unlock()
+		return p.newGraph()
+	}
+	g := p.free[n-1]
+	p.free[n-1], p.free = nil, p.free[:n-1]
+	p.mu.Unlock()
+	return g, nil
+}
+
+// put resets the graph of a finished run and returns it to the free
+// list. The drivers have waited for every pipeline goroutine and shut the
+// graph down; one that still holds a pooled buffer is dropped, so the
+// leak stays with the run that made it.
+func (p *Prepared) put(g *graph) {
+	if g.held.Load() != 0 {
+		return
+	}
+	g.reset()
+	p.mu.Lock()
+	p.free = append(p.free, g)
+	p.mu.Unlock()
+}
+
+// executor is the run context shared by one graph's operators: the
 // Prepared it executes (program, layout, engine, prepare-time options),
-// the run's own options, and its private counting scope from the Invoker.
+// the current run's options, and the graph's private counting scope from
+// the Invoker.
 type executor struct {
 	*Prepared
 	run   RunOptions
@@ -178,9 +207,14 @@ type executor struct {
 	// otherwise and under drain; halted is set by either stop path.
 	floor float64
 	best  *topK
-	// budget is the run's budget-expiry probe, nil without a budget.
-	budget func() error
-	halted bool
+	// budget is the run's budget-expiry probe, nil without a budget: the
+	// graph's expiredFn, which reads deadline (see bindBudget).
+	budget   func() error
+	deadline time.Time
+	halted   bool
+	// expiredFn and remainingFn are the budget probes, made once.
+	expiredFn   func() error
+	remainingFn func() time.Duration
 }
 
 // newRun assembles the common Run fields from the run's counting scope.

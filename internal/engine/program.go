@@ -18,8 +18,8 @@ import (
 // is the same in every run — compiled predicates, layout slots, ranking
 // weight, fetch budget, chunk sizes, the constant part of a service's
 // input. Nothing here is mutable after Prepare returns; graph.go builds
-// one run's operators by walking the same nodes, and describe reports
-// them to plancheck, so the verified graph is the executed graph.
+// the operator graphs runs reuse by walking the same nodes, and describe
+// reports them to plancheck, so the verified graph is the executed graph.
 
 // progNode is one compiled plan node.
 type progNode struct {
@@ -74,23 +74,18 @@ type pipeBind struct {
 	from query.PathRef
 }
 
-// bind assembles the node's fixed input for one run: the template with
-// the run's INPUT bindings filled in. A node without INPUT variables
-// shares the template across runs — services only read their input.
-func (sp *svcProg) bind(inputs map[string]types.Value) (service.Input, error) {
-	if len(sp.inputs) == 0 {
-		return sp.in, nil
-	}
-	fixed := sp.in.Clone()
+// bind fills the run's INPUT values into fixed, the operator's own copy
+// of the node's input template.
+func (sp *svcProg) bind(fixed service.Input, inputs map[string]types.Value) error {
 	for _, b := range sp.inputs {
 		v, ok := inputs[b.input]
 		if !ok {
-			return nil, fmt.Errorf("engine: unbound input variable %s (service %s)",
+			return fmt.Errorf("engine: unbound input variable %s (service %s)",
 				b.input, sp.n.Alias)
 		}
 		fixed[b.pos].Value = v
 	}
-	return fixed, nil
+	return nil
 }
 
 // pipeInput assembles the input of one piped invocation into dst's

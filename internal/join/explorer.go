@@ -61,6 +61,18 @@ func NewExplorer(s Strategy, limitX, limitY int) (*Explorer, error) {
 	}, nil
 }
 
+// Reset returns the explorer to the state NewExplorer left it in, keeping
+// its strategy, limits, ranker and buffers, so one explorer can schedule
+// join after join.
+func (e *Explorer) Reset() {
+	*e = Explorer{
+		strat: e.strat, limitX: e.limitX, limitY: e.limitY,
+		processed: e.processed[:0], stride: 1,
+		fetchSequence: e.fetchSequence[:0], recordFetchOrder: e.recordFetchOrder,
+		ranker: e.ranker,
+	}
+}
+
 // RecordFetchOrder makes the explorer keep the sequence of fetch sides for
 // inspection (used by strategy-trace tests).
 func (e *Explorer) RecordFetchOrder() { e.recordFetchOrder = true }

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -421,6 +422,39 @@ func TestExplorerProcessedTracksEmittedTiles(t *testing.T) {
 		check()
 		if _, ny := ex.Fetched(); ny != c.limY {
 			t.Errorf("%v: fetched %d Y chunks, want %d", c.s, ny, c.limY)
+		}
+	}
+}
+
+// TestExplorerResetReplays: an explorer reset after a schedule whose
+// processed rows widened past one word replays the schedule a new
+// explorer emits, event for event, and records its fetch order afresh.
+func TestExplorerResetReplays(t *testing.T) {
+	s := Strategy{Invocation: MergeScan, Completion: Triangular, RatioX: 1, RatioY: 3}
+	want := mustTrace(t, s, 30, 90)
+	ex, err := NewExplorer(s, 30, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.RecordFetchOrder()
+	for run := 0; run < 3; run++ {
+		var got []Event
+		for {
+			ev, ok := ex.Next()
+			if !ok {
+				break
+			}
+			got = append(got, ev)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: %d events, a new explorer emits %d", run, len(got), len(want))
+		}
+		if n := len(ex.FetchOrder()); n != 120 {
+			t.Fatalf("run %d: %d fetches recorded, want 120", run, n)
+		}
+		ex.Reset()
+		if nx, ny := ex.Fetched(); nx != 0 || ny != 0 || ex.Tiles() != 0 || ex.Processed(Tile{}) {
+			t.Fatalf("run %d: reset left fetches %d/%d, %d tiles, tile (0,0) processed", run, nx, ny, ex.Tiles())
 		}
 	}
 }

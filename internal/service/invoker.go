@@ -16,9 +16,9 @@ import (
 //     Share layer (cross-query singleflight + memo) over the
 //     user-supplied chain (call Policy, chaos injectors) over the base
 //     service;
-//   - per-run counter isolation: every execution gets a fresh RunScope
-//     with its own Counters, so N concurrent queries through one engine
-//     never mix their Run stats;
+//   - per-run counter isolation: every execution counts in a RunScope of
+//     its own, so N concurrent queries through one engine never mix their
+//     Run stats;
 //   - cross-query call sharing: with Share enabled, aliases bound to the
 //     same underlying service funnel through one Share layer, so
 //     overlapping queries deduplicate in-flight wire calls and replay
@@ -106,8 +106,9 @@ func (inv *Invoker) ShareStats() ShareStats {
 	return sum
 }
 
-// NewRun opens an isolated counting scope for one execution: a fresh
-// Counter per alias over the shared lanes. Concurrent runs each hold
+// NewRun opens an isolated counting scope: a fresh Counter per alias over
+// the shared lanes. A scope counts one execution at a time — its holder
+// resets the Counters before the next — and concurrent runs each hold
 // their own scope and may proceed simultaneously.
 func (inv *Invoker) NewRun() *RunScope {
 	scope := &RunScope{counters: map[string]*Counter{}}
