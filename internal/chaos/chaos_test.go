@@ -293,3 +293,52 @@ func TestBindingFaultPoisonsOneKey(t *testing.T) {
 		t.Errorf("degradation blames %v, want %s", run.Degraded.Failed, alias)
 	}
 }
+
+// TestSweepOutageOutlastsRetries runs the sweep under an outage that
+// outlasts one retried operation: the first 30 calls to one alias per
+// scenario fail transiently. The call policy gives up after nine failed
+// attempts, and the run degrades for that service, naming it, with a
+// certified prefix that matches the fault-free one. The sweep replays
+// exactly.
+//
+// The circuit does not trip here: it needs three give-ups in a row on
+// one policy, but a degradable run stops at its first, and each cell
+// mounts a fresh policy. A trip needs a policy that outlives the run, as
+// a served one would.
+func TestSweepOutageOutlastsRetries(t *testing.T) {
+	scenarios, err := Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outage := func(aliases []string) []Schedule {
+		return []Schedule{{Name: "outage", Seed: 1,
+			Rules: map[string][]Rule{aliases[0]: {TransientBurst{Start: 0, Len: 30}}}}}
+	}
+	sweep := func() *Summary {
+		sum, err := Sweep(context.Background(), scenarios, outage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	sum := sweep()
+	for _, v := range sum.Violations() {
+		t.Error(v)
+	}
+	if len(sum.Results) != len(scenarios) {
+		t.Fatalf("%d cells, want one per scenario", len(sum.Results))
+	}
+	for _, r := range sum.Results {
+		var giveUps int64
+		for _, rs := range r.Resilience {
+			giveUps += rs.GiveUps
+		}
+		if giveUps == 0 || !r.Degraded || r.Reason != string(engine.DegradeServiceFailure) || len(r.Failed) != 1 {
+			t.Errorf("%s: %d give-ups, degraded %v (%s, failed %v); want the outage to outlast the retries and degrade the run for its service",
+				r.Scenario, giveUps, r.Degraded, r.Reason, r.Failed)
+		}
+	}
+	if again := sweep(); !reflect.DeepEqual(sum, again) {
+		t.Errorf("the outage sweep did not replay:\n%+v\n%+v", sum.Results, again.Results)
+	}
+}

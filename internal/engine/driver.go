@@ -237,10 +237,14 @@ func (a rankedComb) before(b rankedComb) bool {
 	return a.c.score > b.c.score || (a.c.score == b.c.score && a.seq < b.seq)
 }
 
+// maxTopKReserve bounds what a top-K reserves up front. K is a request's
+// to choose, up to the largest int; a heap past this grows as it fills.
+const maxTopKReserve = 1 << 12
+
 // newTopK returns a top-K of bound k; hint pre-sizes the unbounded case.
 func newTopK(k, hint int) topK {
 	if k > 0 {
-		hint = k
+		hint = min(k, maxTopKReserve)
 	}
 	return topK{k: k, h: make([]rankedComb, 0, hint)}
 }

@@ -25,19 +25,19 @@ type respBuf struct{ body, combo []byte }
 
 var respBufs = sync.Pool{New: func() any { return new(respBuf) }}
 
-// maxPooledResp bounds the buffers that go back to the pool, so one huge
-// response does not stay pinned for the life of the process.
-const maxPooledResp = 64 << 10
+// maxPooledBuf bounds the buffers that go back to a pool, so one huge
+// request or response does not stay pinned for the life of the process.
+const maxPooledBuf = 64 << 10
 
 func getRespBuf() *respBuf { return respBufs.Get().(*respBuf) }
 
-// put returns b to the pool, dropping any buffer over maxPooledResp. The
+// put returns b to the pool, dropping any buffer over maxPooledBuf. The
 // caller must not touch b, or a body it returned, afterwards.
 func (b *respBuf) put() {
-	if cap(b.body) > maxPooledResp {
+	if cap(b.body) > maxPooledBuf {
 		b.body = nil
 	}
-	if cap(b.combo) > maxPooledResp {
+	if cap(b.combo) > maxPooledBuf {
 		b.combo = nil
 	}
 	respBufs.Put(b)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -15,23 +14,6 @@ import (
 	"seco/internal/engine"
 	"seco/internal/types"
 )
-
-// queryRequest is the POST /query body. Every field is optional: an
-// empty body runs the scenario's canonical query with the server
-// defaults under the anonymous tenant.
-type queryRequest struct {
-	// Query is SecoQL text (default: the scenario's canonical query).
-	Query string `json:"query,omitempty"`
-	// K overrides the requested combinations.
-	K int `json:"k,omitempty"`
-	// DeadlineMS is the client's end-to-end deadline in milliseconds.
-	DeadlineMS float64 `json:"deadline_ms,omitempty"`
-	// Tenant identifies the quota bucket (X-Seco-Tenant also accepted).
-	Tenant string `json:"tenant,omitempty"`
-	// Inputs overrides the scenario's INPUT bindings (literal syntax:
-	// quoted strings, numbers, true/false, dates).
-	Inputs map[string]string `json:"inputs,omitempty"`
-}
 
 // queryCombination is one ranked result row.
 type queryCombination struct {
@@ -133,11 +115,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req queryRequest
+	// The scratch holds the decoded body and the map the overrides are
+	// bound through, so it goes back only once the run has returned.
+	sc := getQueryScratch()
+	defer sc.put()
 	if r.ContentLength != 0 {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := sc.read(w, r); err != nil {
 			status := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -147,13 +130,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tenant := req.Tenant
+	req := &sc.req
+	tenant := string(req.tenant)
 	if tenant == "" {
 		tenant = r.Header.Get("X-Seco-Tenant")
 	}
 	// Clamp before converting: a deadline past time.Duration's range would
 	// wrap negative, which admission reads as "none given".
-	ms := min(max(req.DeadlineMS, 0), float64(math.MaxInt64/time.Millisecond))
+	ms := min(max(req.deadlineMS, 0), float64(math.MaxInt64/time.Millisecond))
 	deadline := time.Duration(ms * float64(time.Millisecond))
 	// X-Seco-Queued-Ns carries the ingress lag (admission-time minus
 	// arrival-time on the shared clock); a fronting proxy or the loadgen
@@ -183,11 +167,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	text := req.Query
-	if text == "" {
-		text = s.defaultText
+	// The canonical text is the common case: comparing costs no copy.
+	text := s.defaultText
+	if q := req.query; len(q) > 0 && string(q) != text {
+		text = string(q)
 	}
-	k := req.K
+	k := req.k
 	if k <= 0 {
 		k = s.cfg.K
 	}
@@ -197,23 +182,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inputs := s.inputs
-	if len(req.Inputs) > 0 {
-		inputs = make(map[string]types.Value, len(s.inputs)+len(req.Inputs))
-		for name, v := range s.inputs {
-			inputs[name] = v
-		}
-		names := make([]string, 0, len(req.Inputs))
-		for name := range req.Inputs {
-			names = append(names, name)
-		}
-		sort.Strings(names) // the first bad input named is deterministic
-		for _, name := range names {
-			v := types.ParseValue(req.Inputs[name])
-			if err := checkOverride(name, v, s.inputs); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			inputs[name] = v
+	if len(req.inputs) > 0 {
+		if inputs, err = sc.bind(s.inputs); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 	}
 
@@ -265,6 +237,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	// net/http never writes into a header's value slice (Set and Add
+	// replace or append, and WriteHeader clones the map), so one shared
+	// slice serves every response.
+	w.Header()["Content-Type"] = jsonContentType
 	w.Write(body)
 }
+
+// jsonContentType is the /query success Content-Type header value.
+var jsonContentType = []string{"application/json"}
